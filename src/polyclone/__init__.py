@@ -48,7 +48,6 @@ from .witness import (
 from .compat import (
     ColumnMultiset,
     Verdict,
-    check_compat_binary,
     check_compat_sampled,
     check_compat_symmetric,
     row_counts,

@@ -82,7 +82,7 @@ def cmd_witness(args) -> int:
     ok = True
     for name, rel in struct.relations.items():
         if args.mode == "exact":
-            verdict = compat.check_compat_symmetric(op, rel, budget=budget, jobs=args.jobs)
+            verdict = compat.check_compat_symmetric(op, rel, budget=budget)
         else:
             verdict = compat.check_compat_sampled(op, rel, args.trials, args.seed)
         ok = ok and verdict.ok
@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--trials", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=witness.DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=compat.DEFAULT_MULTISET_BUDGET)
     p.set_defaults(fn=cmd_witness)
 

@@ -2,15 +2,16 @@
 
 A matrix whose columns are tuples of a relation is, for an operation that
 only sees argument counts, fully described by how many times each tuple of
-the relation occurs as a column.  Compatibility checks therefore scan column
-multisets (compositions of the arity over the relation's tuples) instead of
-the exponentially larger space of matrices.
+the relation occurs as a column, and even by its row tally: the count vector
+of every row.  The exact check therefore walks the reachable row tallies (a
+dynamic program over the relation's tuples) instead of every column multiset
+or the exponentially larger space of matrices.  Verdicts count the
+column multisets they cover, and a violation is a concrete multiset.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import random
 from dataclasses import dataclass
 
@@ -99,77 +100,115 @@ class Verdict:
         return obj
 
 
-def _scan_chunk(op: SymmetricOp, rel: Relation, first_lo: int, first_hi: int):
-    """Scan multisets whose first-tuple count lies in [first_lo, first_hi],
-    in descending-count order.  Returns (checked, violation counts or None)."""
-    tuples = rel.tuples
-    T = len(tuples)
-    r = rel.arity
+def _row_value(op, chunk: int, base: int, d: int) -> int:
+    """Operation value on one row, given as its digit chunk of a tally."""
+    counts = []
+    for _ in range(d):
+        chunk, c = divmod(chunk, base)
+        counts.append(c)
+    return op.value_counts(counts)
+
+
+def _violating_tally(op, rel: Relation, base: int):
+    """First reachable row tally of `op.arity` columns whose image lies
+    outside `rel`, or None when every tally maps into `rel`.
+
+    A tally is one int in base `base` (more than any count): digit p*d + x
+    counts value x in row p, so no digit ever carries.
+
+    Layer k maps each tally of k columns to the smallest tuple index that
+    reaches it.  Extending a tally only by indices at least that large still
+    reaches every tally of k+1 columns, since a multiset sorted by tuple
+    index extends a prefix whose stored index is at most its last one.
+    Only two layers are alive at a time; the last one is evaluated as it is
+    generated, with one cached value per distinct row chunk.
+    """
     d = rel.domain_size
-    l = op.arity
+    # adding tuple t as a column adds steps[t] to the tally
+    steps = [sum(base ** (p * d + x) for p, x in enumerate(t)) for t in rel.tuples]
+    T = len(steps)
+    row_base = base**d
+    layer = {0: 0}
+    for _ in range(op.arity - 1):
+        nxt = {}
+        get = nxt.get
+        for tally, lo in layer.items():
+            for t in range(lo, T):
+                key = tally + steps[t]
+                if get(key, T) > t:
+                    nxt[key] = t
+        layer = nxt
     members = rel._members
-    value = op.value_counts
-    rows = [[0] * d for _ in range(r)]
-    counts = [0] * T
-    checked = 0
-    violation = None
+    cache = {}
+    rows = range(rel.arity)
+    for tally, lo in layer.items():
+        for t in range(lo, T):
+            rest = key = tally + steps[t]
+            image = []
+            for _ in rows:
+                rest, chunk = divmod(rest, row_base)
+                v = cache.get(chunk)
+                if v is None:
+                    v = cache[chunk] = _row_value(op, chunk, base, d)
+                image.append(v)
+            if tuple(image) not in members:
+                return key
+    return None
 
-    def add(idx, c):
-        t = tuples[idx]
-        for p in range(r):
-            rows[p][t[p]] += c
 
-    def rec(idx, remaining):
-        nonlocal checked, violation
-        if idx == T - 1:
-            counts[idx] = remaining
-            if remaining:
-                add(idx, remaining)
-            checked += 1
-            image = tuple(value(rows[p]) for p in range(r))
-            if image not in members:
-                violation = tuple(counts)
-            if remaining:
-                add(idx, -remaining)
+def _decompose(rel: Relation, tally: int, base: int) -> list[int]:
+    """Tuple counts whose row tally is `tally`, by depth-first search over
+    tuple indices; failed (index, remainder) pairs are memoized."""
+    tuples = rel.tuples
+    d = rel.domain_size
+    digits = []
+    for _ in range(rel.arity * d):
+        tally, c = divmod(tally, base)
+        digits.append(c)
+    cells = [[p * d + x for p, x in enumerate(t)] for t in tuples]
+    counts = [0] * len(tuples)
+    dead = set()
+
+    def search(start: int, rem: tuple) -> bool:
+        if not any(rem):
+            return True
+        if (start, rem) in dead:
+            return False
+        for idx in range(start, len(tuples)):
+            for c in range(min(rem[i] for i in cells[idx]), 0, -1):
+                nxt = list(rem)
+                for i in cells[idx]:
+                    nxt[i] -= c
+                counts[idx] = c
+                if search(idx + 1, tuple(nxt)):
+                    return True
             counts[idx] = 0
-            return violation is not None
-        hi, lo = remaining, 0
-        if idx == 0:
-            hi = min(hi, first_hi)
-            lo = max(lo, first_lo)
-        for c in range(hi, lo - 1, -1):
-            counts[idx] = c
-            if c:
-                add(idx, c)
-            stop = rec(idx + 1, remaining - c)
-            if c:
-                add(idx, -c)
-            counts[idx] = 0
-            if stop:
-                return True
+        dead.add((start, rem))
         return False
 
-    if T == 1:
-        if first_lo <= l <= first_hi:
-            rec(0, l)
-    else:
-        rec(0, l)
-    return checked, violation
+    if not search(0, tuple(digits)):
+        raise RuntimeError("violating tally has no column multiset")
+    return counts
 
 
 def check_compat_symmetric(
     op: SymmetricOp,
     rel: Relation,
     budget: int = DEFAULT_MULTISET_BUDGET,
-    jobs: int = 1,
 ) -> Verdict:
-    """Exact compatibility check by exhausting all column multisets.
+    """Exact compatibility check over every column multiset.
 
     The verdict is ok iff for every multiset of `op.arity` columns from
-    `rel`, applying the operation to the rows lands back in `rel`.
+    `rel`, applying the operation to the rows lands back in `rel`.  The
+    scan walks the reachable row tallies instead of the multisets; `checked`
+    is the number of multisets the verdict covers, C(l+T-1, T-1) for arity
+    l and T tuples.  A violation is a concrete multiset that re-checks with
+    `row_counts`.
     """
     if op.domain.size != rel.domain_size:
         raise ValueError("operation and relation must share a domain")
+    if op.arity < 1:
+        raise ValueError("operation arity must be positive")
     if not len(rel):
         return Verdict(True, "exact", 0)
     total = multiset_count(op.arity, len(rel))
@@ -177,29 +216,14 @@ def check_compat_symmetric(
         raise BudgetExceededError(
             f"{total} column multisets exceed budget {budget}; use sampled mode"
         )
-    l = op.arity
-    if jobs <= 1 or l == 0 or len(rel) == 1:
-        checked, violation = _scan_chunk(op, rel, 0, l)
-    else:
-        jobs = min(jobs, l + 1)
-        # contiguous first-count spans, scanned in the same descending order
-        bounds = [l - (l + 1) * i // jobs for i in range(jobs + 1)]
-        spans = [(bounds[i + 1] + 1, bounds[i]) for i in range(jobs)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            parts = pool.starmap(
-                _scan_chunk, [(op, rel, lo, hi) for lo, hi in spans]
-            )
-        checked = 0
-        violation = None
-        for part_checked, part_violation in parts:
-            checked += part_checked
-            if part_violation is not None:
-                violation = part_violation
-                break
-    if violation is None:
-        return Verdict(True, "exact", checked)
-    return Verdict(False, "exact", checked, ColumnMultiset(rel, violation))
+    base = op.arity + 1
+    tally = _violating_tally(op, rel, base)
+    if tally is None:
+        return Verdict(True, "exact", total)
+    cm = ColumnMultiset(rel, _decompose(rel, tally, base))
+    if tuple(op.value_counts(row.counts) for row in row_counts(cm)) in rel:
+        raise RuntimeError("reconstructed violation re-checks as compatible")
+    return Verdict(False, "exact", total, cm)
 
 
 def check_compat_sampled(
@@ -232,20 +256,3 @@ def check_compat_sampled(
         if image not in members:
             return Verdict(False, "sampled", trial + 1, ColumnMultiset(rel, counts), seed)
     return Verdict(True, "sampled", trials, None, seed)
-
-
-def check_compat_binary(
-    op: SymmetricOp,
-    rel: Relation,
-    budget: int = DEFAULT_MULTISET_BUDGET,
-    trials: int = 10**5,
-    seed: int = DEFAULT_SEED,
-    jobs: int = 1,
-) -> Verdict:
-    """Two-row specialization; falls back to sampling past the budget."""
-    if rel.arity != 2:
-        raise ValueError("binary check needs a binary relation")
-    try:
-        return check_compat_symmetric(op, rel, budget=budget, jobs=jobs)
-    except BudgetExceededError:
-        return check_compat_sampled(op, rel, trials, seed)

@@ -64,7 +64,7 @@ class Relation:
             if len(t) != arity:
                 raise ValueError(f"tuple {t} does not have arity {arity}")
             for x in t:
-                if not isinstance(x, int) or not 0 <= x < domain_size:
+                if type(x) is not int or not 0 <= x < domain_size:
                     raise ValueError(f"entry {x!r} outside domain of size {domain_size}")
         self.arity = arity
         self.domain_size = domain_size

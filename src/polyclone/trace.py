@@ -852,6 +852,7 @@ def _describe_app_fault(app: Application, good: Application, structure: Structur
 
 def _describe_step_fault(step: StepCertificate, good: StepCertificate, structure, faults):
     where = f"step {good.k}"
+    before = len(faults)
     if step.k != good.k:
         faults.append(f"{where}: records k={step.k}")
     if step.pivot != good.pivot:
@@ -874,7 +875,7 @@ def _describe_step_fault(step: StepCertificate, good: StepCertificate, structure
         faults.append(f"{where}: congruence blocks deviate from the ladder")
     if step.doubled != good.doubled:
         faults.append(f"{where}: doubled bottom-block size deviates")
-    if not faults:
+    if len(faults) == before:
         faults.append(f"{where}: deviates from the derivation")
 
 

@@ -388,3 +388,16 @@ def test_acceptance_8_bound_formulas():
             ok = ok and lower_bound(n + 2, m + 1) == m ** (2**n)
         ok = ok and lower_bound(n + 3, 2) == 2 ** (2**n)
     report(8, "bound formulas", ok)
+
+
+def test_acceptance_9_witness_exact_at_arity_17():
+    t0 = time.time()
+    ok = True
+    for op, struct in [
+        (witness_a(2, 2), structure_a(SpecA(2, 2))),
+        (witness_b(2), structure_b(SpecB(2))),
+    ]:
+        ok = ok and op.arity == 17
+        ok = ok and _verify_polymorphism_exact(op, struct)
+    elapsed = time.time() - t0
+    report(9, "witness operations verified exactly at arity 17", ok and elapsed < 120, elapsed)

@@ -1,19 +1,89 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyclone.compat import (
     ColumnMultiset,
-    check_compat_binary,
     check_compat_sampled,
     check_compat_symmetric,
     multiset_count,
     row_counts,
 )
 from polyclone.relations import BudgetExceededError, Relation
-from polyclone.structures import SpecA, SpecB, gen_r_b, gen_s, structure_a
-from polyclone.witness import DEFAULT_SEED, CountVector, witness_a, witness_b
+from polyclone.structures import SpecA, SpecB, gen_r_b, gen_s, structure_a, structure_b
+from polyclone.witness import (
+    DEFAULT_SEED,
+    CountVector,
+    compositions,
+    witness_a,
+    witness_b,
+)
+
+
+def multiset_scan(op, rel):
+    """Test oracle: every column multiset of `op.arity` columns, enumerated
+    by recursion over tuple counts (first count descending), with the rows
+    tallied explicitly.  Returns (multisets checked, violating counts in
+    scan order)."""
+    tuples = rel.tuples
+    T = len(tuples)
+    rows = [[0] * rel.domain_size for _ in range(rel.arity)]
+    counts = [0] * T
+    checked = 0
+    violations = []
+
+    def add(idx, c):
+        for p, x in enumerate(tuples[idx]):
+            rows[p][x] += c
+
+    def rec(idx, remaining):
+        nonlocal checked
+        if idx == T - 1:
+            counts[idx] = remaining
+            add(idx, remaining)
+            checked += 1
+            if tuple(op.value_counts(row) for row in rows) not in rel:
+                violations.append(tuple(counts))
+            add(idx, -remaining)
+            return
+        for c in range(remaining, -1, -1):
+            counts[idx] = c
+            add(idx, c)
+            rec(idx + 1, remaining - c)
+            add(idx, -c)
+
+    rec(0, op.arity)
+    return checked, violations
+
+
+class CountTableOp:
+    """Arbitrary symmetric operation: a table over count vectors.  Exposes
+    only `arity`, `domain.size` and `value_counts`, as the scans require."""
+
+    def __init__(self, rng, domain_size, arity):
+        self.arity = arity
+        self.domain = SimpleNamespace(size=domain_size)
+        self.table = {c: rng.randrange(domain_size) for c in compositions(arity, domain_size)}
+
+    def value_counts(self, counts, top_threshold=None):
+        return self.table[tuple(counts)]
+
+
+def assert_scan_matches_oracle(op, rel):
+    verdict = check_compat_symmetric(op, rel)
+    checked, violations = multiset_scan(op, rel)
+    assert verdict.mode == "exact"
+    assert verdict.ok == (not violations)
+    assert verdict.checked == checked == multiset_count(op.arity, len(rel))
+    if not verdict.ok:
+        cm = verdict.violation
+        assert cm.total == op.arity
+        assert tuple(op.value_counts(row.counts) for row in row_counts(cm)) not in rel
+        assert cm.counts in violations
+    return verdict
 
 
 def test_row_counts_constant_columns():
@@ -120,22 +190,22 @@ def test_binary_check_families():
     spec = SpecB(0)
     op = witness_b(0)
     for j in (1, 2):
-        verdict = check_compat_binary(op, gen_r_b(spec, 0, j))
+        verdict = check_compat_symmetric(op, gen_r_b(spec, 0, j))
         assert verdict.ok and verdict.mode == "exact"
     spec = SpecB(1)
     op = witness_b(1)
     for i in (0, 1):
         for j in (1, 2):
-            verdict = check_compat_binary(op, gen_r_b(spec, i, j))
+            verdict = check_compat_symmetric(op, gen_r_b(spec, i, j))
             assert verdict.ok
-    with pytest.raises(ValueError):
-        check_compat_binary(op, gen_s(SpecA(1, 2), 0))
 
 
-def test_binary_check_sampled_fallback():
+def test_binary_check_over_budget_needs_sampled_mode():
     op = witness_b(1)
     rel = gen_r_b(SpecB(1), 1, 1)
-    verdict = check_compat_binary(op, rel, budget=5, trials=50)
+    with pytest.raises(BudgetExceededError):
+        check_compat_symmetric(op, rel, budget=5)
+    verdict = check_compat_sampled(op, rel, 50)
     assert verdict.mode == "sampled" and verdict.checked == 50 and verdict.ok
 
 
@@ -146,17 +216,35 @@ def test_budget_error_names_sampled_mode():
         check_compat_symmetric(op, rel, budget=10**3)
 
 
-def test_parallel_scan_matches_sequential():
-    op = witness_a(1, 2)
-    rel = gen_s(SpecA(1, 2), 1)
-    seq = check_compat_symmetric(op, rel, jobs=1)
-    par = check_compat_symmetric(op, rel, jobs=3)
-    assert (seq.ok, seq.checked) == (par.ok, par.checked)
-    bad = corrupted_s0()
-    op = witness_a(0, 3)
-    seq = check_compat_symmetric(op, bad)
-    par = check_compat_symmetric(op, bad, jobs=4)
-    assert not par.ok and par.violation == seq.violation
+def test_tally_scan_matches_multiset_oracle():
+    for op, struct in [
+        (witness_a(0, 3), structure_a(SpecA(0, 3))),
+        (witness_a(1, 2), structure_a(SpecA(1, 2))),
+        (witness_b(1), structure_b(SpecB(1))),
+    ]:
+        for rel in struct.relations.values():
+            assert assert_scan_matches_oracle(op, rel).ok
+    verdict = assert_scan_matches_oracle(witness_a(0, 3), corrupted_s0())
+    assert not verdict.ok
+
+
+BUNDLED_OPS = [witness_a(0, 2), witness_a(0, 3), witness_a(0, 4), witness_a(1, 2), witness_b(0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_tally_scan_matches_oracle_on_random_relations(seed, bundled):
+    rng = random.Random(seed)
+    if bundled:
+        op = rng.choice(BUNDLED_OPS)
+        d = op.domain.size
+    else:
+        d = rng.randint(2, 3)
+        op = CountTableOp(rng, d, rng.randint(1, 4))
+    arity = rng.randint(1, 3)
+    universe = list(itertools.product(range(d), repeat=arity))
+    rel = Relation(arity, d, rng.sample(universe, rng.randint(1, min(8, len(universe)))))
+    assert_scan_matches_oracle(op, rel)
 
 
 def test_unary_compatibility_via_multisets():

@@ -56,6 +56,11 @@ def test_relation_validation():
         Relation(2, 2, [(0, 1, 1)])
     with pytest.raises(ValueError):
         Relation(2, 2, [(0, 2)])
+    # bool is an int subclass, but True/False are not domain elements
+    with pytest.raises(ValueError):
+        Relation(2, 2, [(True, 0)])
+    with pytest.raises(ValueError):
+        Relation(1, 2, [(False,)])
     r = Relation(2, 3, [(1, 0), (0, 1), (1, 0)])
     assert len(r) == 2 and r.tuples == ((0, 1), (1, 0))
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from polyclone.structures import SpecA, SpecB, gen_s, structure_a, structure_b
 from polyclone.trace import (
     CertificateError,
     ColumnBlock,
+    StepCertificate,
     _require_member,
     build_schedule_a,
     build_schedule_b,
@@ -184,6 +186,24 @@ def test_check_names_bad_membership():
     report = check_certificate_json(obj, struct)
     assert not report.ok
     assert any("not in" in f or "deviates" in f for f in report.faults)
+
+
+def test_check_names_every_deviating_step():
+    # a step of a foreign type matches the derived step field by field, so
+    # only the catch-all line can name it; each such step needs its own line
+    class ForeignStep(StepCertificate):
+        pass
+
+    cert = certify_lower_bound_a(2, 2)
+    steps = list(cert.steps)
+    for s in (0, 2):
+        steps[s] = ForeignStep(**{f.name: getattr(steps[s], f.name) for f in fields(steps[s])})
+    report = check_certificate(replace(cert, steps=tuple(steps)), structure_a(SpecA(2, 2)))
+    assert not report.ok
+    assert report.faults == (
+        "step 0: deviates from the derivation",
+        "step 2: deviates from the derivation",
+    )
 
 
 def test_check_rejects_mismatched_structure():
