@@ -41,7 +41,6 @@ from .witness import (
     is_conservative_exhaustive,
     is_conservative_sampled,
     is_nu_symmetric,
-    less_count,
     witness_a,
     witness_b,
 )

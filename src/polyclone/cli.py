@@ -4,7 +4,8 @@ Subcommands: gen, ppcheck, witness, decide, trace, bounds.  All output is
 JSON on stdout; identical invocations (including seeds) produce identical
 bytes.  Exit codes: 0 ok / sat, 1 violation / unsat / failed identity,
 2 usage error, 3 budget exceeded or unknown verdict.  The environment
-variable POLYCLONE_BUDGET overrides the enumeration caps.
+variable POLYCLONE_BUDGET sets the default of exactly two flags, `witness
+--budget` and `decide --matrix-budget`; an explicit flag wins over it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _env_budget(default: int) -> int:
+def _budget(flag: int | None, default: int) -> int:
+    """The flag if given, else POLYCLONE_BUDGET if set, else `default`."""
+    if flag is not None:
+        return flag
     raw = os.environ.get("POLYCLONE_BUDGET")
     if raw is None:
         return default
@@ -77,7 +81,7 @@ def cmd_witness(args) -> int:
     fam = args.family
     _, struct = _family_structure(fam, args.n, args.m)
     op = witness.witness_a(args.n, args.m) if fam == "A" else witness.witness_b(args.n)
-    budget = _env_budget(args.budget)
+    budget = _budget(args.budget, compat.DEFAULT_MULTISET_BUDGET)
     results = []
     ok = True
     for name, rel in struct.relations.items():
@@ -106,7 +110,7 @@ def cmd_witness(args) -> int:
 def cmd_decide(args) -> int:
     fam = args.family
     _, struct = _family_structure(fam, args.n, args.m)
-    budget = _env_budget(args.matrix_budget)
+    budget = _budget(args.matrix_budget, indicator.DEFAULT_MATRIX_BUDGET)
     report = indicator.decide_nu(
         struct,
         args.k,
@@ -187,16 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--trials", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=witness.DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=compat.DEFAULT_MULTISET_BUDGET)
+    p.add_argument("--budget", type=int)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("decide", help="search for a near-unanimity table of a given arity")
     add_family(p, True)
     p.add_argument("--k", type=int, required=True, help="arity to decide")
-    p.add_argument("--pin", choices=["nu", "remark"], default="nu")
+    p.add_argument("--pin", choices=list(indicator.PIN_SETS), default="nu")
     p.add_argument("--node-limit", type=int, default=indicator.DEFAULT_NODE_LIMIT)
     p.add_argument("--var-cap", type=int, default=indicator.DEFAULT_VAR_CAP)
-    p.add_argument("--matrix-budget", type=int, default=indicator.DEFAULT_MATRIX_BUDGET)
+    p.add_argument("--matrix-budget", type=int)
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("trace", help="build and re-check a lower-bound certificate")

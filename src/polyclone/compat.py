@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .relations import BudgetExceededError, Domain, Relation
+from .relations import BudgetExceededError, Domain, Relation, tally_rows
 from .witness import (
     DEFAULT_SEED,
     CountVector,
@@ -69,13 +69,8 @@ class ColumnMultiset:
 def row_counts(cm: ColumnMultiset) -> list[CountVector]:
     """Per-row count vectors of the represented matrix; every row total
     equals the multiset total."""
-    r = cm.rel.arity
-    d = cm.rel.domain_size
-    rows = [[0] * d for _ in range(r)]
-    for t, c in zip(cm.rel.tuples, cm.counts):
-        if c:
-            for p in range(r):
-                rows[p][t[p]] += c
+    rel = cm.rel
+    rows = tally_rows(rel.arity, rel.domain_size, zip(rel.tuples, cm.counts))
     return [CountVector(row) for row in rows]
 
 
@@ -236,6 +231,8 @@ def check_compat_sampled(
     verdict is evidence only and is labeled as sampled."""
     if op.domain.size != rel.domain_size:
         raise ValueError("operation and relation must share a domain")
+    if trials < 1:
+        raise ValueError(f"sampled check needs at least one trial, got {trials}")
     if not len(rel):
         return Verdict(True, "sampled", 0, None, seed)
     rng = random.Random(seed)
@@ -247,12 +244,7 @@ def check_compat_sampled(
     value = op.value_counts
     for trial in range(trials):
         counts = random_composition(rng, op.arity, T)
-        rows = [[0] * d for _ in range(r)]
-        for t, c in zip(tuples, counts):
-            if c:
-                for p in range(r):
-                    rows[p][t[p]] += c
-        image = tuple(value(rows[p]) for p in range(r))
+        image = tuple(map(value, tally_rows(r, d, zip(tuples, counts))))
         if image not in members:
             return Verdict(False, "sampled", trial + 1, ColumnMultiset(rel, counts), seed)
     return Verdict(True, "sampled", trials, None, seed)

@@ -75,39 +75,28 @@ class IndicatorInstance:
         return len(self.con_rel)
 
 
-def encode_args(args, domain_size: int) -> int:
-    code = 0
-    for x in args:
-        code = code * domain_size + x
-    return code
-
-
 def nu_pins(domain_size: int, arity: int):
     """Constant tuples map to their constant; one deviation loses to the
-    repeated element."""
-    pins = []
+    repeated element.  Yields (args, value) pairs lazily, so an arity over
+    the variable cap fails before any pin is built."""
     for x in range(domain_size):
-        pins.append(((x,) * arity, x))
+        yield (x,) * arity, x
         for p in range(arity):
             for y in range(domain_size):
-                if y == x:
-                    continue
-                args = [x] * arity
-                args[p] = y
-                pins.append((tuple(args), x))
-    return pins
+                if y != x:
+                    args = [x] * arity
+                    args[p] = y
+                    yield tuple(args), x
 
 
 def remark_pins(domain_size: int, arity: int):
     """Weaker pinning: only the tuples deviating from the top element by the
-    bottom element are fixed (to the top element)."""
+    bottom element are fixed (to the top element).  Yields lazily too."""
     top = domain_size - 1
-    pins = []
     for p in range(arity):
         args = [top] * arity
         args[p] = 0
-        pins.append((tuple(args), top))
-    return pins
+        yield tuple(args), top
 
 
 def _scopes_for_relation(rel: Relation, k: int, domain_size: int) -> array:
@@ -138,17 +127,15 @@ def _scopes_for_relation(rel: Relation, k: int, domain_size: int) -> array:
 def build_indicator(
     structure: Structure,
     k: int,
-    identities: str = "nu",
-    fixed_rows=None,
+    pins,
     var_cap: int = DEFAULT_VAR_CAP,
     matrix_budget: int = DEFAULT_MATRIX_BUDGET,
 ) -> IndicatorInstance:
     """Compile the instance for "does `structure` have an operation of arity
-    `k` satisfying the identities".
+    `k` whose table takes each pinned (args, value) pair's value at args".
 
-    `identities` is "nu" for full near-unanimity pinning or "fixed" to use
-    only the supplied `fixed_rows` (an iterable of (args, value) pairs);
-    passing `fixed_rows` forces "fixed".
+    `pins` is an iterable of (args, value) pairs, such as `nu_pins` or
+    `remark_pins` give.
     """
     if k < 1:
         raise ValueError("arity must be positive")
@@ -180,18 +167,13 @@ def build_indicator(
                 m &= u
         domains[code] = m
 
-    if fixed_rows is not None:
-        identities = "fixed"
-    if identities == "nu":
-        pins = nu_pins(d, k)
-    elif identities == "fixed":
-        pins = [(tuple(args), val) for args, val in (fixed_rows or [])]
-    else:
-        raise ValueError(f"unknown identity set {identities!r}")
     for args, val in pins:
         if len(args) != k:
             raise ValueError("pinned tuple has wrong arity")
-        domains[encode_args(args, d)] &= 1 << val
+        code = 0
+        for x in args:
+            code = code * d + x
+        domains[code] &= 1 << val
 
     rel_list = []
     con_rel = array("h")
@@ -408,28 +390,23 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     return SolveReport("unsat", None, nodes)
 
 
+PIN_SETS = {"nu": nu_pins, "remark": remark_pins}
+
+
 def decide_nu(
     structure: Structure,
     k: int,
     pin: str = "nu",
-    fixed_rows=None,
     var_cap: int = DEFAULT_VAR_CAP,
     matrix_budget: int = DEFAULT_MATRIX_BUDGET,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> SolveReport:
-    """Build and solve; `pin` is "nu", "remark" (fix only the bottom-element
-    deviations from the top element), or "fixed" with explicit rows."""
-    if fixed_rows is not None:
-        pin = "fixed"
-    if pin == "nu":
-        inst = build_indicator(structure, k, "nu", None, var_cap, matrix_budget)
-    elif pin == "remark":
-        rows = remark_pins(structure.domain.size, k)
-        inst = build_indicator(structure, k, "fixed", rows, var_cap, matrix_budget)
-    elif pin == "fixed":
-        inst = build_indicator(structure, k, "fixed", fixed_rows, var_cap, matrix_budget)
-    else:
+    """Build and solve; `pin` is "nu" (the near-unanimity identities) or
+    "remark" (fix only the bottom-element deviations from the top element)."""
+    if pin not in PIN_SETS:
         raise ValueError(f"unknown pin mode {pin!r}")
+    pins = PIN_SETS[pin](structure.domain.size, k)
+    inst = build_indicator(structure, k, pins, var_cap, matrix_budget)
     return solve(inst, node_limit)
 
 

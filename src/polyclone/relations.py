@@ -254,6 +254,17 @@ def table_compatible(table: OpTable, rel: Relation, budget: int = DEFAULT_TABLE_
     return True, None
 
 
+def tally_rows(arity: int, domain_size: int, columns) -> list[list[int]]:
+    """Row tally of a matrix given by (column, multiplicity) pairs: entry
+    [p][x] counts the columns, with multiplicity, that hold x in row p."""
+    rows = [[0] * domain_size for _ in range(arity)]
+    for col, c in columns:
+        if c:
+            for p in range(arity):
+                rows[p][col[p]] += c
+    return rows
+
+
 class Structure:
     """A domain together with an ordered family of named relations."""
 
@@ -300,31 +311,6 @@ def relation_to_json(rel: Relation) -> dict:
     }
 
 
-def relation_from_json(obj: dict) -> Relation:
-    return Relation(int(obj["arity"]), int(obj["domain"]), [tuple(t) for t in obj["tuples"]])
-
-
-def relation_to_text(rel: Relation, domain: Domain) -> str:
-    """One tuple per line, space-separated element names."""
-    if domain.size != rel.domain_size:
-        raise ValueError("domain size mismatch")
-    return "\n".join(" ".join(domain.name(x) for x in t) for t in rel.tuples)
-
-
-def relation_from_text(text: str, domain: Domain, arity: int | None = None) -> Relation:
-    tuples = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        tuples.append(tuple(domain.index[w] for w in line.split()))
-    if not tuples and arity is None:
-        raise ValueError("cannot infer arity of an empty relation; pass arity")
-    if arity is None:
-        arity = len(tuples[0])
-    return Relation(arity, domain.size, tuples)
-
-
 def structure_to_json(struct: Structure) -> dict:
     return {
         "domain": struct.domain.size,
@@ -333,11 +319,3 @@ def structure_to_json(struct: Structure) -> dict:
             {"name": name, **relation_to_json(rel)} for name, rel in struct.relations.items()
         ],
     }
-
-
-def structure_from_json(obj: dict) -> Structure:
-    domain = Domain(obj["names"])
-    if domain.size != int(obj["domain"]):
-        raise ValueError("domain size disagrees with name list")
-    rels = [(entry["name"], relation_from_json(entry)) for entry in obj["relations"]]
-    return Structure(domain, rels)

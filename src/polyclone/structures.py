@@ -28,11 +28,9 @@ from .relations import (
     Domain,
     Relation,
     Structure,
-    blocks,
     compose,
     converse,
     equivalence_from_blocks,
-    project,
 )
 
 
@@ -255,16 +253,3 @@ def bounds(universe: int, max_arity: int) -> dict:
         "upper": upper_bound(universe, max_arity),
         "lower": lower_bound(universe, max_arity),
     }
-
-
-def congruence_blocks_a(spec: SpecA, i: int):
-    return blocks(congruence_a(spec, i))
-
-
-def congruence_blocks_b(spec: SpecB, i: int):
-    return blocks(congruence_b(spec, i))
-
-
-def projection_matches_s(spec: SpecA, i: int) -> bool:
-    """R_i is by definition the first-two-coordinate projection of S_i."""
-    return project(gen_s(spec, i), [0, 1]) == gen_r(spec, i)

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .relations import Relation, Structure, blocks, compose, converse
+from .relations import Relation, Structure, blocks, compose, converse, tally_rows
 from .structures import (
     SpecA,
     SpecB,
@@ -217,14 +217,6 @@ class TraceCertificate:
 # Builders
 # ---------------------------------------------------------------------------
 
-def _tally_rows(arity: int, domain_size: int, columns):
-    rows = [[0] * domain_size for _ in range(arity)]
-    for block in columns:
-        for p in range(arity):
-            rows[p][block.column[p]] += block.count
-    return [tuple(r) for r in rows]
-
-
 def _require_member(block: ColumnBlock, rel: Relation, target: str):
     if block.column not in rel:
         raise CertificateError(f"column {block.column} is not in {target}")
@@ -271,13 +263,13 @@ def certify_step_a(n: int, m: int, k: int) -> StepCertificate:
     total = sum(b.count for b in columns)
     if total != m ** (2**n):
         raise CertificateError(f"column bookkeeping sums to {total}, not m**2**n")
-    rows = _tally_rows(m + 1, n + 2, columns)
+    rows = tally_rows(m + 1, n + 2, [(b.column, b.count) for b in columns])
     v_k = schedule_vector(n, m, k)
     v_k1 = schedule_vector(n, m, k + 1)
-    if rows[0] != v_k1.counts:
+    if rows[0] != list(v_k1.counts):
         raise CertificateError(f"conclusion row of step {k} does not match the schedule")
     for r in range(1, m + 1):
-        if rows[r] != v_k.counts:
+        if rows[r] != list(v_k.counts):
             raise CertificateError(f"premise row {r} of step {k} does not match the schedule")
     if not _builder_chain_ok_a(n, i + 1):
         raise CertificateError(f"congruence ladder identity failed at level {i + 1}")
@@ -312,15 +304,15 @@ def certify_base_a(n: int, m: int) -> BaseCertificate:
             columns.append(ColumnBlock((b + 1,) + (lv,) * m, c))
     for block in columns:
         _require_member(block, rel, target)
-    rows = _tally_rows(m + 1, n + 2, columns)
+    rows = tally_rows(m + 1, n + 2, [(b.column, b.count) for b in columns])
     v_0 = schedule_vector(n, m, 0)
-    if rows[0] != v_0.counts:
+    if rows[0] != list(v_0.counts):
         raise CertificateError("base conclusion row does not match the first schedule vector")
     premise = [0] * (n + 2)
     premise[0] = 1
     premise[lv] = m ** (2**n) - 1
     for r in range(1, m + 1):
-        if rows[r] != tuple(premise):
+        if rows[r] != premise:
             raise CertificateError(f"base premise row {r} is not a one-deviation row")
     return BaseCertificate(applications=(Application(target, tuple(columns)),))
 
@@ -393,10 +385,10 @@ def certify_step_b(n: int, k: int) -> StepCertificate:
         total = sum(b.count for b in columns)
         if total != 2 ** (2**n):
             raise CertificateError(f"column bookkeeping sums to {total} at step {k}")
-        rows = _tally_rows(2, n + 3, columns)
-        if rows[0] != w_k1.counts:
+        rows = tally_rows(2, n + 3, [(b.column, b.count) for b in columns])
+        if rows[0] != list(w_k1.counts):
             raise CertificateError(f"conclusion row of step {k} ({target}) mismatches")
-        if rows[1] != w_k.counts:
+        if rows[1] != list(w_k.counts):
             raise CertificateError(f"premise row of step {k} ({target}) mismatches")
         apps.append(Application(target, tuple(columns)))
     if not _builder_chain_ok_b(n, i + 1):
@@ -432,14 +424,14 @@ def certify_base_b(n: int) -> BaseCertificate:
                 columns.append(ColumnBlock((b + 2, lv), c))
         for block in columns:
             _require_member(block, rel, target)
-        rows = _tally_rows(2, n + 3, columns)
+        rows = tally_rows(2, n + 3, [(b.column, b.count) for b in columns])
         w_0 = schedule_vector_b(n, 0)
-        if rows[0] != w_0.counts:
+        if rows[0] != list(w_0.counts):
             raise CertificateError("base conclusion row does not match the first schedule vector")
         premise = [0] * (n + 3)
         premise[own] = 1
         premise[lv] = 2 ** (2**n) - 1
-        if rows[1] != tuple(premise):
+        if rows[1] != premise:
             raise CertificateError("base premise row is not a one-deviation row")
         apps.append(Application(target, tuple(columns)))
     return BaseCertificate(applications=tuple(apps))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .relations import BudgetExceededError, Domain, OpTable
+from .relations import BudgetExceededError
 from .structures import domain_a, domain_b
 
 TOP = None  # sentinel: count everything (the cut above the largest element)
@@ -60,23 +60,6 @@ class CountVector:
 
     def __repr__(self):
         return f"CountVector({list(self.counts)})"
-
-
-def less_count(x: CountVector, r) -> int:
-    return x.less(r)
-
-
-def count_vector_to_json(x: CountVector, domain: Domain) -> dict:
-    return {
-        "counts": {domain.name(e): str(c) for e, c in enumerate(x.counts) if c > 0}
-    }
-
-
-def count_vector_from_json(obj: dict, domain: Domain) -> CountVector:
-    counts = [0] * domain.size
-    for name, c in obj["counts"].items():
-        counts[domain.index[name]] = int(c)
-    return CountVector(counts)
 
 
 class SymmetricOp:
@@ -162,26 +145,6 @@ def witness_b(n: int) -> SymmetricOp:
     return SymmetricOp("B", n, 2)
 
 
-def value_by_max_rule(op: SymmetricOp, x: CountVector, top_threshold: int | None = None) -> int:
-    """Family-A evaluation by collecting every firing level and taking the
-    largest, rather than scanning the cascade top-down.  Kept as a separate
-    code path so the two formulations can be checked against each other.
-    """
-    if op.family != "A":
-        raise ValueError("max-rule form is defined for family A")
-    if len(x.counts) != op.domain.size:
-        raise ValueError("count vector does not match the operation domain")
-    thr = op.arity if top_threshold is None else top_threshold
-    fired = []
-    for r in range(op.n + 1):
-        left = thr if r == op.n else x.less(r + 2)
-        if left > op._thr[r] * x.less(r + 1):
-            fired.append(r)
-    if fired:
-        return max(fired) + 1
-    return 0
-
-
 def is_nu_symmetric(op: SymmetricOp) -> bool:
     """Near-unanimity on counts: all-equal inputs return that element, and a
     single deviation loses to the repeated element."""
@@ -208,7 +171,7 @@ def is_nu_symmetric(op: SymmetricOp) -> bool:
 
 def compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative integers with the given sum, first
-    coordinate descending (matches the multiset scan order)."""
+    coordinate descending."""
     if parts < 1:
         raise ValueError("parts must be positive")
     if parts == 1:
@@ -283,20 +246,3 @@ def is_conservative_sampled(op: SymmetricOp, trials: int, seed: int = DEFAULT_SE
         if counts[op.value_counts(counts)] == 0:
             return False
     return True
-
-
-def as_table(op: SymmetricOp, budget: int = DEFAULT_COMPOSITION_BUDGET) -> OpTable:
-    """Expand to an explicit table; only feasible for tiny declared arities."""
-    d = op.domain.size
-    if d**op.arity > budget:
-        raise BudgetExceededError(
-            f"{d}**{op.arity} table entries exceed budget {budget}"
-        )
-
-    def fn(args):
-        counts = [0] * d
-        for x in args:
-            counts[x] += 1
-        return op.value_counts(counts)
-
-    return OpTable.from_function(op.arity, d, fn)

@@ -1,0 +1,41 @@
+"""Reference implementations that tests compare the library against."""
+
+from polyclone.relations import BudgetExceededError, OpTable
+from polyclone.witness import DEFAULT_COMPOSITION_BUDGET, CountVector, SymmetricOp
+
+
+def value_by_max_rule(op: SymmetricOp, x: CountVector, top_threshold: int | None = None) -> int:
+    """Family-A evaluation by collecting every firing level and taking the
+    largest, rather than scanning the cascade top-down.  Kept as a separate
+    code path so the two formulations can be checked against each other.
+    """
+    if op.family != "A":
+        raise ValueError("max-rule form is defined for family A")
+    if len(x.counts) != op.domain.size:
+        raise ValueError("count vector does not match the operation domain")
+    thr = op.arity if top_threshold is None else top_threshold
+    fired = []
+    for r in range(op.n + 1):
+        left = thr if r == op.n else x.less(r + 2)
+        if left > op._thr[r] * x.less(r + 1):
+            fired.append(r)
+    if fired:
+        return max(fired) + 1
+    return 0
+
+
+def as_table(op: SymmetricOp, budget: int = DEFAULT_COMPOSITION_BUDGET) -> OpTable:
+    """Expand to an explicit table; only feasible for tiny declared arities."""
+    d = op.domain.size
+    if d**op.arity > budget:
+        raise BudgetExceededError(
+            f"{d}**{op.arity} table entries exceed budget {budget}"
+        )
+
+    def fn(args):
+        counts = [0] * d
+        for x in args:
+            counts[x] += 1
+        return op.value_counts(counts)
+
+    return OpTable.from_function(op.arity, d, fn)

@@ -3,12 +3,23 @@ import json
 import pytest
 
 from polyclone.cli import main
+from polyclone.relations import Relation
+from polyclone.structures import SpecA, SpecB, structure_a, structure_b
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_emits_structure(obj, struct):
+    """Every emitted relation rebuilds to the generator's relation, in order."""
+    assert obj["domain"] == struct.domain.size
+    assert [e["name"] for e in obj["relations"]] == list(struct.relations)
+    for e in obj["relations"]:
+        rebuilt = Relation(e["arity"], e["domain"], map(tuple, e["tuples"]))
+        assert rebuilt == struct.relation(e["name"])
 
 
 def test_gen_family_a(capsys):
@@ -18,6 +29,7 @@ def test_gen_family_a(capsys):
     assert obj["family"] == "A" and obj["n"] == 1 and obj["m"] == 2
     assert len(obj["relations"]) == 9
     assert obj["names"] == ["a", "0", "1"]
+    assert_emits_structure(obj, structure_a(SpecA(1, 2)))
 
 
 def test_gen_family_b(capsys):
@@ -26,6 +38,7 @@ def test_gen_family_b(capsys):
     obj = json.loads(out)
     # two binary relations per level (0 and 1) plus 15 nonempty unaries
     assert len(obj["relations"]) == 19
+    assert_emits_structure(obj, structure_b(SpecB(1)))
 
 
 def test_gen_warns_on_trivial_instance(capsys):
@@ -68,6 +81,10 @@ def test_witness_sampled(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["mode"] == "sampled" and obj["seed"] == 7
+    code, out, err = run(
+        capsys, "witness", "A", "--n", "0", "--m", "3", "--mode", "sampled", "--trials", "-5"
+    )
+    assert code == 2 and out == "" and "trial" in err
 
 
 def test_decide_exit_codes(capsys):
@@ -136,6 +153,16 @@ def test_unknown_subcommand_exits_two():
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("POLYCLONE_BUDGET", "1")
     code, _, err = run(capsys, "witness", "A", "--n", "0", "--m", "3", "--mode", "exact")
+    assert code == 3 and "budget" in err.lower()
+    # an explicit flag wins over the environment
+    code, _, _ = run(
+        capsys, "witness", "A", "--n", "0", "--m", "3", "--mode", "exact",
+        "--budget", "100000000",
+    )
+    assert code == 0
+    # the variable also sets the default of decide --matrix-budget
+    monkeypatch.setenv("POLYCLONE_BUDGET", "10")
+    code, _, err = run(capsys, "decide", "A", "--n", "0", "--m", "3", "--k", "3")
     assert code == 3 and "budget" in err.lower()
     monkeypatch.setenv("POLYCLONE_BUDGET", "not-a-number")
     code, _, err = run(capsys, "witness", "A", "--n", "0", "--m", "3")

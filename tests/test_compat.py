@@ -22,6 +22,8 @@ from polyclone.witness import (
     witness_b,
 )
 
+from oracles import as_table
+
 
 def multiset_scan(op, rel):
     """Test oracle: every column multiset of `op.arity` columns, enumerated
@@ -180,10 +182,12 @@ def test_sampled_check_finds_violation_with_default_seed():
     assert image not in bad
 
 
-def test_sampled_zero_trials_vacuous():
+def test_sampled_check_rejects_no_trials():
+    # an ok verdict backed by no sample would be no evidence at all
     op = witness_a(0, 3)
-    verdict = check_compat_sampled(op, gen_s(SpecA(0, 3), 0), 0)
-    assert verdict.ok and verdict.mode == "sampled" and verdict.checked == 0
+    for trials in (0, -5):
+        with pytest.raises(ValueError):
+            check_compat_sampled(op, gen_s(SpecA(0, 3), 0), trials)
 
 
 def test_binary_check_families():
@@ -261,7 +265,6 @@ def test_multiset_reduction_matches_table_check():
     # count-based operation sees only the column multiset; the scan must
     # agree with the explicit table check on expanded operations
     from polyclone.relations import table_compatible
-    from polyclone.witness import as_table
 
     for n, m in [(0, 2), (0, 3)]:
         op = witness_a(n, m)

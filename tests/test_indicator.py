@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyclone.indicator import (
     build_indicator,
@@ -17,48 +18,51 @@ from polyclone.relations import (
     OpTable,
     Relation,
     Structure,
+    table_compatible,
 )
 from polyclone.structures import SpecA, SpecB, structure_a, structure_b
-from polyclone.witness import as_table, witness_a
+from polyclone.witness import witness_a
+
+from oracles import as_table
 
 
 def test_build_counts_and_pins():
     struct = structure_a(SpecA(0, 3))
-    inst = build_indicator(struct, 3)
+    inst = build_indicator(struct, 3, nu_pins(2, 3))
     assert inst.nvars == 8
     # constants and one-deviation tuples are all pinned on a two-element domain
     assert all(m.bit_count() == 1 for m in inst.domains)
     pinned_low = sum(1 for m in inst.domains if m == 1)
     assert pinned_low == 4  # (a,a,a) plus the three one-deviation returns to a
 
-    inst = build_indicator(structure_a(SpecA(1, 2)), 4)
+    inst = build_indicator(structure_a(SpecA(1, 2)), 4, nu_pins(3, 4))
     assert inst.nvars == 81
-    inst = build_indicator(structure_b(SpecB(1)), 4)
+    inst = build_indicator(structure_b(SpecB(1)), 4, nu_pins(4, 4))
     assert inst.nvars == 256
 
 
 def test_var_cap():
     with pytest.raises(BudgetExceededError):
-        build_indicator(structure_b(SpecB(1)), 8, var_cap=1000)
+        build_indicator(structure_b(SpecB(1)), 8, [], var_cap=1000)
 
 
 def test_matrix_budget():
     with pytest.raises(BudgetExceededError):
-        build_indicator(structure_a(SpecA(0, 3)), 3, matrix_budget=10)
+        build_indicator(structure_a(SpecA(0, 3)), 3, [], matrix_budget=10)
 
 
 def test_empty_domain_unsat_immediately():
     dom = Domain(["a", "0"])
     struct = Structure(dom, [("U1", Relation(1, 2, [(0,)]))])
     # the unary restriction forces value a, the explicit pin forces 0
-    inst = build_indicator(struct, 3, fixed_rows=[((0, 0, 0), 1)])
+    inst = build_indicator(struct, 3, [((0, 0, 0), 1)])
     report = solve(inst)
     assert report.verdict == "unsat" and report.nodes == 0
 
 
 def test_unary_restrictions_are_supports():
     struct = structure_a(SpecA(1, 2))
-    inst = build_indicator(struct, 3)
+    inst = build_indicator(struct, 3, nu_pins(3, 3))
     # with all nonempty unaries present, a variable's domain is inside the
     # set of elements its argument tuple mentions
     for code in range(inst.nvars):
@@ -99,7 +103,7 @@ def test_expanded_witness_operation_passes():
 
 
 def test_remark_pinning():
-    pins = remark_pins(2, 3)
+    pins = list(remark_pins(2, 3))
     assert pins == [((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)]
     # even the weaker pinning is unsatisfiable at the excluded arity
     sa = structure_a(SpecA(0, 3))
@@ -128,31 +132,27 @@ def rand_structure(rng):
     return Structure(names, rels)
 
 
-def oracle_nu_exists(struct, k):
-    """Brute force over all domain**(domain**k) tables."""
+def oracle_exists(struct, k, pins):
+    """Brute force over every table that takes the pinned values."""
     d = struct.domain.size
-    pins = dict()
-    for args, val in nu_pins(d, k):
+    fixed = {}
+    for args, val in pins:
         code = 0
         for x in args:
             code = code * d + x
-        if code in pins and pins[code] != val:
+        if fixed.setdefault(code, val) != val:
             return False, None
-        pins[code] = val
-    for values in itertools.product(range(d), repeat=d**k):
-        if any(values[code] != val for code, val in pins.items()):
-            continue
+    free = [code for code in range(d**k) if code not in fixed]
+    values = [fixed.get(code, 0) for code in range(d**k)]
+    for choice in itertools.product(range(d), repeat=len(free)):
+        for code, val in zip(free, choice):
+            values[code] = val
         table = OpTable(k, d, values)
-        ok = True
-        for rel in struct.relations.values():
-            for cols in itertools.product(rel.tuples, repeat=k):
-                image = tuple(table.apply(row) for row in zip(*cols))
-                if image not in rel:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            tuple(table.apply(row) for row in zip(*cols)) in rel
+            for rel in struct.relations.values()
+            for cols in itertools.product(rel.tuples, repeat=k)
+        ):
             return True, table
     return False, None
 
@@ -162,7 +162,7 @@ def test_solver_agrees_with_brute_force():
     agree_sat = agree_unsat = 0
     for _ in range(25):
         struct = rand_structure(rng)
-        exists, _ = oracle_nu_exists(struct, 3)
+        exists, _ = oracle_exists(struct, 3, nu_pins(2, 3))
         report = decide_nu(struct, 3)
         assert report.verdict in ("sat", "unsat")
         assert (report.verdict == "sat") == exists
@@ -172,6 +172,39 @@ def test_solver_agrees_with_brute_force():
         else:
             agree_unsat += 1
     assert agree_sat and agree_unsat
+
+
+PIN_SETS = {"nu": nu_pins, "remark": remark_pins}
+
+
+def rand_small_structure(rng, d):
+    rels = []
+    for idx in range(rng.randint(1, 3)):
+        arity = rng.randint(1, 3)
+        universe = list(itertools.product(range(d), repeat=arity))
+        size = rng.randint(1, min(8, len(universe)))
+        rels.append((f"P{idx}", Relation(arity, d, rng.sample(universe, size))))
+    return Structure(Domain([str(x) for x in range(d)]), rels)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([(2, 3, "nu"), (2, 4, "nu"), (3, 3, "nu"), (2, 3, "remark")]),
+    st.integers(0, 10**6),
+)
+def test_decide_matches_brute_force_for_each_pin(case, seed):
+    d, k, pin = case
+    struct = rand_small_structure(random.Random(seed), d)
+    pins = list(PIN_SETS[pin](d, k))
+    exists, _ = oracle_exists(struct, k, pins)
+    report = decide_nu(struct, k, pin=pin)
+    assert report.verdict == ("sat" if exists else "unsat")
+    if exists:
+        table = report.table
+        assert all(table.apply(args) == val for args, val in pins)
+        assert all(table_compatible(table, rel)[0] for rel in struct.relations.values())
+        if pin == "nu":
+            assert verify_witness_table(table, struct)
 
 
 def test_solver_is_deterministic():
@@ -190,7 +223,11 @@ def test_report_json():
 
 
 def test_build_rejects_unknown_identity_set():
+    sa = structure_a(SpecA(0, 3))
+    # explicit pin lists go to build_indicator; decide_nu knows only its two sets
     with pytest.raises(ValueError):
-        build_indicator(structure_a(SpecA(0, 3)), 3, identities="bogus")
+        decide_nu(sa, 3, pin="fixed")
     with pytest.raises(ValueError):
-        build_indicator(structure_a(SpecA(0, 3)), 0)
+        build_indicator(sa, 3, [((0, 0), 1)])
+    with pytest.raises(ValueError):
+        build_indicator(sa, 0, [])

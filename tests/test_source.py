@@ -1,0 +1,53 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "polyclone"
+
+
+def uncalled_helpers(src_dir: Path) -> list[str]:
+    """Module-level functions and classes that the package does not export
+    from `__init__` and that nothing else in the package references."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src_dir.glob("*.py"))}
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    defs = []
+    referenced = set()  # (name, id of the top-level statement that names it)
+    for mod, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((mod, top))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    referenced.add((node.id, id(top)))
+                elif isinstance(node, ast.Attribute):
+                    referenced.add((node.attr, id(top)))
+    users = {}
+    for name, owner in referenced:
+        users.setdefault(name, set()).add(owner)
+    return sorted(
+        f"{mod}:{top.name}"
+        for mod, top in defs
+        if top.name not in exported and not users.get(top.name, set()) - {id(top)}
+    )
+
+
+def test_every_helper_has_a_caller():
+    # a helper used only by tests belongs in tests/, one used by nothing goes
+    assert uncalled_helpers(SRC) == []
+
+
+def test_uncalled_helper_scan_sees_references(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "def exported(): return used()\n"
+        "def used(): return 1\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Orphan: pass\n"
+        "def by_attribute(): pass\n"
+    )
+    (tmp_path / "b.py").write_text("from . import a\nX = a.by_attribute\n")
+    assert uncalled_helpers(tmp_path) == ["a.py:Orphan", "a.py:recursive"]
