@@ -8,6 +8,17 @@ pin the constant and one-deviation tuples, and the search runs complete
 backtracking with generalized arc consistency over the matrix constraints.
 Verdicts are "sat" (with a full table), "unsat" (complete search exhausted),
 or "unknown" (node limit hit); an unknown is never reported as unsat.
+
+Matrices are kept only up to the relation's coordinate symmetries: when
+swapping coordinates p and q preserves R, a matrix and the one with rows p
+and q exchanged give the constraints (R, scope) and (R, scope∘π), which
+allow exactly the same assignments.  Generalized arc consistency prunes the
+same values from both, so dropping all but one matrix per orbit leaves the
+fixpoint at every search node, and hence verdicts, node counts and tables,
+unchanged.  Each level relation S_i of family A is symmetric in its last m
+coordinates, which cuts A(0,4) at k=5 from 759,375 constraints to 35,954;
+family B's binary relations have no such symmetry and keep every matrix.
+The matrix budget still counts every column matrix, len(R)**k.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from operator import add
 
 from .relations import BudgetExceededError, OpTable, Relation, Structure, table_compatible
 
@@ -41,7 +53,7 @@ class IndicatorInstance:
         "var_cons",
     )
 
-    def __init__(self, structure, arity, domains, rel_list, con_rel, con_start, scopes, patterns):
+    def __init__(self, structure, arity, domains, rel_list, con_rel, con_start, scopes):
         self.structure = structure
         self.arity = arity
         self.domain_size = structure.domain.size
@@ -51,8 +63,8 @@ class IndicatorInstance:
         self.con_rel = con_rel
         self.con_start = con_start
         self.scopes = scopes
-        self.patterns = patterns
         self._index_vars()
+        self._index_patterns()
 
     def _index_vars(self):
         counts = [0] * (self.nvars + 1)
@@ -69,6 +81,22 @@ class IndicatorInstance:
                 var_cons[fill[v]] = cid
                 fill[v] += 1
         self.var_cons = var_cons
+
+    def _index_patterns(self):
+        # repeated rows in a scope force equal values; record the pattern
+        patterns = []
+        for cid in range(len(self.con_rel)):
+            scope = self.scopes[self.con_start[cid] : self.con_start[cid + 1]]
+            first = {}
+            pat = []
+            distinct = True
+            for p, v in enumerate(scope):
+                q = first.setdefault(v, p)
+                pat.append(q)
+                if q != p:
+                    distinct = False
+            patterns.append(None if distinct else tuple(pat))
+        self.patterns = patterns
 
     @property
     def n_constraints(self) -> int:
@@ -99,28 +127,58 @@ def remark_pins(domain_size: int, arity: int):
         yield tuple(args), top
 
 
+def _interchangeable_pairs(rel: Relation) -> list[tuple[int, int]]:
+    """Pairs p < q of interchangeable coordinates (swapping them preserves
+    rel), each q paired with the nearest such p before it.
+
+    If swaps (p q) and (q s) preserve rel, so does (p s) = (p q)(q s)(p q),
+    so interchangeability is an equivalence; the pairs chain each class in
+    coordinate order, and the classes generate a product of symmetric groups.
+    """
+    pairs = []
+    for q in range(1, rel.arity):
+        for p in range(q - 1, -1, -1):
+            if all(t[:p] + (t[q],) + t[p + 1 : q] + (t[p],) + t[q + 1 :] in rel for t in rel):
+                pairs.append((p, q))
+                break
+    return pairs
+
+
 def _scopes_for_relation(rel: Relation, k: int, domain_size: int) -> array:
-    """Row variables of every k-column matrix over rel, transposed on the fly."""
-    weights = [domain_size ** (k - 1 - c) for c in range(k)]
-    r = rel.arity
+    """Row variables of one k-column matrix over rel per orbit of its
+    coordinate symmetries, transposed on the fly.
+
+    The kept matrix is the one whose row codes are nondecreasing within each
+    class of interchangeable coordinates.  Columns are chosen left to right;
+    a tied pair (equal row prefixes so far) admits only columns with
+    t[p] <= t[q], and stays tied while t[p] == t[q].
+    """
+    pairs = _interchangeable_pairs(rel)
+    # moves[tied]: each column allowed while the pairs in bitmask `tied` are
+    # tied, with the bitmask of those still tied after it
+    moves = []
+    for tied in range(1 << len(pairs)):
+        live = [(p, q, 1 << i) for i, (p, q) in enumerate(pairs) if tied >> i & 1]
+        moves.append(
+            [
+                (t, sum(b for p, q, b in live if t[p] == t[q]))
+                for t in rel
+                if all(t[p] <= t[q] for p, q, _ in live)
+            ]
+        )
     out = array("l")
-    codes = [0] * r
-    tuples = rel.tuples
     extend = out.extend
 
-    def rec(c):
-        if c == k:
-            extend(codes)
+    def rec(c, codes, tied):
+        if c == k - 1:
+            for t, _ in moves[tied]:  # the last column has weight 1
+                extend(map(add, codes, t))
             return
-        w = weights[c]
-        for t in tuples:
-            for p in range(r):
-                codes[p] += t[p] * w
-            rec(c + 1)
-            for p in range(r):
-                codes[p] -= t[p] * w
+        w = domain_size ** (k - 1 - c)
+        for t, nxt in moves[tied]:
+            rec(c + 1, [a + w * b for a, b in zip(codes, t)], nxt)
 
-    rec(0)
+    rec(0, [0] * rel.arity, len(moves) - 1)
     return out
 
 
@@ -140,9 +198,11 @@ def build_indicator(
     if k < 1:
         raise ValueError("arity must be positive")
     d = structure.domain.size
+    # d**k >= 2**k > var_cap once k passes var_cap's bit length, so a huge k
+    # is refused without building d**k
+    if d > 1 and k > var_cap.bit_length() or d**k > var_cap:
+        raise BudgetExceededError(f"{d}**{k} variables exceed cap {var_cap}")
     nvars = d**k
-    if nvars > var_cap:
-        raise BudgetExceededError(f"{nvars} variables exceed cap {var_cap}")
 
     full = (1 << d) - 1
     domains = [full] * nvars
@@ -187,34 +247,15 @@ def build_indicator(
             raise BudgetExceededError(
                 f"{count} column matrices for a relation exceed budget {matrix_budget}"
             )
-        rel_idx = len(rel_list)
-        rel_list.append(rel)
         block = _scopes_for_relation(rel, k, d)
-        scopes.extend(block)
         r = rel.arity
-        base = con_start[-1]
-        for local in range(count):
-            con_rel.append(rel_idx)
-            con_start.append(base + (local + 1) * r)
+        base = len(scopes)
+        scopes.extend(block)
+        con_rel.extend(array("h", [len(rel_list)]) * (len(block) // r))
+        con_start.extend(range(base + r, len(scopes) + 1, r))
+        rel_list.append(rel)
 
-    # repeated rows in a scope force equal values; record the pattern
-    patterns = []
-    for cid in range(len(con_rel)):
-        lo, hi = con_start[cid], con_start[cid + 1]
-        scope = scopes[lo:hi]
-        first = {}
-        pat = []
-        distinct = True
-        for p, v in enumerate(scope):
-            q = first.setdefault(v, p)
-            pat.append(q)
-            if q != p:
-                distinct = False
-        patterns.append(None if distinct else tuple(pat))
-
-    return IndicatorInstance(
-        structure, k, domains, rel_list, con_rel, con_start, scopes, patterns
-    )
+    return IndicatorInstance(structure, k, domains, rel_list, con_rel, con_start, scopes)
 
 
 @dataclass

@@ -239,6 +239,8 @@ def is_conservative_exhaustive(
 
 def is_conservative_sampled(op: SymmetricOp, trials: int, seed: int = DEFAULT_SEED) -> bool:
     """Same containment check on random count vectors at the declared arity."""
+    if trials < 1:
+        raise ValueError(f"sampled check needs at least one trial, got {trials}")
     rng = random.Random(seed)
     d = op.domain.size
     for _ in range(trials):

@@ -1,5 +1,9 @@
 """Reference implementations that tests compare the library against."""
 
+import itertools
+from array import array
+
+from polyclone.indicator import IndicatorInstance
 from polyclone.relations import BudgetExceededError, OpTable
 from polyclone.witness import DEFAULT_COMPOSITION_BUDGET, CountVector, SymmetricOp
 
@@ -39,3 +43,21 @@ def as_table(op: SymmetricOp, budget: int = DEFAULT_COMPOSITION_BUDGET) -> OpTab
         return op.value_counts(counts)
 
     return OpTable.from_function(op.arity, d, fn)
+
+
+def full_instance(inst: IndicatorInstance) -> IndicatorInstance:
+    """`inst` with one constraint per k-column matrix over each relation,
+    every matrix of `itertools.product(rel.tuples, repeat=k)`, so no
+    symmetry reduction.  Domains and relations are shared with `inst`."""
+    k, d = inst.arity, inst.domain_size
+    con_rel, con_start, scopes = array("h"), array("l", [0]), array("l")
+    for idx, rel in enumerate(inst.rel_list):
+        for cols in itertools.product(rel.tuples, repeat=k):
+            for p in range(rel.arity):
+                code = 0
+                for t in cols:
+                    code = code * d + t[p]
+                scopes.append(code)
+            con_rel.append(idx)
+            con_start.append(len(scopes))
+    return IndicatorInstance(inst.structure, k, inst.domains, inst.rel_list, con_rel, con_start, scopes)

@@ -102,6 +102,14 @@ def test_decide_exit_codes(capsys):
     assert json.loads(out)["verdict"] == "unknown"
 
 
+def test_decide_var_cap_is_a_budget_stop(capsys):
+    # the variable count is named as a power, so a huge arity is not
+    # formatted as a number past Python's int-to-str digit limit
+    code, out, err = run(capsys, "decide", "A", "--n", "0", "--m", "3", "--k", "100000")
+    assert code == 3 and out == ""
+    assert "2**100000 variables exceed cap 20000" in err
+
+
 def test_decide_remark_pin(capsys):
     code, out, _ = run(
         capsys, "decide", "A", "--n", "0", "--m", "3", "--k", "3", "--pin", "remark"

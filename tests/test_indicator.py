@@ -23,7 +23,7 @@ from polyclone.relations import (
 from polyclone.structures import SpecA, SpecB, structure_a, structure_b
 from polyclone.witness import witness_a
 
-from oracles import as_table
+from oracles import as_table, full_instance
 
 
 def test_build_counts_and_pins():
@@ -47,8 +47,14 @@ def test_var_cap():
 
 
 def test_matrix_budget():
+    sa = structure_a(SpecA(0, 3))
     with pytest.raises(BudgetExceededError):
-        build_indicator(structure_a(SpecA(0, 3)), 3, [], matrix_budget=10)
+        build_indicator(sa, 3, [], matrix_budget=10)
+    # the budget counts every column matrix (7**3 over S0), not the 71 kept
+    # up to coordinate symmetry, so budget stops do not depend on the reduction
+    assert build_indicator(sa, 3, [], matrix_budget=343).n_constraints == 71
+    with pytest.raises(BudgetExceededError):
+        build_indicator(sa, 3, [], matrix_budget=342)
 
 
 def test_empty_domain_unsat_immediately():
@@ -205,6 +211,101 @@ def test_decide_matches_brute_force_for_each_pin(case, seed):
         assert all(table_compatible(table, rel)[0] for rel in struct.relations.values())
         if pin == "nu":
             assert verify_witness_table(table, struct)
+
+
+def test_orbit_reduced_counts_and_nodes():
+    # constraint counts kept up to coordinate symmetry (759,375 and 50,625
+    # column matrices for A(0,4)); family B's binary relations have no
+    # interchangeable coordinates, so nothing is dropped there
+    a04 = structure_a(SpecA(0, 4))
+    assert build_indicator(a04, 4, nu_pins(2, 4)).n_constraints == 2747
+    assert build_indicator(a04, 5, nu_pins(2, 5)).n_constraints == 35954
+    # node counts are those of the full build: the search is unchanged
+    assert decide_nu(structure_a(SpecA(1, 2)), 5).nodes == 150
+    b1 = structure_b(SpecB(1))
+    assert decide_nu(b1, 5).nodes == 440
+    inst = build_indicator(b1, 6, nu_pins(4, 6))
+    assert inst.n_constraints == 617600
+    assert solve(inst).nodes == 2360
+
+
+def rand_symmetric_relation(rng, d, arity, cap):
+    """Random relation closed under every permutation of a random block of
+    coordinates, grown one orbit at a time up to `cap` tuples."""
+    block = rng.sample(range(arity), rng.randint(2, arity))
+    universe = list(itertools.product(range(d), repeat=arity))
+    tuples = set()
+    for _ in range(rng.randint(1, 4)):
+        t = rng.choice(universe)
+        orbit = set()
+        for perm in itertools.permutations(block):
+            u = list(t)
+            for src, dst in zip(block, perm):
+                u[dst] = t[src]
+            orbit.add(tuple(u))
+        if len(tuples | orbit) > cap:
+            break
+        tuples |= orbit
+    if not tuples:
+        tuples.add((rng.randrange(d),) * arity)
+    return Relation(arity, d, tuples)
+
+
+def automorphisms(rel):
+    """Every coordinate permutation that maps rel onto itself."""
+    return [
+        perm
+        for perm in itertools.permutations(range(rel.arity))
+        if all(tuple(t[i] for i in perm) in rel for t in rel)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 3), (2, 4), (3, 3)]), st.integers(0, 10**6))
+def test_orbit_build_matches_full_enumeration(case, seed):
+    d, k = case
+    rng = random.Random(seed)
+    rels = []
+    for idx in range(rng.randint(1, 2)):
+        arity = rng.randint(2, 4)
+        if rng.random() < 0.7:
+            rel = rand_symmetric_relation(rng, d, arity, 8)
+        else:
+            universe = list(itertools.product(range(d), repeat=arity))
+            rel = Relation(arity, d, rng.sample(universe, rng.randint(1, min(6, len(universe)))))
+        rels.append((f"P{idx}", rel))
+    struct = Structure(Domain([str(x) for x in range(d)]), rels)
+    inst = build_indicator(struct, k, nu_pins(d, k))
+    full = full_instance(inst)
+
+    def blocks(i):
+        out = [[] for _ in i.rel_list]
+        for cid, idx in enumerate(i.con_rel):
+            out[idx].append(tuple(i.scopes[i.con_start[cid] : i.con_start[cid + 1]]))
+        return out
+
+    for rel, kept, every in zip(inst.rel_list, blocks(inst), blocks(full)):
+        kept_set = set(kept)
+        assert len(kept_set) == len(kept) and kept_set <= set(every)
+        autos = automorphisms(rel)
+        # every matrix is covered: some symmetry maps it onto a kept one
+        for scope in every:
+            assert any(tuple(scope[i] for i in perm) in kept_set for perm in autos)
+        # and only one matrix is kept per orbit of the symmetries that move
+        # each coordinate within its class of interchangeable coordinates
+        def swap(p, q):
+            return tuple(q if i == p else p if i == q else i for i in range(rel.arity))
+
+        within = [
+            perm for perm in autos if all(i == j or swap(i, j) in autos for i, j in enumerate(perm))
+        ]
+        canon = {min(tuple(scope[i] for i in perm) for perm in within) for scope in kept}
+        assert len(canon) == len(kept)
+
+    reduced, reference = solve(inst), solve(full)
+    assert reduced.verdict == reference.verdict
+    assert reduced.nodes == reference.nodes
+    assert reduced.table == reference.table
 
 
 def test_solver_is_deterministic():

@@ -146,6 +146,13 @@ def test_conservative_sampled():
     assert is_conservative_sampled(witness_a(2, 2), 10**3, seed=DEFAULT_SEED)
 
 
+def test_conservative_sampled_rejects_no_trials():
+    # no trial is no evidence, not a pass
+    for trials in (0, -5):
+        with pytest.raises(ValueError):
+            is_conservative_sampled(witness_a(0, 3), trials)
+
+
 def test_conservative_budget():
     with pytest.raises(BudgetExceededError):
         is_conservative_exhaustive(witness_a(1, 2), 50, budget=100)
