@@ -68,6 +68,7 @@ from .trace import (
     certificate_to_json,
     certify_lower_bound_a,
     certify_lower_bound_b,
+    certify_step_a,
     check_certificate,
     check_certificate_json,
     pivot_identities,

@@ -29,8 +29,8 @@ from .relations import Relation, Structure, blocks, compose, converse, tally_row
 from .structures import (
     SpecA,
     SpecB,
-    chain_matches_congruence_a,
-    chain_matches_congruence_b,
+    chain_congruence_a,
+    chain_congruence_b,
     congruence_a,
     congruence_b,
     domain_a,
@@ -133,6 +133,39 @@ def least_zero_bit(k: int) -> int:
     return i
 
 
+def _transition(n: int, m: int, k: int) -> tuple[CountVector, CountVector]:
+    """The schedule vectors v_k and v_{k+1} of family A's transition k -> k+1."""
+    if not 0 <= k <= 2**n - 2:
+        raise ValueError(
+            f"step {k} has no pivot (valid transitions are 0..{2 ** n - 2})"
+        )
+    return schedule_vector(n, m, k), schedule_vector(n, m, k + 1)
+
+
+def _pivot_report(m: int, k: int, v_k: CountVector, v_k1: CountVector, lo: int) -> dict:
+    """Pivot arithmetic of the transition k -> k+1 read off its two ladder
+    vectors, whose first `lo` entries form the bottom block and whose entry
+    lo + t counts level t."""
+    i = least_zero_bit(k)
+    p = lo + i
+    power = m ** (k + 1 + 2**i)
+    pivot_count = v_k.counts[p]
+    below_succ = v_k.less(p + 1)
+    below_conc = v_k1.less(p)
+    report = {
+        "pivot": i,
+        "pivot_count": pivot_count,
+        "below_succ_premise": below_succ,
+        "below_pivot_conclusion": below_conc,
+        "a": not any(v_k.counts[lo:p]),
+        "b": pivot_count == m ** (k + 1) * (m ** (2**i) - 1) and below_succ == power,
+        "c": v_k1.counts[p] == 0 and v_k1.counts[p + 1 :] == v_k.counts[p + 1 :],
+        "d": below_conc == power,
+    }
+    report["ok"] = report["a"] and report["b"] and report["c"] and report["d"]
+    return report
+
+
 def pivot_identities(n: int, m: int, k: int) -> dict:
     """Exact arithmetic at the pivot of the transition k -> k+1.
 
@@ -140,31 +173,8 @@ def pivot_identities(n: int, m: int, k: int) -> dict:
     and the below-pivot prefix sums hit their closed forms, higher levels are
     unchanged at step k+1, and the pivot empties at step k+1.
     """
-    if not 0 <= k <= 2**n - 2:
-        raise ValueError(
-            f"step {k} has no pivot (valid transitions are 0..{2 ** n - 2})"
-        )
-    i = least_zero_bit(k)
-    v_k = schedule_vector(n, m, k)
-    v_k1 = schedule_vector(n, m, k + 1)
-    power = m ** (k + 1 + 2**i)
-    pivot_count = schedule_count(n, m, k, i)
-    report = {
-        "pivot": i,
-        "pivot_count": pivot_count,
-        "below_succ_premise": v_k.less(i + 2),
-        "below_pivot_conclusion": v_k1.less(i + 1),
-        "a": all(schedule_count(n, m, k, j) == 0 for j in range(i)),
-        "b": pivot_count == m ** (k + 1) * (m ** (2**i) - 1) and v_k.less(i + 2) == power,
-        "c": schedule_count(n, m, k + 1, i) == 0
-        and all(
-            schedule_count(n, m, k + 1, j) == schedule_count(n, m, k, j)
-            for j in range(i + 1, n)
-        ),
-        "d": v_k1.less(i + 1) == power,
-    }
-    report["ok"] = report["a"] and report["b"] and report["c"] and report["d"]
-    return report
+    v_k, v_k1 = _transition(n, m, k)
+    return _pivot_report(m, k, v_k, v_k1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,66 +234,107 @@ def _require_member(block: ColumnBlock, rel: Relation, target: str):
         raise CertificateError(f"column {block.column} has nonpositive count")
 
 
-@lru_cache(maxsize=None)
-def _builder_chain_ok_a(n: int, level: int) -> bool:
-    return chain_matches_congruence_a(SpecA(n, 2), level)
+def _level_blocks(spec: SpecA | SpecB, level: int) -> tuple[tuple[int, ...], ...]:
+    """Blocks of the congruence at `level`, once the converse/forward ladder
+    of the level relations is checked to compose to it."""
+    if isinstance(spec, SpecB):
+        cong, chain = congruence_b(spec, level), chain_congruence_b(spec, level)
+    else:
+        cong, chain = congruence_a(spec, level), chain_congruence_a(spec, level)
+    if chain != cong:
+        raise CertificateError(f"congruence ladder identity failed at level {level}")
+    return blocks(cong)
 
 
-@lru_cache(maxsize=None)
-def _builder_chain_ok_b(n: int, level: int) -> bool:
-    return chain_matches_congruence_b(SpecB(n), level)
+def _certify_step(
+    spec: SpecA | SpecB, k: int, v_k: CountVector, v_k1: CountVector, levels: dict
+) -> StepCertificate:
+    """Certify the transition v_k -> v_{k+1} of either family.
 
-
-def certify_step_a(n: int, m: int, k: int) -> StepCertificate:
-    """Certify the family-A transition v_k -> v_{k+1}."""
-    ident = pivot_identities(n, m, k)
+    Every count comes from the two ladder vectors.  Family B runs the m=2
+    ladder with a1 and a2 as its bottom block and applies both level
+    relations, one per excluded bottom element.  `levels` holds the checked
+    congruence blocks of each level met so far in one certificate.
+    """
+    family_b = isinstance(spec, SpecB)
+    m = 2 if family_b else spec.m
+    lo = 2 if family_b else 1  # ids of the bottom block
+    ident = _pivot_report(m, k, v_k, v_k1, lo)
     if not ident["ok"]:
         raise CertificateError(f"pivot arithmetic failed at step {k}")
     i = ident["pivot"]
-    spec = SpecA(n, m)
-    rel = gen_s(spec, i)
-    target = f"S{i}"
-    lv = i + 1
-    l_a = schedule_count(n, m, k, "a")
-    columns = []
-    for r in range(1, m + 1):
-        col = [0] + [lv] * m
-        col[r] = 0
-        columns.append(ColumnBlock(tuple(col), l_a))
-    for b in range(i):
-        c = schedule_count(n, m, k + 1, b)
-        if c:
-            columns.append(ColumnBlock((b + 1,) + (lv,) * m, c))
-    for u in range(i + 1, n):
-        c = schedule_count(n, m, k, u)
-        if c:
-            columns.append(ColumnBlock((u + 1,) * (m + 1), c))
-    for block in columns:
-        _require_member(block, rel, target)
-    total = sum(b.count for b in columns)
-    if total != m ** (2**n):
-        raise CertificateError(f"column bookkeeping sums to {total}, not m**2**n")
-    rows = tally_rows(m + 1, n + 2, [(b.column, b.count) for b in columns])
-    v_k = schedule_vector(n, m, k)
-    v_k1 = schedule_vector(n, m, k + 1)
-    if rows[0] != list(v_k1.counts):
-        raise CertificateError(f"conclusion row of step {k} does not match the schedule")
-    for r in range(1, m + 1):
-        if rows[r] != list(v_k.counts):
-            raise CertificateError(f"premise row {r} of step {k} does not match the schedule")
-    if not _builder_chain_ok_a(n, i + 1):
-        raise CertificateError(f"congruence ladder identity failed at level {i + 1}")
+    lv = lo + i
+    bottom = v_k.less(lo)
+    # levels under the pivot are read at step k+1, levels above it at step k
+    below = [(e, v_k1.counts[e]) for e in range(lo, lv) if v_k1.counts[e]]
+    higher = [(e, v_k.counts[e]) for e in range(lv + 1, len(v_k.counts)) if v_k.counts[e]]
+    if family_b:
+        doubled = bottom
+        if doubled > ident["pivot_count"]:
+            raise CertificateError(
+                f"doubled bottom block {doubled} exceeds the pivot count at step {k}"
+            )
+        apps = []
+        for which in (1, 2):
+            own, other = which - 1, 2 - which
+            columns = [
+                ColumnBlock((own, 0), v_k.counts[0]),
+                ColumnBlock((own, 1), v_k.counts[1]),
+                ColumnBlock((other, lv), bottom),
+            ]
+            columns += [ColumnBlock((e, lv), c) for e, c in below]
+            columns += [ColumnBlock((e, e), c) for e, c in higher]
+            apps.append((f"R{i}^{which}", gen_r_b(spec, i, which), columns))
+    else:
+        doubled = None
+        columns = []
+        for r in range(1, m + 1):
+            col = [0] + [lv] * m
+            col[r] = 0
+            columns.append(ColumnBlock(tuple(col), bottom))
+        columns += [ColumnBlock((e,) + (lv,) * m, c) for e, c in below]
+        columns += [ColumnBlock((e,) * (m + 1), c) for e, c in higher]
+        apps = [(f"S{i}", gen_s(spec, i), columns)]
+    arity = m ** (2**spec.n)
+    applications = []
+    for target, rel, cols in apps:
+        for block in cols:
+            _require_member(block, rel, target)
+        total = sum(b.count for b in cols)
+        if total != arity:
+            raise CertificateError(
+                f"column bookkeeping sums to {total} at step {k}, not m**2**n"
+            )
+        rows = tally_rows(rel.arity, len(v_k.counts), [(b.column, b.count) for b in cols])
+        if rows[0] != list(v_k1.counts):
+            raise CertificateError(
+                f"conclusion row of step {k} ({target}) does not match the schedule"
+            )
+        for r in range(1, rel.arity):
+            if rows[r] != list(v_k.counts):
+                raise CertificateError(
+                    f"premise row {r} of step {k} ({target}) does not match the schedule"
+                )
+        applications.append(Application(target, tuple(cols)))
+    if i + 1 not in levels:
+        levels[i + 1] = _level_blocks(spec, i + 1)
     return StepCertificate(
         k=k,
         pivot=i,
-        applications=(Application(target, tuple(columns)),),
+        applications=tuple(applications),
         pivot_count=ident["pivot_count"],
         below_succ_premise=ident["below_succ_premise"],
         below_pivot_conclusion=ident["below_pivot_conclusion"],
         congruence_level=i + 1,
-        congruence_blocks=blocks(congruence_a(spec, i + 1)),
-        doubled=None,
+        congruence_blocks=levels[i + 1],
+        doubled=doubled,
     )
+
+
+def certify_step_a(n: int, m: int, k: int) -> StepCertificate:
+    """Certify the family-A transition v_k -> v_{k+1}."""
+    v_k, v_k1 = _transition(n, m, k)
+    return _certify_step(SpecA(n, m), k, v_k, v_k1, {})
 
 
 def certify_base_a(n: int, m: int) -> BaseCertificate:
@@ -324,87 +375,20 @@ def certify_lower_bound_a(n: int, m: int) -> TraceCertificate:
         raise ValueError("need n >= 0 and m >= 2")
     if n == 0 and m == 2:
         raise ValueError("the (n=0, m=2) instance makes no claim (arity below 3)")
-    sched = build_schedule_a(n, m)
-    steps = tuple(certify_step_a(n, m, k) for k in range(2**n - 1))
+    ladder = build_schedule_a(n, m).vectors
+    spec, levels = SpecA(n, m), {}
+    steps = tuple(
+        _certify_step(spec, k, ladder[k], ladder[k + 1], levels) for k in range(2**n - 1)
+    )
     return TraceCertificate(
         family="A",
         n=n,
         m=m,
         arity=m ** (2**n),
-        schedule=tuple(v.counts for v in sched.vectors),
+        schedule=tuple(v.counts for v in ladder),
         base=certify_base_a(n, m),
         steps=steps,
         terminal_support=(0,),
-    )
-
-
-def _columns_step_b(n: int, k: int, i: int, which: int):
-    """Column blocks of the family-B transition against R_i^which."""
-    lv = i + 2
-    own = which - 1  # id of the removed bottom element
-    other = 1 - own
-    half = 2**k
-    columns = [
-        ColumnBlock((own, 0), half),
-        ColumnBlock((own, 1), half),
-        ColumnBlock((other, lv), 2 * half),
-    ]
-    for b in range(i):
-        c = schedule_count(n, 2, k + 1, b)
-        if c:
-            columns.append(ColumnBlock((b + 2, lv), c))
-    for u in range(i + 1, n):
-        c = schedule_count(n, 2, k, u)
-        if c:
-            columns.append(ColumnBlock((u + 2, u + 2), c))
-    return columns
-
-
-def certify_step_b(n: int, k: int) -> StepCertificate:
-    """Certify the family-B transition w_k -> w_{k+1}; both level relations
-    are applied, one per excluded bottom element."""
-    ident = pivot_identities(n, 2, k)
-    if not ident["ok"]:
-        raise CertificateError(f"pivot arithmetic failed at step {k}")
-    i = ident["pivot"]
-    spec = SpecB(n)
-    doubled = 2 ** (k + 1)
-    if doubled > ident["pivot_count"]:
-        raise CertificateError(
-            f"doubled bottom block {doubled} exceeds the pivot count at step {k}"
-        )
-    w_k = schedule_vector_b(n, k)
-    w_k1 = schedule_vector_b(n, k + 1)
-    apps = []
-    for which in (1, 2):
-        target = f"R{i}^{which}"
-        rel = gen_r_b(spec, i, which)
-        columns = _columns_step_b(n, k, i, which)
-        for block in columns:
-            _require_member(block, rel, target)
-        total = sum(b.count for b in columns)
-        if total != 2 ** (2**n):
-            raise CertificateError(f"column bookkeeping sums to {total} at step {k}")
-        rows = tally_rows(2, n + 3, [(b.column, b.count) for b in columns])
-        if rows[0] != list(w_k1.counts):
-            raise CertificateError(f"conclusion row of step {k} ({target}) mismatches")
-        if rows[1] != list(w_k.counts):
-            raise CertificateError(f"premise row of step {k} ({target}) mismatches")
-        apps.append(Application(target, tuple(columns)))
-    if not _builder_chain_ok_b(n, i + 1):
-        raise CertificateError(f"congruence ladder identity failed at level {i + 1}")
-    # the bottom count splits between a1 and a2, so the prefix sums over the
-    # B domain coincide with the m=2 values
-    return StepCertificate(
-        k=k,
-        pivot=i,
-        applications=tuple(apps),
-        pivot_count=ident["pivot_count"],
-        below_succ_premise=ident["below_succ_premise"],
-        below_pivot_conclusion=ident["below_pivot_conclusion"],
-        congruence_level=i + 1,
-        congruence_blocks=blocks(congruence_b(spec, i + 1)),
-        doubled=doubled,
     )
 
 
@@ -442,14 +426,17 @@ def certify_lower_bound_b(n: int) -> TraceCertificate:
     of arity 2**(2**n)."""
     if n < 0:
         raise ValueError("need n >= 0")
-    sched = build_schedule_b(n)
-    steps = tuple(certify_step_b(n, k) for k in range(2**n - 1))
+    ladder = build_schedule_b(n).vectors
+    spec, levels = SpecB(n), {}
+    steps = tuple(
+        _certify_step(spec, k, ladder[k], ladder[k + 1], levels) for k in range(2**n - 1)
+    )
     return TraceCertificate(
         family="B",
         n=n,
         m=2,
         arity=2 ** (2**n),
-        schedule=tuple(v.counts for v in sched.vectors),
+        schedule=tuple(v.counts for v in ladder),
         base=certify_base_b(n),
         steps=steps,
         terminal_support=(0, 1),
@@ -464,11 +451,11 @@ def _domain_for(family: str, n: int):
     return domain_a(n) if family == "A" else domain_b(n)
 
 
-def _app_to_json(app: Application, names) -> dict:
+def _app_to_json(app: Application, names, dec) -> dict:
     return {
         "target": app.target,
         "columns": [
-            {"column": [names[x] for x in b.column], "count": str(b.count)}
+            {"column": [names[x] for x in b.column], "count": dec(b.count)}
             for b in app.columns
         ],
     }
@@ -476,27 +463,37 @@ def _app_to_json(app: Application, names) -> dict:
 
 def certificate_to_json(cert: TraceCertificate) -> dict:
     names = _domain_for(cert.family, cert.n).names
+    # a ladder count recurs across columns, steps and the schedule; each
+    # distinct count is formatted once
+    text: dict[int, str] = {}
+
+    def dec(c: int) -> str:
+        s = text.get(c)
+        if s is None:
+            s = text[c] = str(c)
+        return s
+
     out = {
         "family": cert.family,
         "n": cert.n,
         "m": cert.m,
-        "arity": str(cert.arity),
+        "arity": dec(cert.arity),
         "schedule": [
-            {names[e]: str(c) for e, c in enumerate(row) if c}
+            {names[e]: dec(c) for e, c in enumerate(row) if c}
             for row in cert.schedule
         ],
-        "base": {"applications": [_app_to_json(a, names) for a in cert.base.applications]},
+        "base": {"applications": [_app_to_json(a, names, dec) for a in cert.base.applications]},
         "steps": [
             {
                 "k": s.k,
                 "pivot": s.pivot,
-                "applications": [_app_to_json(a, names) for a in s.applications],
-                "pivot_count": str(s.pivot_count),
-                "below_succ_premise": str(s.below_succ_premise),
-                "below_pivot_conclusion": str(s.below_pivot_conclusion),
+                "applications": [_app_to_json(a, names, dec) for a in s.applications],
+                "pivot_count": dec(s.pivot_count),
+                "below_succ_premise": dec(s.below_succ_premise),
+                "below_pivot_conclusion": dec(s.below_pivot_conclusion),
                 "congruence_level": s.congruence_level,
                 "congruence_blocks": [[names[x] for x in blk] for blk in s.congruence_blocks],
-                "doubled": None if s.doubled is None else str(s.doubled),
+                "doubled": None if s.doubled is None else dec(s.doubled),
             }
             for s in cert.steps
         ],
@@ -627,15 +624,19 @@ def _ck_chain_blocks(family: str, n: int, level: int):
     return blocks(out)
 
 
-@lru_cache(maxsize=None)
-def _ck_model(family: str, n: int, m: int):
-    """Everything a valid certificate must contain, derived from scratch."""
+def _ck_parameters(family: str, n: int, m: int) -> None:
     if family not in ("A", "B"):
         raise ValueError("unknown family")
     if n < 0 or m < 2 or (family == "A" and (n, m) == (0, 2)):
         raise ValueError("parameters outside the certified range")
     if family == "B" and m != 2:
         raise ValueError("family B runs at m = 2")
+
+
+@lru_cache(maxsize=None)
+def _ck_model(family: str, n: int, m: int):
+    """Everything a valid certificate must contain, derived from scratch."""
+    _ck_parameters(family, n, m)
     width = n + 2 if family == "A" else n + 3
     base_ids = 1 if family == "A" else 2
     total = m ** (2**n)
@@ -884,34 +885,40 @@ def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckRepo
     try:
         family, n, m = cert.family, cert.n, cert.m
         try:
-            good = _ck_canonical(family, n, m)
+            _ck_parameters(family, n, m)
         except (ValueError, TypeError) as exc:
             return CheckReport(False, (f"parameters: {exc}",))
 
-        expected_names = (
-            ("a",) + tuple(str(t) for t in range(n + 1))
-            if family == "A"
-            else ("a1", "a2") + tuple(str(t) for t in range(n + 1))
-        )
-        if structure.domain.names != expected_names:
+        # the structure's shape bounds n and m before anything of that size
+        # is derived: the domain fixes n, a relation's arity fixes m
+        bottom = ("a",) if family == "A" else ("a1", "a2")
+        names = structure.domain.names
+        if len(names) != len(bottom) + n + 1 or names != bottom + tuple(
+            str(t) for t in range(n + 1)
+        ):
             return CheckReport(
                 False, ("structure domain does not match the certificate parameters",)
             )
         if family == "A":
             for i in range(n + 1):
                 rel = structure.relations.get(f"S{i}")
-                if rel is None or rel != _ck_rel_s(n, m, i):
+                if rel is None or rel.arity != m + 1 or rel != _ck_rel_s(n, m, i):
                     faults.append(f"structure relation S{i} does not match the parameters")
         else:
             for i in range(n + 1):
                 for j in (1, 2):
                     rel = structure.relations.get(f"R{i}^{j}")
-                    if rel is None or rel != _ck_rel_b(n, i, j):
+                    if rel is None or rel.arity != 2 or rel != _ck_rel_b(n, i, j):
                         faults.append(
                             f"structure relation R{i}^{j} does not match the parameters"
                         )
         if faults:
             return CheckReport(False, tuple(faults))
+
+        try:
+            good = _ck_canonical(family, n, m)
+        except (ValueError, TypeError) as exc:
+            return CheckReport(False, (f"parameters: {exc}",))
 
         if cert == good:
             return CheckReport(True, ())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -150,6 +151,26 @@ def test_outputs_are_reproducible(capsys):
     _, w2, _ = run(capsys, "witness", "A", "--n", "0", "--m", "3", "--mode", "sampled",
                    "--trials", "100")
     assert w1 == w2
+    _, t1, _ = run(capsys, "trace", "A", "--n", "2", "--m", "2")
+    _, t2, _ = run(capsys, "trace", "A", "--n", "2", "--m", "2")
+    assert t1 == t2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("A", "--n", "3", "--m", "3"),
+         "65ec145a6ac1cd0b8cc3c118bebd7679848edf14d362f7c18f28ba5efc441c46"),
+        (("B", "--n", "4"),
+         "946ca3922f9a53d0f105dfa7918a63338ff8dca34c03e60d95425ef139a842d3"),
+    ],
+)
+def test_trace_output_is_pinned(capsys, argv, digest):
+    # the certificate and its JSON layout are part of the interface: a
+    # builder or serializer change must leave these bytes alone
+    code, out, _ = run(capsys, "trace", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_unknown_subcommand_exits_two():

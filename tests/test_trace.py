@@ -3,11 +3,13 @@ from dataclasses import fields, replace
 
 import pytest
 
+from polyclone import trace
 from polyclone.structures import SpecA, SpecB, gen_s, structure_a, structure_b
 from polyclone.trace import (
     CertificateError,
     ColumnBlock,
     StepCertificate,
+    _certify_step,
     _require_member,
     build_schedule_a,
     build_schedule_b,
@@ -136,6 +138,31 @@ def test_step_zero_uses_pivot_zero():
     assert step.congruence_level == 1
 
 
+def test_ladder_steps_match_single_step_builders():
+    # the certificate reads each step off one shared ladder; the single-step
+    # builders recompute both vectors from the closed form
+    pivot_fields = ("pivot", "pivot_count", "below_succ_premise", "below_pivot_conclusion")
+    cases = [(SpecA(n, m), certify_lower_bound_a(n, m)) for n in range(7) for m in range(2, 6)
+             if (n, m) != (0, 2)]
+    cases += [(SpecB(n), certify_lower_bound_b(n)) for n in range(7)]
+    for spec, cert in cases:
+        n, m = spec.n, cert.m
+        assert len(cert.steps) == 2**n - 1
+        for k, step in enumerate(cert.steps):
+            if isinstance(spec, SpecA):
+                single = certify_step_a(n, m, k)
+            else:
+                single = _certify_step(
+                    spec, k, schedule_vector_b(n, k), schedule_vector_b(n, k + 1), {}
+                )
+            assert step == single, (spec, k)
+            ident = pivot_identities(n, m, k)
+            assert ident["ok"]
+            assert tuple(getattr(step, f) for f in pivot_fields) == tuple(
+                ident[f] for f in pivot_fields
+            ), (spec, k)
+
+
 def test_base_uses_top_level():
     base = certify_base_a(3, 3)
     app = base.applications[0]
@@ -212,6 +239,26 @@ def test_check_rejects_mismatched_structure():
     assert not check_certificate(cert, structure_b(SpecB(2))).ok
     certb = certify_lower_bound_b(1)
     assert not check_certificate(certb, structure_b(SpecB(2))).ok
+
+
+def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
+    # n and m are claims of the certificate; a mismatch with the structure
+    # must be found without deriving anything of the claimed size
+    def refuse(*args):
+        raise AssertionError(f"derivation started for {args}")
+
+    monkeypatch.setattr(trace, "_ck_canonical", refuse)
+    monkeypatch.setattr(trace, "_ck_rel_s", refuse)
+    cert = certify_lower_bound_a(1, 2)
+    report = check_certificate(replace(cert, n=40), structure_a(SpecA(1, 2)))
+    assert report.faults == ("structure domain does not match the certificate parameters",)
+    report = check_certificate(replace(cert, m=40), structure_a(SpecA(1, 3)))
+    assert report.faults == (
+        "structure relation S0 does not match the parameters",
+        "structure relation S1 does not match the parameters",
+    )
+    report = check_certificate(replace(cert, n=-1), structure_a(SpecA(1, 2)))
+    assert report.faults == ("parameters: parameters outside the certified range",)
 
 
 def test_check_rejects_unparseable_json():
