@@ -163,6 +163,8 @@ def test_outputs_are_reproducible(capsys):
          "65ec145a6ac1cd0b8cc3c118bebd7679848edf14d362f7c18f28ba5efc441c46"),
         (("B", "--n", "4"),
          "946ca3922f9a53d0f105dfa7918a63338ff8dca34c03e60d95425ef139a842d3"),
+        (("A", "--n", "4", "--m", "2"),
+         "d6aec83acf46de28d45c6cc40d7d3f8e2850655ccd0f7c0df028f0e214e0fa70"),
     ],
 )
 def test_trace_output_is_pinned(capsys, argv, digest):
