@@ -38,8 +38,7 @@ from .structures import (
 from .witness import (
     CountVector,
     SymmetricOp,
-    is_conservative_exhaustive,
-    is_conservative_sampled,
+    compositions,
     is_nu_symmetric,
     witness_a,
     witness_b,
@@ -68,7 +67,6 @@ from .trace import (
     certificate_to_json,
     certify_lower_bound_a,
     certify_lower_bound_b,
-    certify_step_a,
     check_certificate,
     check_certificate_json,
     pivot_identities,

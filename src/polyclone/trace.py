@@ -12,11 +12,16 @@ m = 2 on the doubled bottom block {a1, a2}; each transition applies both
 level relations (one per removed pair) and carries the side condition that
 the doubled block fits below the pivot.
 
+One builder serves both families: a family enters only through its ladder
+shape (m and the number of bottom ids), the relations it applies at a level
+and the low-corner columns that feed them.  The base derivation is a step
+at the top level whose premise is a row deviating once at a bottom id.
+
 Position permutations are absorbed by the count representation: a symmetric
 bookkeeping step constrains an operation under every argument order at once,
 so certificates store counts only.  `check_certificate` re-derives every
 recorded fact from the parameters alone, shares no construction code with
-the builders, and rejects any single-field deviation.
+the builder, and rejects any single-field deviation.
 """
 
 from __future__ import annotations
@@ -49,6 +54,12 @@ class CertificateError(RuntimeError):
 # Schedules
 # ---------------------------------------------------------------------------
 
+def _shape(spec: SpecA | SpecB) -> tuple[int, int]:
+    """(m, lo) of a family's ladder, `lo` being the number of bottom ids:
+    family B runs the m=2 ladder with its bottom element doubled."""
+    return (2, 2) if isinstance(spec, SpecB) else (spec.m, 1)
+
+
 def schedule_count(n: int, m: int, k: int, level) -> int:
     """Multiplicity of `level` ("a" or 0..n-1) in the k-th schedule vector."""
     if not 0 <= k < 2**n:
@@ -57,73 +68,54 @@ def schedule_count(n: int, m: int, k: int, level) -> int:
         return m ** (k + 1)
     if not 0 <= level <= n - 1:
         raise ValueError(f"level {level} out of range")
-    bits = [(k >> t) & 1 for t in range(n)]
-    if bits[level]:
+    if (k >> level) & 1:
         return 0
-    prefix = sum(b << (level + 1 + t) for t, b in enumerate(bits[level + 1 :]))
-    return m ** (prefix + (1 << level)) * (m ** (1 << level) - 1)
+    step = 1 << level
+    # the bits of k above `level`, kept in place
+    prefix = (k >> (level + 1)) << (level + 1)
+    return m ** (prefix + step) * (m**step - 1)
+
+
+def _ladder_vector(spec: SpecA | SpecB, k: int) -> CountVector:
+    """The k-th count vector of a family's ladder: m**(k+1) split evenly over
+    the bottom ids, then levels 0..n."""
+    m, lo = _shape(spec)
+    n = spec.n
+    counts = [schedule_count(n, m, k, "a") // lo] * lo
+    counts += [schedule_count(n, m, k, level) for level in range(n)]
+    return CountVector(counts + [0])
 
 
 def schedule_vector(n: int, m: int, k: int) -> CountVector:
     """The k-th count vector of family A's ladder, over {a, 0..n}."""
-    counts = [0] * (n + 2)
-    counts[0] = schedule_count(n, m, k, "a")
-    for level in range(n):
-        counts[level + 1] = schedule_count(n, m, k, level)
-    return CountVector(counts)
-
-
-def schedule_vector_b(n: int, k: int) -> CountVector:
-    """The k-th count vector of family B's ladder, over {a1, a2, 0..n};
-    the m=2 bottom count splits evenly between a1 and a2."""
-    if not 0 <= k < 2**n:
-        raise ValueError(f"step {k} out of range 0..{2 ** n - 1}")
-    counts = [0] * (n + 3)
-    counts[0] = counts[1] = 2**k
-    for level in range(n):
-        counts[level + 2] = schedule_count(n, 2, k, level)
-    return CountVector(counts)
+    return _ladder_vector(SpecA(n, m), k)
 
 
 @dataclass(frozen=True)
-class ScheduleA:
+class Schedule:
     n: int
     m: int
     vectors: tuple[CountVector, ...]
 
 
-@dataclass(frozen=True)
-class ScheduleB:
-    n: int
-    vectors: tuple[CountVector, ...]
-
-
-def build_schedule_a(n: int, m: int) -> ScheduleA:
-    if n < 0 or m < 2:
-        raise ValueError("need n >= 0 and m >= 2")
-    vectors = tuple(schedule_vector(n, m, k) for k in range(2**n))
-    total = m ** (2**n)
+def _build_schedule(spec: SpecA | SpecB) -> Schedule:
+    m, lo = _shape(spec)
+    vectors = tuple(_ladder_vector(spec, k) for k in range(2**spec.n))
+    total = m ** (2**spec.n)
     for k, v in enumerate(vectors):
         if v.total != total:
             raise CertificateError(f"schedule vector {k} has total {v.total} != {total}")
-    if vectors[-1].support() != (0,):
-        raise CertificateError("final schedule vector is not supported on the bottom element")
-    return ScheduleA(n, m, vectors)
-
-
-def build_schedule_b(n: int) -> ScheduleB:
-    if n < 0:
-        raise ValueError("need n >= 0")
-    vectors = tuple(schedule_vector_b(n, k) for k in range(2**n))
-    total = 2 ** (2**n)
-    for k, v in enumerate(vectors):
-        if v.total != total:
-            raise CertificateError(f"schedule vector {k} has total {v.total} != {total}")
-        if v.counts[0] != v.counts[1]:
-            raise CertificateError(f"schedule vector {k} splits the bottom block unevenly")
-    if vectors[-1].support() != (0, 1):
+    if vectors[-1].support() != tuple(range(lo)):
         raise CertificateError("final schedule vector is not supported on the bottom block")
-    return ScheduleB(n, vectors)
+    return Schedule(spec.n, m, vectors)
+
+
+def build_schedule_a(n: int, m: int) -> Schedule:
+    return _build_schedule(SpecA(n, m))
+
+
+def build_schedule_b(n: int) -> Schedule:
+    return _build_schedule(SpecB(n))
 
 
 def least_zero_bit(k: int) -> int:
@@ -133,19 +125,11 @@ def least_zero_bit(k: int) -> int:
     return i
 
 
-def _transition(n: int, m: int, k: int) -> tuple[CountVector, CountVector]:
-    """The schedule vectors v_k and v_{k+1} of family A's transition k -> k+1."""
-    if not 0 <= k <= 2**n - 2:
-        raise ValueError(
-            f"step {k} has no pivot (valid transitions are 0..{2 ** n - 2})"
-        )
-    return schedule_vector(n, m, k), schedule_vector(n, m, k + 1)
-
-
-def _pivot_report(m: int, k: int, v_k: CountVector, v_k1: CountVector, lo: int) -> dict:
+def _pivot_report(spec: SpecA | SpecB, k: int, v_k: CountVector, v_k1: CountVector) -> dict:
     """Pivot arithmetic of the transition k -> k+1 read off its two ladder
     vectors, whose first `lo` entries form the bottom block and whose entry
     lo + t counts level t."""
+    m, lo = _shape(spec)
     i = least_zero_bit(k)
     p = lo + i
     power = m ** (k + 1 + 2**i)
@@ -173,8 +157,12 @@ def pivot_identities(n: int, m: int, k: int) -> dict:
     and the below-pivot prefix sums hit their closed forms, higher levels are
     unchanged at step k+1, and the pivot empties at step k+1.
     """
-    v_k, v_k1 = _transition(n, m, k)
-    return _pivot_report(m, k, v_k, v_k1, 1)
+    if not 0 <= k <= 2**n - 2:
+        raise ValueError(
+            f"step {k} has no pivot (valid transitions are 0..{2 ** n - 2})"
+        )
+    spec = SpecA(n, m)
+    return _pivot_report(spec, k, _ladder_vector(spec, k), _ladder_vector(spec, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -246,82 +234,104 @@ def _level_blocks(spec: SpecA | SpecB, level: int) -> tuple[tuple[int, ...], ...
     return blocks(cong)
 
 
+def _application(
+    target: str, rel: Relation, columns: list[ColumnBlock], conclusion, premise, where: str
+) -> Application:
+    """One application of a level relation, checked: every column lies in
+    `rel`, the counts sum to the conclusion's total (m**2**n, as the schedule
+    checks), row 0 tallies to `conclusion` and every other row to `premise`."""
+    for block in columns:
+        _require_member(block, rel, target)
+    total = sum(b.count for b in columns)
+    if total != sum(conclusion):
+        raise CertificateError(f"column bookkeeping sums to {total} at {where}, not m**2**n")
+    rows = tally_rows(rel.arity, len(conclusion), [(b.column, b.count) for b in columns])
+    if rows[0] != list(conclusion):
+        raise CertificateError(
+            f"conclusion row of {where} ({target}) does not match the schedule"
+        )
+    for r in range(1, rel.arity):
+        if rows[r] != list(premise):
+            raise CertificateError(
+                f"premise row {r} of {where} ({target}) does not match the premise"
+            )
+    return Application(target, tuple(columns))
+
+
+def _applications(spec: SpecA | SpecB, i: int, premises, conclusion, where):
+    """The applications of level i's relations that turn premise rows into
+    the `conclusion` row, one per bottom id (family B applies R_i^1 and R_i^2,
+    one per excluded bottom element); `premises[own]` is the premise of the
+    application that keeps bottom id `own`.  Levels under i are read off the
+    conclusion, levels above it off the premise."""
+    m, lo = _shape(spec)
+    lv = lo + i
+    apps = []
+    for own, premise in enumerate(premises):
+        bottom = sum(premise[:lo])
+        if isinstance(spec, SpecB):
+            target, rel, w = f"R{i}^{own + 1}", gen_r_b(spec, i, own + 1), 1
+            columns = [ColumnBlock((own, e), premise[e]) for e in range(lo) if premise[e]]
+            columns.append(ColumnBlock((1 - own, lv), bottom))
+        else:
+            target, rel, w = f"S{i}", gen_s(spec, i), m
+            columns = []
+            for r in range(1, m + 1):
+                col = [0] + [lv] * m
+                col[r] = 0
+                columns.append(ColumnBlock(tuple(col), bottom))
+        columns += [
+            ColumnBlock((e,) + (lv,) * w, conclusion[e]) for e in range(lo, lv) if conclusion[e]
+        ]
+        columns += [
+            ColumnBlock((e,) * (w + 1), premise[e])
+            for e in range(lv + 1, len(premise))
+            if premise[e]
+        ]
+        apps.append(_application(target, rel, columns, conclusion, premise, where))
+    return tuple(apps)
+
+
+def _certify_base(spec: SpecA | SpecB, v_0: CountVector) -> BaseCertificate:
+    """The near-unanimity identities at the top level force v_0: each
+    application's premise deviates once, at its own bottom id."""
+    lo = _shape(spec)[1]
+    premises = []
+    for own in range(lo):
+        premise = [0] * len(v_0.counts)
+        premise[own] = 1
+        premise[-1] = v_0.total - 1
+        premises.append(premise)
+    return BaseCertificate(_applications(spec, spec.n, premises, v_0.counts, "base"))
+
+
 def _certify_step(
     spec: SpecA | SpecB, k: int, v_k: CountVector, v_k1: CountVector, levels: dict
 ) -> StepCertificate:
     """Certify the transition v_k -> v_{k+1} of either family.
 
-    Every count comes from the two ladder vectors.  Family B runs the m=2
-    ladder with a1 and a2 as its bottom block and applies both level
-    relations, one per excluded bottom element.  `levels` holds the checked
-    congruence blocks of each level met so far in one certificate.
+    Every count comes from the two ladder vectors.  `levels` holds the
+    checked congruence blocks of each level met so far in one certificate.
     """
-    family_b = isinstance(spec, SpecB)
-    m = 2 if family_b else spec.m
-    lo = 2 if family_b else 1  # ids of the bottom block
-    ident = _pivot_report(m, k, v_k, v_k1, lo)
+    lo = _shape(spec)[1]
+    ident = _pivot_report(spec, k, v_k, v_k1)
     if not ident["ok"]:
         raise CertificateError(f"pivot arithmetic failed at step {k}")
     i = ident["pivot"]
-    lv = lo + i
-    bottom = v_k.less(lo)
-    # levels under the pivot are read at step k+1, levels above it at step k
-    below = [(e, v_k1.counts[e]) for e in range(lo, lv) if v_k1.counts[e]]
-    higher = [(e, v_k.counts[e]) for e in range(lv + 1, len(v_k.counts)) if v_k.counts[e]]
-    if family_b:
-        doubled = bottom
+    doubled = None
+    if isinstance(spec, SpecB):
+        doubled = v_k.less(lo)
         if doubled > ident["pivot_count"]:
             raise CertificateError(
                 f"doubled bottom block {doubled} exceeds the pivot count at step {k}"
             )
-        apps = []
-        for which in (1, 2):
-            own, other = which - 1, 2 - which
-            columns = [
-                ColumnBlock((own, 0), v_k.counts[0]),
-                ColumnBlock((own, 1), v_k.counts[1]),
-                ColumnBlock((other, lv), bottom),
-            ]
-            columns += [ColumnBlock((e, lv), c) for e, c in below]
-            columns += [ColumnBlock((e, e), c) for e, c in higher]
-            apps.append((f"R{i}^{which}", gen_r_b(spec, i, which), columns))
-    else:
-        doubled = None
-        columns = []
-        for r in range(1, m + 1):
-            col = [0] + [lv] * m
-            col[r] = 0
-            columns.append(ColumnBlock(tuple(col), bottom))
-        columns += [ColumnBlock((e,) + (lv,) * m, c) for e, c in below]
-        columns += [ColumnBlock((e,) * (m + 1), c) for e, c in higher]
-        apps = [(f"S{i}", gen_s(spec, i), columns)]
-    arity = m ** (2**spec.n)
-    applications = []
-    for target, rel, cols in apps:
-        for block in cols:
-            _require_member(block, rel, target)
-        total = sum(b.count for b in cols)
-        if total != arity:
-            raise CertificateError(
-                f"column bookkeeping sums to {total} at step {k}, not m**2**n"
-            )
-        rows = tally_rows(rel.arity, len(v_k.counts), [(b.column, b.count) for b in cols])
-        if rows[0] != list(v_k1.counts):
-            raise CertificateError(
-                f"conclusion row of step {k} ({target}) does not match the schedule"
-            )
-        for r in range(1, rel.arity):
-            if rows[r] != list(v_k.counts):
-                raise CertificateError(
-                    f"premise row {r} of step {k} ({target}) does not match the schedule"
-                )
-        applications.append(Application(target, tuple(cols)))
+    applications = _applications(spec, i, [v_k.counts] * lo, v_k1.counts, f"step {k}")
     if i + 1 not in levels:
         levels[i + 1] = _level_blocks(spec, i + 1)
     return StepCertificate(
         k=k,
         pivot=i,
-        applications=tuple(applications),
+        applications=applications,
         pivot_count=ident["pivot_count"],
         below_succ_premise=ident["below_succ_premise"],
         below_pivot_conclusion=ident["below_pivot_conclusion"],
@@ -331,116 +341,38 @@ def _certify_step(
     )
 
 
-def certify_step_a(n: int, m: int, k: int) -> StepCertificate:
-    """Certify the family-A transition v_k -> v_{k+1}."""
-    v_k, v_k1 = _transition(n, m, k)
-    return _certify_step(SpecA(n, m), k, v_k, v_k1, {})
-
-
-def certify_base_a(n: int, m: int) -> BaseCertificate:
-    """Certify the family-A base derivation (near-unanimity rows at the top
-    level force the first schedule vector)."""
-    spec = SpecA(n, m)
-    rel = gen_s(spec, n)
-    target = f"S{n}"
-    lv = n + 1
-    columns = []
-    for r in range(1, m + 1):
-        col = [0] + [lv] * m
-        col[r] = 0
-        columns.append(ColumnBlock(tuple(col), 1))
-    for b in range(n):
-        c = schedule_count(n, m, 0, b)
-        if c:
-            columns.append(ColumnBlock((b + 1,) + (lv,) * m, c))
-    for block in columns:
-        _require_member(block, rel, target)
-    rows = tally_rows(m + 1, n + 2, [(b.column, b.count) for b in columns])
-    v_0 = schedule_vector(n, m, 0)
-    if rows[0] != list(v_0.counts):
-        raise CertificateError("base conclusion row does not match the first schedule vector")
-    premise = [0] * (n + 2)
-    premise[0] = 1
-    premise[lv] = m ** (2**n) - 1
-    for r in range(1, m + 1):
-        if rows[r] != premise:
-            raise CertificateError(f"base premise row {r} is not a one-deviation row")
-    return BaseCertificate(applications=(Application(target, tuple(columns)),))
+def _certify(spec: SpecA | SpecB) -> TraceCertificate:
+    m, lo = _shape(spec)
+    ladder = _build_schedule(spec).vectors
+    levels: dict = {}
+    steps = tuple(
+        _certify_step(spec, k, ladder[k], ladder[k + 1], levels)
+        for k in range(2**spec.n - 1)
+    )
+    return TraceCertificate(
+        family="B" if isinstance(spec, SpecB) else "A",
+        n=spec.n,
+        m=m,
+        arity=m ** (2**spec.n),
+        schedule=tuple(v.counts for v in ladder),
+        base=_certify_base(spec, ladder[0]),
+        steps=steps,
+        terminal_support=tuple(range(lo)),
+    )
 
 
 def certify_lower_bound_a(n: int, m: int) -> TraceCertificate:
     """Full certificate that family A(n, m) admits no near-unanimity
     operation of arity m**(2**n)."""
-    if n < 0 or m < 2:
-        raise ValueError("need n >= 0 and m >= 2")
     if n == 0 and m == 2:
         raise ValueError("the (n=0, m=2) instance makes no claim (arity below 3)")
-    ladder = build_schedule_a(n, m).vectors
-    spec, levels = SpecA(n, m), {}
-    steps = tuple(
-        _certify_step(spec, k, ladder[k], ladder[k + 1], levels) for k in range(2**n - 1)
-    )
-    return TraceCertificate(
-        family="A",
-        n=n,
-        m=m,
-        arity=m ** (2**n),
-        schedule=tuple(v.counts for v in ladder),
-        base=certify_base_a(n, m),
-        steps=steps,
-        terminal_support=(0,),
-    )
-
-
-def certify_base_b(n: int) -> BaseCertificate:
-    spec = SpecB(n)
-    lv = n + 2
-    apps = []
-    for which in (1, 2):
-        target = f"R{n}^{which}"
-        rel = gen_r_b(spec, n, which)
-        own = which - 1
-        other = 1 - own
-        columns = [ColumnBlock((own, own), 1), ColumnBlock((other, lv), 1)]
-        for b in range(n):
-            c = schedule_count(n, 2, 0, b)
-            if c:
-                columns.append(ColumnBlock((b + 2, lv), c))
-        for block in columns:
-            _require_member(block, rel, target)
-        rows = tally_rows(2, n + 3, [(b.column, b.count) for b in columns])
-        w_0 = schedule_vector_b(n, 0)
-        if rows[0] != list(w_0.counts):
-            raise CertificateError("base conclusion row does not match the first schedule vector")
-        premise = [0] * (n + 3)
-        premise[own] = 1
-        premise[lv] = 2 ** (2**n) - 1
-        if rows[1] != premise:
-            raise CertificateError("base premise row is not a one-deviation row")
-        apps.append(Application(target, tuple(columns)))
-    return BaseCertificate(applications=tuple(apps))
+    return _certify(SpecA(n, m))
 
 
 def certify_lower_bound_b(n: int) -> TraceCertificate:
     """Full certificate that family B(n) admits no near-unanimity operation
     of arity 2**(2**n)."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    ladder = build_schedule_b(n).vectors
-    spec, levels = SpecB(n), {}
-    steps = tuple(
-        _certify_step(spec, k, ladder[k], ladder[k + 1], levels) for k in range(2**n - 1)
-    )
-    return TraceCertificate(
-        family="B",
-        n=n,
-        m=2,
-        arity=2 ** (2**n),
-        schedule=tuple(v.counts for v in ladder),
-        base=certify_base_b(n),
-        steps=steps,
-        terminal_support=(0, 1),
-    )
+    return _certify(SpecB(n))
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +834,14 @@ def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckRepo
         if family == "A":
             for i in range(n + 1):
                 rel = structure.relations.get(f"S{i}")
-                if rel is None or rel.arity != m + 1 or rel != _ck_rel_s(n, m, i):
+                # the size test keeps a claimed m from building a relation
+                # of (i+1)*2**m tuples that the structure cannot match
+                if (
+                    rel is None
+                    or rel.arity != m + 1
+                    or len(rel) != (i + 1) * 2**m - 1 + (n - i)
+                    or rel != _ck_rel_s(n, m, i)
+                ):
                     faults.append(f"structure relation S{i} does not match the parameters")
         else:
             for i in range(n + 1):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 
-from .relations import BudgetExceededError
 from .structures import domain_a, domain_b
 
 TOP = None  # sentinel: count everything (the cut above the largest element)
@@ -69,9 +68,8 @@ class SymmetricOp:
     m**(2**n) + 1; family "B" lives on {a1, a2, 0..n} with m = 2 and arity
     2**(2**n) + 1.  Evaluation accepts count vectors of any positive total
     (the cascade is well defined), but only totals equal to the declared
-    arity carry polymorphism meaning.  The top branch compares against the
-    declared arity constant; pass ``top_threshold`` to rescale it, which the
-    conservativity scans use at foreign totals.
+    arity carry polymorphism meaning: the top branch compares against the
+    declared arity constant.
     """
 
     __slots__ = ("family", "n", "m", "arity", "domain", "_thr")
@@ -98,15 +96,14 @@ class SymmetricOp:
         # ids of the bottom block: family A has one low element, B has two
         return 1 if self.family == "A" else 2
 
-    def value(self, x: CountVector, top_threshold: int | None = None) -> int:
+    def value(self, x: CountVector) -> int:
         if len(x.counts) != self.domain.size:
             raise ValueError("count vector does not match the operation domain")
-        return self.value_counts(x.counts, top_threshold)
+        return self.value_counts(x.counts)
 
-    def value_counts(self, counts, top_threshold: int | None = None) -> int:
+    def value_counts(self, counts) -> int:
         """Cascade evaluation on a raw count sequence; returns an element id."""
         n, base = self.n, self.base
-        thr = self.arity if top_threshold is None else top_threshold
         # prefix[t] = number of arguments with id < t
         prefix = [0] * (len(counts) + 1)
         acc = 0
@@ -115,7 +112,7 @@ class SymmetricOp:
             acc += c
         prefix[len(counts)] = acc
         # below level r means id < base + r
-        if thr > self._thr[n] * prefix[base + n]:
+        if self.arity > self._thr[n] * prefix[base + n]:
             return base + n
         for r in range(n - 1, -1, -1):
             if prefix[base + r + 1] > self._thr[r] * prefix[base + r]:
@@ -182,12 +179,6 @@ def compositions(total: int, parts: int):
             yield (c,) + rest
 
 
-def composition_count(total: int, parts: int) -> int:
-    import math
-
-    return math.comb(total + parts - 1, parts - 1)
-
-
 def sample_distinct(rng: random.Random, n: int, k: int):
     """Floyd's uniform k-subset of range(n); works for arbitrarily large n."""
     chosen = set()
@@ -210,41 +201,3 @@ def random_composition(rng: random.Random, total: int, parts: int):
         prev = c
     out.append(total + parts - 2 - prev)
     return tuple(out)
-
-
-DEFAULT_COMPOSITION_BUDGET = 10**7
-
-
-def is_conservative_exhaustive(
-    op: SymmetricOp, max_total: int, budget: int = DEFAULT_COMPOSITION_BUDGET
-) -> bool:
-    """The output element always occurs among the inputs, checked over every
-    count vector with total 1..max_total.
-
-    At totals other than the declared arity the top branch is rescaled to the
-    actual total (the declared-arity constant would make the top level fire
-    on inputs that never mention it).
-    """
-    d = op.domain.size
-    work = sum(composition_count(t, d) for t in range(1, max_total + 1))
-    if work > budget:
-        raise BudgetExceededError(f"{work} count vectors exceed budget {budget}")
-    for total in range(1, max_total + 1):
-        top = None if total == op.arity else total
-        for counts in compositions(total, d):
-            if counts[op.value_counts(counts, top)] == 0:
-                return False
-    return True
-
-
-def is_conservative_sampled(op: SymmetricOp, trials: int, seed: int = DEFAULT_SEED) -> bool:
-    """Same containment check on random count vectors at the declared arity."""
-    if trials < 1:
-        raise ValueError(f"sampled check needs at least one trial, got {trials}")
-    rng = random.Random(seed)
-    d = op.domain.size
-    for _ in range(trials):
-        counts = random_composition(rng, op.arity, d)
-        if counts[op.value_counts(counts)] == 0:
-            return False
-    return True

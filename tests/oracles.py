@@ -5,10 +5,10 @@ from array import array
 
 from polyclone.indicator import IndicatorInstance
 from polyclone.relations import BudgetExceededError, OpTable
-from polyclone.witness import DEFAULT_COMPOSITION_BUDGET, CountVector, SymmetricOp
+from polyclone.witness import CountVector, SymmetricOp
 
 
-def value_by_max_rule(op: SymmetricOp, x: CountVector, top_threshold: int | None = None) -> int:
+def value_by_max_rule(op: SymmetricOp, x: CountVector) -> int:
     """Family-A evaluation by collecting every firing level and taking the
     largest, rather than scanning the cascade top-down.  Kept as a separate
     code path so the two formulations can be checked against each other.
@@ -17,10 +17,9 @@ def value_by_max_rule(op: SymmetricOp, x: CountVector, top_threshold: int | None
         raise ValueError("max-rule form is defined for family A")
     if len(x.counts) != op.domain.size:
         raise ValueError("count vector does not match the operation domain")
-    thr = op.arity if top_threshold is None else top_threshold
     fired = []
     for r in range(op.n + 1):
-        left = thr if r == op.n else x.less(r + 2)
+        left = op.arity if r == op.n else x.less(r + 2)
         if left > op._thr[r] * x.less(r + 1):
             fired.append(r)
     if fired:
@@ -28,7 +27,7 @@ def value_by_max_rule(op: SymmetricOp, x: CountVector, top_threshold: int | None
     return 0
 
 
-def as_table(op: SymmetricOp, budget: int = DEFAULT_COMPOSITION_BUDGET) -> OpTable:
+def as_table(op: SymmetricOp, budget: int = 10**7) -> OpTable:
     """Expand to an explicit table; only feasible for tiny declared arities."""
     d = op.domain.size
     if d**op.arity > budget:

@@ -334,10 +334,10 @@ class _RandomSymmetricOp:
 
         self.domain = _D()
 
-    def value_counts(self, counts, top_threshold=None):
+    def value_counts(self, counts):
         return self.table[tuple(counts)]
 
-    def value(self, x, top_threshold=None):
+    def value(self, x):
         return self.table[x.counts]
 
 

@@ -70,7 +70,7 @@ class CountTableOp:
         self.domain = SimpleNamespace(size=domain_size)
         self.table = {c: rng.randrange(domain_size) for c in compositions(arity, domain_size)}
 
-    def value_counts(self, counts, top_threshold=None):
+    def value_counts(self, counts):
         return self.table[tuple(counts)]
 
 

@@ -4,28 +4,28 @@ from dataclasses import fields, replace
 import pytest
 
 from polyclone import trace
+from polyclone.relations import Relation, Structure
 from polyclone.structures import SpecA, SpecB, gen_s, structure_a, structure_b
 from polyclone.trace import (
     CertificateError,
     ColumnBlock,
     StepCertificate,
+    _certify_base,
     _certify_step,
+    _ladder_vector,
     _require_member,
     build_schedule_a,
     build_schedule_b,
     certificate_from_json,
     certificate_to_json,
-    certify_base_a,
     certify_lower_bound_a,
     certify_lower_bound_b,
-    certify_step_a,
     check_certificate,
     check_certificate_json,
     least_zero_bit,
     pivot_identities,
     schedule_count,
     schedule_vector,
-    schedule_vector_b,
 )
 
 
@@ -79,7 +79,7 @@ def test_schedule_totals_and_growth():
 def test_schedule_b_matches_doubling():
     for n in range(5):
         for k in range(2**n):
-            w = schedule_vector_b(n, k)
+            w = _ladder_vector(SpecB(n), k)
             v = schedule_vector(n, 2, k)
             assert w.counts[0] == w.counts[1] == 2**k
             assert w.counts[0] + w.counts[1] == v.counts[0]
@@ -129,8 +129,13 @@ def test_membership_guard_rejects_excluded_corner():
         _require_member(bad, rel, "S3")
 
 
+def single_step(spec, k):
+    # one transition recomputed from the closed form, outside any certificate
+    return _certify_step(spec, k, _ladder_vector(spec, k), _ladder_vector(spec, k + 1), {})
+
+
 def test_step_zero_uses_pivot_zero():
-    step = certify_step_a(3, 3, 0)
+    step = single_step(SpecA(3, 3), 0)
     assert step.pivot == 0
     assert step.applications[0].target == "S0"
     # the shifted low-corner columns carry the bottom count of the source
@@ -149,13 +154,7 @@ def test_ladder_steps_match_single_step_builders():
         n, m = spec.n, cert.m
         assert len(cert.steps) == 2**n - 1
         for k, step in enumerate(cert.steps):
-            if isinstance(spec, SpecA):
-                single = certify_step_a(n, m, k)
-            else:
-                single = _certify_step(
-                    spec, k, schedule_vector_b(n, k), schedule_vector_b(n, k + 1), {}
-                )
-            assert step == single, (spec, k)
+            assert step == single_step(spec, k), (spec, k)
             ident = pivot_identities(n, m, k)
             assert ident["ok"]
             assert tuple(getattr(step, f) for f in pivot_fields) == tuple(
@@ -164,7 +163,8 @@ def test_ladder_steps_match_single_step_builders():
 
 
 def test_base_uses_top_level():
-    base = certify_base_a(3, 3)
+    spec = SpecA(3, 3)
+    base = _certify_base(spec, _ladder_vector(spec, 0))
     app = base.applications[0]
     assert app.target == "S3"
     shift_columns = [b.column for b in app.columns[:3]]
@@ -253,6 +253,15 @@ def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
     report = check_certificate(replace(cert, n=40), structure_a(SpecA(1, 2)))
     assert report.faults == ("structure domain does not match the certificate parameters",)
     report = check_certificate(replace(cert, m=40), structure_a(SpecA(1, 3)))
+    assert report.faults == (
+        "structure relation S0 does not match the parameters",
+        "structure relation S1 does not match the parameters",
+    )
+    # relations of the claimed arity but of one tuple each are told apart by
+    # their size, not by a derived relation of 2**40 tuples
+    domain = structure_a(SpecA(1, 2)).domain
+    one_tuple = Structure(domain, [(f"S{i}", Relation(41, 3, [(0,) * 41])) for i in (0, 1)])
+    report = check_certificate(replace(cert, m=40), one_tuple)
     assert report.faults == (
         "structure relation S0 does not match the parameters",
         "structure relation S1 does not match the parameters",

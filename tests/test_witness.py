@@ -6,13 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from polyclone.relations import BudgetExceededError
 from polyclone.witness import (
-    DEFAULT_SEED,
     TOP,
     CountVector,
     compositions,
-    composition_count,
-    is_conservative_exhaustive,
-    is_conservative_sampled,
     is_nu_symmetric,
     random_composition,
     witness_a,
@@ -71,10 +67,9 @@ def test_witness_a_falls_through_to_bottom():
 def test_witness_a_matches_max_rule():
     op = witness_a(1, 2)
     for total in range(1, 8):
-        top = None if total == op.arity else total
         for counts in compositions(total, 3):
             x = CountVector(counts)
-            assert op.value(x, top) == value_by_max_rule(op, x, top), counts
+            assert op.value(x) == value_by_max_rule(op, x), counts
     op = witness_a(2, 2)
     for counts in compositions(op.arity, 4):
         x = CountVector(counts)
@@ -117,7 +112,7 @@ def test_constant_op_is_not_nu():
         arity = 5
         domain = witness_a(1, 2).domain
 
-        def value_counts(self, counts, top_threshold=None):
+        def value_counts(self, counts):
             return 0
 
     assert not is_nu_symmetric(Const())
@@ -128,34 +123,11 @@ def test_nu_needs_arity_three():
         arity = 2
         domain = witness_a(1, 2).domain
 
-        def value_counts(self, counts, top_threshold=None):
+        def value_counts(self, counts):
             return 0
 
     with pytest.raises(ValueError):
         is_nu_symmetric(Tiny())
-
-
-def test_conservative_exhaustive_small_totals():
-    assert is_conservative_exhaustive(witness_a(1, 2), 5)
-    assert is_conservative_exhaustive(witness_a(0, 3), 6)
-    assert is_conservative_exhaustive(witness_b(1), 5)
-
-
-def test_conservative_sampled():
-    assert is_conservative_sampled(witness_b(1), 10**4, seed=DEFAULT_SEED)
-    assert is_conservative_sampled(witness_a(2, 2), 10**3, seed=DEFAULT_SEED)
-
-
-def test_conservative_sampled_rejects_no_trials():
-    # no trial is no evidence, not a pass
-    for trials in (0, -5):
-        with pytest.raises(ValueError):
-            is_conservative_sampled(witness_a(0, 3), trials)
-
-
-def test_conservative_budget():
-    with pytest.raises(BudgetExceededError):
-        is_conservative_exhaustive(witness_a(1, 2), 50, budget=100)
 
 
 def test_as_table_matches_direct_evaluation():
@@ -177,7 +149,7 @@ def test_as_table_budget():
 def test_compositions_enumeration():
     for total, parts in [(4, 3), (5, 2), (0, 4), (3, 1)]:
         seen = list(compositions(total, parts))
-        assert len(seen) == composition_count(total, parts)
+        assert len(seen) == math.comb(total + parts - 1, parts - 1)
         assert len(set(seen)) == len(seen)
         assert all(sum(c) == total and len(c) == parts for c in seen)
     # descending first coordinate
@@ -208,22 +180,6 @@ def test_random_composition_covers_space():
 def test_random_composition_always_valid(total, parts, seed):
     c = random_composition(random.Random(seed), total, parts)
     assert sum(c) == total and len(c) == parts and min(c) >= 0
-
-
-def test_foreign_total_top_rescaling():
-    # at the declared arity the literal constant and the rescaled threshold
-    # agree; at other totals the rescaled form stays conservative
-    op = witness_a(1, 2)
-    for counts in compositions(op.arity, 3):
-        assert op.value_counts(counts) == op.value_counts(counts, op.arity)
-    assert op.value_counts((0, 0, 3), 3) == 2
-    # the literal constant would send an input without the top element to it
-    assert op.value_counts((0, 1, 0)) == 2
-    assert op.value_counts((0, 1, 0), 1) == 1
-
-
-def test_composition_count():
-    assert composition_count(4, 10) == math.comb(13, 9)
 
 
 def test_symmetric_op_validation():
