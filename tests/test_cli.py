@@ -175,6 +175,25 @@ def test_trace_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("A", "--n", "1", "--m", "2", "--k", "5"),
+         "b4b846282ca8e7766bd4b21ea25669978005bb65114fb5caae52857d838c44b9"),
+        (("A", "--n", "0", "--m", "4", "--k", "5"),
+         "a6cdf7d246d9ae4b0c5c20e8d9cc82923a2af0176dad4477df57ae3408c92091"),
+        (("B", "--n", "1", "--k", "5"),
+         "cdbaf087ff1b7dff3cce805b21b565b450bd05726c5c5af4cf173bcdc2d5a659"),
+    ],
+)
+def test_decide_output_is_pinned(capsys, argv, digest):
+    # verdicts, node counts and witness tables are part of the interface: a
+    # change to the indicator build or search must leave these bytes alone
+    code, out, _ = run(capsys, "decide", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
