@@ -5,7 +5,8 @@ JSON on stdout; identical invocations (including seeds) produce identical
 bytes.  Exit codes: 0 ok / sat, 1 violation / unsat / failed identity,
 2 usage error, 3 budget exceeded or unknown verdict.  The environment
 variable POLYCLONE_BUDGET sets the default of exactly two flags, `witness
---budget` and `decide --matrix-budget`; an explicit flag wins over it.
+--budget` and `decide --matrix-budget`; an explicit flag wins over it.  A
+negative budget, cap or node limit is a usage error.
 """
 
 from __future__ import annotations
@@ -25,16 +26,22 @@ EXIT_BUDGET = 3
 
 
 def _budget(flag: int | None, default: int) -> int:
-    """The flag if given, else POLYCLONE_BUDGET if set, else `default`."""
+    """The flag if given, else POLYCLONE_BUDGET if set, else `default`.  A
+    negative budget is a usage error; zero is a budget."""
     if flag is not None:
+        if flag < 0:
+            raise ValueError(f"budget must be nonnegative, got {flag}")
         return flag
     raw = os.environ.get("POLYCLONE_BUDGET")
     if raw is None:
         return default
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
         raise ValueError(f"POLYCLONE_BUDGET must be an integer, got {raw!r}") from exc
+    if budget < 0:
+        raise ValueError(f"POLYCLONE_BUDGET must be nonnegative, got {raw!r}")
+    return budget
 
 
 def _emit(obj) -> None:

@@ -204,6 +204,8 @@ def check_compat_symmetric(
         raise ValueError("operation and relation must share a domain")
     if op.arity < 1:
         raise ValueError("operation arity must be positive")
+    if budget < 0:
+        raise ValueError(f"multiset budget must be nonnegative, got {budget}")
     if not len(rel):
         return Verdict(True, "exact", 0)
     total = multiset_count(op.arity, len(rel))

@@ -19,6 +19,14 @@ unchanged.  Each level relation S_i of family A is symmetric in its last m
 coordinates, which cuts A(0,4) at k=5 from 759,375 constraints to 35,954;
 family B's binary relations have no such symmetry and keep every matrix.
 The matrix budget still counts every column matrix, len(R)**k.
+
+Rows of a matrix that are equal name the same variable, so a constraint
+allows only the tuples of R that repeat where its scope repeats.  The build
+tracks each matrix's repeat pattern as it chooses columns and tags the
+constraint with a group id, one per (relation, pattern) pair.  The search
+packs a scope's domains into one int, d bits per position, and looks up the
+narrowed domains in a memo per group, so each distinct signature of a group
+is revised against R once.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from operator import add
+from itertools import groupby, islice
+from operator import add, sub
 
 from .relations import BudgetExceededError, OpTable, Relation, Structure, table_compatible
 
@@ -34,9 +43,20 @@ DEFAULT_VAR_CAP = 2 * 10**4
 DEFAULT_MATRIX_BUDGET = 2 * 10**6
 DEFAULT_NODE_LIMIT = 10**7
 
+_POPCOUNT = bytes(i.bit_count() for i in range(256))  # set bits of each byte
+_TAIL_MATRICES = 4096  # bound on the matrices of a prebuilt run of last columns
+_ROOT_SLICE = 4096  # constraint ids queued at once at the root
+
 
 class IndicatorInstance:
-    """Compiled constraint problem for one (structure, arity) question."""
+    """Compiled constraint problem for one (structure, arity) question.
+
+    Constraint `cid` has scope `scopes[con_start[cid]:con_start[cid + 1]]`
+    and belongs to group `con_group[cid]`; `groups[g]` is the pair
+    (relation index, repeat pattern) shared by every constraint of group g.
+    `var_cons[v]` lists the constraints whose scope holds variable v, once
+    per occurrence.
+    """
 
     __slots__ = (
         "structure",
@@ -45,62 +65,44 @@ class IndicatorInstance:
         "nvars",
         "domains",
         "rel_list",
-        "con_rel",
+        "groups",
+        "con_group",
         "con_start",
         "scopes",
-        "patterns",
-        "var_start",
         "var_cons",
     )
 
-    def __init__(self, structure, arity, domains, rel_list, con_rel, con_start, scopes):
+    def __init__(self, structure, arity, domains, rel_list, groups, con_group, con_start, scopes):
         self.structure = structure
         self.arity = arity
         self.domain_size = structure.domain.size
         self.nvars = len(domains)
         self.domains = domains
         self.rel_list = rel_list
-        self.con_rel = con_rel
+        self.groups = groups
+        self.con_group = con_group
         self.con_start = con_start
         self.scopes = scopes
         self._index_vars()
-        self._index_patterns()
 
     def _index_vars(self):
-        counts = [0] * (self.nvars + 1)
-        for v in self.scopes:
-            counts[v + 1] += 1
-        for i in range(self.nvars):
-            counts[i + 1] += counts[i]
-        self.var_start = array("l", counts)
-        var_cons = array("l", [0]) * len(self.scopes)
-        fill = list(self.var_start[:-1])
-        for cid in range(len(self.con_rel)):
-            for off in range(self.con_start[cid], self.con_start[cid + 1]):
-                v = self.scopes[off]
-                var_cons[fill[v]] = cid
-                fill[v] += 1
-        self.var_cons = var_cons
-
-    def _index_patterns(self):
-        # repeated rows in a scope force equal values; record the pattern
-        patterns = []
-        for cid in range(len(self.con_rel)):
-            scope = self.scopes[self.con_start[cid] : self.con_start[cid + 1]]
-            first = {}
-            pat = []
-            distinct = True
-            for p, v in enumerate(scope):
-                q = first.setdefault(v, p)
-                pat.append(q)
-                if q != p:
-                    distinct = False
-            patterns.append(None if distinct else tuple(pat))
-        self.patterns = patterns
+        # filled one run of equal-arity constraints and one scope position
+        # at a time, so no Python code runs per constraint
+        self.var_cons = [array("l") for _ in range(self.nvars)]
+        lists = self.var_cons.__getitem__
+        starts = self.con_start
+        cid = 0
+        for r, run in groupby(map(sub, islice(starts, 1, None), starts)):
+            count = sum(run) // r
+            lo, hi = starts[cid], starts[cid + count]
+            for p in range(r):
+                column = islice(self.scopes, lo + p, hi, r)
+                deque(map(array.append, map(lists, column), range(cid, cid + count)), 0)
+            cid += count
 
     @property
     def n_constraints(self) -> int:
-        return len(self.con_rel)
+        return len(self.con_group)
 
 
 def nu_pins(domain_size: int, arity: int):
@@ -144,42 +146,73 @@ def _interchangeable_pairs(rel: Relation) -> list[tuple[int, int]]:
     return pairs
 
 
-def _scopes_for_relation(rel: Relation, k: int, domain_size: int) -> array:
+def _scopes_for_relation(rel: Relation, k: int, domain_size: int, first_group: int):
     """Row variables of one k-column matrix over rel per orbit of its
-    coordinate symmetries, transposed on the fly.
+    coordinate symmetries, transposed on the fly, with a group id per matrix.
 
     The kept matrix is the one whose row codes are nondecreasing within each
     class of interchangeable coordinates.  Columns are chosen left to right;
-    a tied pair (equal row prefixes so far) admits only columns with
-    t[p] <= t[q], and stays tied while t[p] == t[q].
-    """
-    pairs = _interchangeable_pairs(rel)
-    # moves[tied]: each column allowed while the pairs in bitmask `tied` are
-    # tied, with the bitmask of those still tied after it
-    moves = []
-    for tied in range(1 << len(pairs)):
-        live = [(p, q, 1 << i) for i, (p, q) in enumerate(pairs) if tied >> i & 1]
-        moves.append(
-            [
-                (t, sum(b for p, q, b in live if t[p] == t[q]))
-                for t in rel
-                if all(t[p] <= t[q] for p, q, _ in live)
-            ]
-        )
-    out = array("l")
-    extend = out.extend
+    the state is the rows' repeat pattern, each row mapped to the first row
+    with an equal code so far.  A tied pair (equal codes) admits only columns
+    with t[p] <= t[q], and stays tied while t[p] == t[q].  The rows of the
+    last few columns are built once per state and added to each prefix.
 
-    def rec(c, codes, tied):
-        if c == k - 1:
-            for t, _ in moves[tied]:  # the last column has weight 1
-                extend(map(add, codes, t))
+    Returns the flat scopes, one group id per matrix and the patterns of the
+    groups: matrices whose rows repeat as `patterns[i]` get id first_group + i.
+    """
+    r = rel.arity
+    pairs = _interchangeable_pairs(rel)
+    moves: dict[tuple, list] = {}  # pattern -> each allowed column, with the next pattern
+    groups: dict[tuple, int] = {}  # final pattern -> group id
+    tails: dict[tuple, tuple] = {}  # (pattern, j) -> last j columns' rows, flat, and group ids
+
+    def moves_from(pattern):
+        out = moves.get(pattern)
+        if out is None:
+            tied = [(p, q) for p, q in pairs if pattern[p] == pattern[q]]
+            out = moves[pattern] = []
+            for t in rel:
+                if all(t[p] <= t[q] for p, q in tied):
+                    first = {}
+                    out.append((t, tuple(first.setdefault((pattern[p], t[p]), p) for p in range(r))))
+        return out
+
+    def tail(pattern, j):
+        out = tails.get((pattern, j))
+        if out is None:
+            flat, ids = array("l"), array("i")
+            w = domain_size ** (j - 1)
+            for t, nxt in moves_from(pattern):
+                if j == 1:
+                    flat.extend(t)
+                    ids.append(groups.setdefault(nxt, first_group + len(groups)))
+                else:
+                    rows, more = tail(nxt, j - 1)
+                    flat.extend(map(add, [w * x for x in t] * len(more), rows))
+                    ids.extend(more)
+            out = tails[(pattern, j)] = (flat, ids)
+        return out
+
+    # the last `depth` columns come from the tails: at least one column, and
+    # at most _TAIL_MATRICES matrices per tail
+    depth = 1
+    while depth < k and len(rel) ** (depth + 1) <= _TAIL_MATRICES:
+        depth += 1
+    scopes = array("l")
+    group_ids = array("i")
+
+    def rec(c, codes, pattern):
+        if c == k - depth:
+            rows, ids = tail(pattern, depth)
+            scopes.extend(map(add, codes * len(ids), rows))
+            group_ids.extend(ids)
             return
         w = domain_size ** (k - 1 - c)
-        for t, nxt in moves[tied]:
+        for t, nxt in moves_from(pattern):
             rec(c + 1, [a + w * b for a, b in zip(codes, t)], nxt)
 
-    rec(0, [0] * rel.arity, len(moves) - 1)
-    return out
+    rec(0, [0] * r, (0,) * r)
+    return scopes, group_ids, list(groups)
 
 
 def build_indicator(
@@ -197,6 +230,10 @@ def build_indicator(
     """
     if k < 1:
         raise ValueError("arity must be positive")
+    if var_cap < 0:
+        raise ValueError(f"variable cap must be nonnegative, got {var_cap}")
+    if matrix_budget < 0:
+        raise ValueError(f"matrix budget must be nonnegative, got {matrix_budget}")
     d = structure.domain.size
     # d**k >= 2**k > var_cap once k passes var_cap's bit length, so a huge k
     # is refused without building d**k
@@ -236,7 +273,8 @@ def build_indicator(
         domains[code] &= 1 << val
 
     rel_list = []
-    con_rel = array("h")
+    groups = []
+    con_group = array("i")
     con_start = array("l", [0])
     scopes = array("l")
     for rel in structure.relations.values():
@@ -247,15 +285,16 @@ def build_indicator(
             raise BudgetExceededError(
                 f"{count} column matrices for a relation exceed budget {matrix_budget}"
             )
-        block = _scopes_for_relation(rel, k, d)
+        block, ids, patterns = _scopes_for_relation(rel, k, d, len(groups))
+        groups.extend((len(rel_list), pattern) for pattern in patterns)
         r = rel.arity
         base = len(scopes)
         scopes.extend(block)
-        con_rel.extend(array("h", [len(rel_list)]) * (len(block) // r))
+        con_group.extend(ids)
         con_start.extend(range(base + r, len(scopes) + 1, r))
         rel_list.append(rel)
 
-    return IndicatorInstance(structure, k, domains, rel_list, con_rel, con_start, scopes)
+    return IndicatorInstance(structure, k, domains, rel_list, groups, con_group, con_start, scopes)
 
 
 @dataclass
@@ -275,34 +314,19 @@ class SolveReport:
         return obj
 
 
-def _verdict_for(rel: Relation, pat, sig):
-    """Allowed value bitmask per position, or False when some position has
-    no support under the given domain signature."""
-    r = rel.arity
-    allowed = [0] * r
-    if pat is None:
-        for t in rel.tuples:
-            for p in range(r):
-                if not (sig[p] >> t[p]) & 1:
-                    break
-            else:
-                for p in range(r):
-                    allowed[p] |= 1 << t[p]
-    else:
-        for t in rel.tuples:
-            ok = True
-            for p in range(r):
-                e = t[p]
-                if not (sig[p] >> e) & 1 or t[pat[p]] != e:
-                    ok = False
-                    break
-            if ok:
-                for p in range(r):
-                    allowed[p] |= 1 << t[p]
-    for a in allowed:
-        if not a:
-            return False
-    return tuple(allowed)
+def _packed_supports(rel: Relation, pattern: tuple, d: int) -> list[int]:
+    """The tuples of rel that repeat wherever `pattern` repeats rows, each
+    packed like a scope's domains: one d-bit field per position, position 0
+    highest, with the bit of the tuple's entry set.  Under packed domains
+    `sig`, tuple t is a support iff t & sig == t."""
+    out = []
+    for t in rel:
+        if all(t[p] == t[q] for p, q in enumerate(pattern)):
+            packed = 0
+            for e in t:
+                packed = packed << d | 1 << e
+            out.append(packed)
+    return out
 
 
 def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveReport:
@@ -310,80 +334,84 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
 
     Variable order is fail-first (smallest live domain, lowest index on
     ties); values are tried in ascending element order, so runs are
-    deterministic.
+    deterministic.  At most `node_limit` nodes are searched.
+
+    A revision packs the scope's domains into one int, `sig`, and looks it
+    up in the memo of the constraint's group, which maps it to the union of
+    the supports under it: the narrowed domains, packed the same way.  The
+    union is 0 exactly when some position has no support.
     """
-    dom = list(inst.domains)
+    if node_limit < 0:
+        raise ValueError(f"node limit must be nonnegative, got {node_limit}")
+    d = inst.domain_size
     nvars = inst.nvars
     ncons = inst.n_constraints
-    con_rel = inst.con_rel
+    con_group = inst.con_group
     con_start = inst.con_start
     scopes = inst.scopes
-    patterns = inst.patterns
-    rel_list = inst.rel_list
-    var_start = inst.var_start
     var_cons = inst.var_cons
+    # up to 8 elements a domain fits a byte, and choose() counts them in C
+    dom = bytearray(inst.domains) if d <= 8 else list(inst.domains)
 
-    if any(m == 0 for m in dom):
+    if 0 in dom:
         return SolveReport("unsat", None, 0)
 
-    memo: dict = {}
-    in_queue = bytearray(ncons)
+    mask = (1 << d) - 1
+    supports = [_packed_supports(inst.rel_list[i], pattern, d) for i, pattern in inst.groups]
+    memos: list[dict] = [{} for _ in supports]
+    in_queue = bytearray(b"\x01") * ncons  # the root queues every constraint
     trail: list[tuple[int, int]] = []
 
     def propagate(queue) -> bool:
         while queue:
             cid = queue.popleft()
+            scope = scopes[con_start[cid] : con_start[cid + 1]]
+            sig = 0
+            for v in scope:
+                sig = sig << d | dom[v]
+            try:
+                new = memos[con_group[cid]][sig]
+            except KeyError:
+                new = 0
+                for t in supports[con_group[cid]]:
+                    if t & sig == t:
+                        new |= t
+                memos[con_group[cid]][sig] = new
+            if new != sig:
+                if not new:
+                    in_queue[cid] = 0
+                    while queue:
+                        in_queue[queue.popleft()] = 0
+                    return False
+                # revising cid again would narrow nothing more, so it stays
+                # marked queued while its own narrowings are propagated
+                for v in reversed(scope):
+                    now = new & mask
+                    new >>= d
+                    if now != dom[v]:
+                        trail.append((v, dom[v]))
+                        dom[v] = now
+                        for c2 in var_cons[v]:
+                            if not in_queue[c2]:
+                                in_queue[c2] = 1
+                                queue.append(c2)
             in_queue[cid] = 0
-            lo, hi = con_start[cid], con_start[cid + 1]
-            scope = scopes[lo:hi]
-            sig = tuple(dom[v] for v in scope)
-            rel_idx = con_rel[cid]
-            key = (rel_idx, patterns[cid], sig)
-            verdict = memo.get(key)
-            if verdict is None:
-                verdict = _verdict_for(rel_list[rel_idx], patterns[cid], sig)
-                memo[key] = verdict
-            if verdict is False:
-                while queue:
-                    in_queue[queue.popleft()] = 0
-                return False
-            for p in range(hi - lo):
-                v = scope[p]
-                new = dom[v] & verdict[p]
-                if new != dom[v]:
-                    if not new:
-                        while queue:
-                            in_queue[queue.popleft()] = 0
-                        return False
-                    trail.append((v, dom[v]))
-                    dom[v] = new
-                    for idx in range(var_start[v], var_start[v + 1]):
-                        c2 = var_cons[idx]
-                        if not in_queue[c2]:
-                            in_queue[c2] = 1
-                            queue.append(c2)
         return True
 
     def enqueue_var(v):
         queue = deque()
-        for idx in range(var_start[v], var_start[v + 1]):
-            c2 = var_cons[idx]
+        for c2 in var_cons[v]:
             if not in_queue[c2]:
                 in_queue[c2] = 1
                 queue.append(c2)
         return queue
 
     def choose():
-        best = -1
-        best_count = 1 << 30
-        for v in range(nvars):
-            c = dom[v].bit_count()
-            if 1 < c < best_count:
-                best_count = c
-                best = v
-                if c == 2:
-                    break
-        return best
+        counts = dom.translate(_POPCOUNT) if d <= 8 else list(map(int.bit_count, dom))
+        for c in range(2, d + 1):
+            if c in counts:
+                return counts.index(c)
+        return -1
 
     def bits_of(mask):
         out = []
@@ -397,11 +425,11 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
         values = [dom[v].bit_length() - 1 for v in range(nvars)]
         return OpTable(inst.arity, inst.domain_size, values)
 
-    root = deque(range(ncons))
-    for cid in root:
-        in_queue[cid] = 1
-    if not propagate(root):
-        return SolveReport("unsat", None, 0)
+    # the root queue is fed in slices, so its ids are never all boxed at
+    # once; the ones not yet fed are marked queued and so never queued twice
+    for lo in range(0, ncons, _ROOT_SLICE):
+        if not propagate(deque(range(lo, min(lo + _ROOT_SLICE, ncons)))):
+            return SolveReport("unsat", None, 0)
 
     nodes = 0
     var = choose()
@@ -417,10 +445,10 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
         if vi >= len(vals):
             stack.pop()
             continue
+        if nodes == node_limit:
+            return SolveReport("unknown", None, nodes)
         frame[2] += 1
         nodes += 1
-        if nodes > node_limit:
-            return SolveReport("unknown", None, nodes)
         trail.append((v, dom[v]))
         dom[v] = 1 << vals[vi]
         if propagate(enqueue_var(v)):
@@ -446,6 +474,8 @@ def decide_nu(
     "remark" (fix only the bottom-element deviations from the top element)."""
     if pin not in PIN_SETS:
         raise ValueError(f"unknown pin mode {pin!r}")
+    if node_limit < 0:  # refused before the build, as solve() would refuse it
+        raise ValueError(f"node limit must be nonnegative, got {node_limit}")
     pins = PIN_SETS[pin](structure.domain.size, k)
     inst = build_indicator(structure, k, pins, var_cap, matrix_budget)
     return solve(inst, node_limit)

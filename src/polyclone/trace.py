@@ -804,6 +804,26 @@ def _describe_step_fault(step: StepCertificate, good: StepCertificate, structure
         faults.append(f"{where}: deviates from the derivation")
 
 
+def _ck_claim(family: str, n: int, m: int, structure: Structure) -> CheckReport | None:
+    """The report refusing a certificate whose parameters are out of range
+    or whose n does not fit the structure's domain, else None.
+
+    The structure's shape bounds n and m before anything of that size is
+    derived: the domain fixes n, a relation's arity fixes m.
+    """
+    try:
+        _ck_parameters(family, n, m)
+    except (ValueError, TypeError) as exc:
+        return CheckReport(False, (f"parameters: {exc}",))
+    bottom = ("a",) if family == "A" else ("a1", "a2")
+    names = structure.domain.names
+    if len(names) != len(bottom) + n + 1 or names != bottom + tuple(
+        str(t) for t in range(n + 1)
+    ):
+        return CheckReport(False, ("structure domain does not match the certificate parameters",))
+    return None
+
+
 def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckReport:
     """Re-verify every recorded fact of a certificate against the structure.
 
@@ -816,21 +836,9 @@ def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckRepo
     faults: list[str] = []
     try:
         family, n, m = cert.family, cert.n, cert.m
-        try:
-            _ck_parameters(family, n, m)
-        except (ValueError, TypeError) as exc:
-            return CheckReport(False, (f"parameters: {exc}",))
-
-        # the structure's shape bounds n and m before anything of that size
-        # is derived: the domain fixes n, a relation's arity fixes m
-        bottom = ("a",) if family == "A" else ("a1", "a2")
-        names = structure.domain.names
-        if len(names) != len(bottom) + n + 1 or names != bottom + tuple(
-            str(t) for t in range(n + 1)
-        ):
-            return CheckReport(
-                False, ("structure domain does not match the certificate parameters",)
-            )
+        refused = _ck_claim(family, n, m, structure)
+        if refused is not None:
+            return refused
         if family == "A":
             for i in range(n + 1):
                 rel = structure.relations.get(f"S{i}")
@@ -890,7 +898,12 @@ def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckRepo
 
 
 def check_certificate_json(obj: dict, structure: Structure) -> CheckReport:
+    # the claimed n is held against the structure before the names of a
+    # domain of that size are built to parse the certificate
     try:
+        refused = _ck_claim(str(obj["family"]), int(obj["n"]), int(obj["m"]), structure)
+        if refused is not None:
+            return refused
         cert = certificate_from_json(obj)
     except Exception as exc:
         return CheckReport(False, (f"unparseable certificate: {exc}",))

@@ -44,12 +44,28 @@ def as_table(op: SymmetricOp, budget: int = 10**7) -> OpTable:
     return OpTable.from_function(op.arity, d, fn)
 
 
+def repeat_patterns(con_start, scopes) -> list[tuple]:
+    """Each constraint's repeat pattern, read off its scope: position p maps
+    to the first position that holds the same variable."""
+    patterns = []
+    for cid in range(len(con_start) - 1):
+        scope = scopes[con_start[cid] : con_start[cid + 1]]
+        first = {}
+        pattern = []
+        for p, v in enumerate(scope):
+            pattern.append(first.setdefault(v, p))
+        patterns.append(tuple(pattern))
+    return patterns
+
+
 def full_instance(inst: IndicatorInstance) -> IndicatorInstance:
     """`inst` with one constraint per k-column matrix over each relation,
     every matrix of `itertools.product(rel.tuples, repeat=k)`, so no
-    symmetry reduction.  Domains and relations are shared with `inst`."""
+    symmetry reduction.  Domains and relations are shared with `inst`;
+    group ids number the (relation, repeat pattern) pairs in order of first
+    appearance."""
     k, d = inst.arity, inst.domain_size
-    con_rel, con_start, scopes = array("h"), array("l", [0]), array("l")
+    con_rel, con_start, scopes = [], array("l", [0]), array("l")
     for idx, rel in enumerate(inst.rel_list):
         for cols in itertools.product(rel.tuples, repeat=k):
             for p in range(rel.arity):
@@ -59,4 +75,10 @@ def full_instance(inst: IndicatorInstance) -> IndicatorInstance:
                 scopes.append(code)
             con_rel.append(idx)
             con_start.append(len(scopes))
-    return IndicatorInstance(inst.structure, k, inst.domains, inst.rel_list, con_rel, con_start, scopes)
+    group_of: dict = {}
+    con_group = array("i")
+    for key in zip(con_rel, repeat_patterns(con_start, scopes)):
+        con_group.append(group_of.setdefault(key, len(group_of)))
+    return IndicatorInstance(
+        inst.structure, k, inst.domains, inst.rel_list, list(group_of), con_group, con_start, scopes
+    )

@@ -101,6 +101,25 @@ def test_decide_exit_codes(capsys):
     )
     assert code == 3
     assert json.loads(out)["verdict"] == "unknown"
+    # negative limits are usage errors; zero is a limit like any other
+    for flag, name in (("--var-cap", "variable cap"), ("--matrix-budget", "budget"),
+                       ("--node-limit", "node limit")):
+        code, out, err = run(
+            capsys, "decide", "A", "--n", "1", "--m", "2", "--k", "5", flag, "-1"
+        )
+        assert code == 2 and out == "" and f"{name} must be nonnegative" in err
+        code, _, _ = run(capsys, "decide", "A", "--n", "1", "--m", "2", "--k", "5", flag, "0")
+        assert code == 3
+    code, out, _ = run(
+        capsys, "decide", "A", "--n", "1", "--m", "2", "--k", "5", "--node-limit", "0"
+    )
+    assert json.loads(out) == {
+        "structure": {"family": "A", "n": 1, "m": 2},
+        "arity": 5,
+        "pin": "nu",
+        "verdict": "unknown",
+        "nodes": 0,
+    }
 
 
 def test_decide_var_cap_is_a_budget_stop(capsys):
@@ -217,3 +236,16 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("POLYCLONE_BUDGET", "not-a-number")
     code, _, err = run(capsys, "witness", "A", "--n", "0", "--m", "3")
     assert code == 2
+    # a negative budget is a usage error, from the environment or a flag;
+    # zero is a budget that stops the scan
+    monkeypatch.setenv("POLYCLONE_BUDGET", "-1")
+    code, out, err = run(capsys, "witness", "A", "--n", "0", "--m", "3")
+    assert code == 2 and out == "" and "POLYCLONE_BUDGET must be nonnegative" in err
+    code, out, err = run(capsys, "decide", "A", "--n", "0", "--m", "3", "--k", "3")
+    assert code == 2 and out == "" and "POLYCLONE_BUDGET must be nonnegative" in err
+    monkeypatch.setenv("POLYCLONE_BUDGET", "0")
+    code, _, err = run(capsys, "witness", "A", "--n", "0", "--m", "3")
+    assert code == 3 and "budget 0" in err
+    monkeypatch.delenv("POLYCLONE_BUDGET")
+    code, out, err = run(capsys, "witness", "A", "--n", "0", "--m", "3", "--budget", "-1")
+    assert code == 2 and out == "" and "budget must be nonnegative" in err

@@ -209,6 +209,11 @@ def test_binary_check_over_budget_needs_sampled_mode():
     rel = gen_r_b(SpecB(1), 1, 1)
     with pytest.raises(BudgetExceededError):
         check_compat_symmetric(op, rel, budget=5)
+    with pytest.raises(BudgetExceededError):
+        check_compat_symmetric(op, rel, budget=0)
+    # a negative budget is a malformed request, not a budget stop
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_compat_symmetric(op, rel, budget=-1)
     verdict = check_compat_sampled(op, rel, 50)
     assert verdict.mode == "sampled" and verdict.checked == 50 and verdict.ok
 

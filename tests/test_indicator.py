@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyclone import indicator
 from polyclone.indicator import (
     build_indicator,
     decide_nu,
@@ -23,7 +24,7 @@ from polyclone.relations import (
 from polyclone.structures import SpecA, SpecB, structure_a, structure_b
 from polyclone.witness import witness_a
 
-from oracles import as_table, full_instance
+from oracles import as_table, full_instance, repeat_patterns
 
 
 def test_build_counts_and_pins():
@@ -44,6 +45,13 @@ def test_build_counts_and_pins():
 def test_var_cap():
     with pytest.raises(BudgetExceededError):
         build_indicator(structure_b(SpecB(1)), 8, [], var_cap=1000)
+    with pytest.raises(BudgetExceededError):
+        build_indicator(structure_b(SpecB(1)), 1, [], var_cap=0)
+    # a negative cap or budget is a malformed request, not a budget stop
+    with pytest.raises(ValueError, match="variable cap"):
+        build_indicator(structure_b(SpecB(1)), 1, [], var_cap=-1)
+    with pytest.raises(ValueError, match="matrix budget"):
+        build_indicator(structure_b(SpecB(1)), 1, [], matrix_budget=-1)
 
 
 def test_matrix_budget():
@@ -64,6 +72,20 @@ def test_empty_domain_unsat_immediately():
     inst = build_indicator(struct, 3, [((0, 0, 0), 1)])
     report = solve(inst)
     assert report.verdict == "unsat" and report.nodes == 0
+
+
+def test_repeated_rows_prune_at_the_root():
+    # the column (0, 0) of R puts argument tuple (0,) in both rows, so its
+    # constraint admits only R's tuples with equal entries: (0, 0).  The root
+    # fixes f(0) = 0, and one node settles f(1); revising the two rows as
+    # independent variables would leave f(0) open and take two nodes.  R is
+    # symmetric, so of the columns (0, 1) and (1, 0) only the first is kept
+    struct = Structure(Domain(["0", "1"]), [("R", Relation(2, 2, [(0, 0), (0, 1), (1, 0)]))])
+    inst = build_indicator(struct, 1, [])
+    assert [inst.groups[g][1] for g in inst.con_group] == [(0, 0), (0, 1)]
+    report = solve(inst)
+    assert report.verdict == "sat" and report.nodes == 1
+    assert report.table.values == (0, 0)
 
 
 def test_unary_restrictions_are_supports():
@@ -118,10 +140,26 @@ def test_remark_pinning():
         decide_nu(sa, 3, pin="bogus")
 
 
-def test_node_limit_gives_unknown():
+def test_node_limit_gives_unknown(monkeypatch):
     sa = structure_a(SpecA(1, 2))
-    report = decide_nu(sa, 5, node_limit=1)
-    assert report.verdict == "unknown" and report.table is None
+    # an unknown reports the nodes searched, which is the limit
+    for limit in (0, 1, 10):
+        report = decide_nu(sa, 5, node_limit=limit)
+        assert report.verdict == "unknown" and report.table is None
+        assert report.nodes == limit
+    # the search needs 150 nodes, so a limit of 150 is enough and 149 is not
+    assert decide_nu(sa, 5, node_limit=150).verdict == "sat"
+    assert decide_nu(sa, 5, node_limit=149).nodes == 149
+    # a negative limit is malformed, and refused before anything is built
+    with pytest.raises(ValueError, match="node limit"):
+        solve(build_indicator(sa, 5, nu_pins(3, 5)), node_limit=-1)
+
+    def refuse(*args):
+        raise AssertionError("built an instance for a malformed limit")
+
+    monkeypatch.setattr(indicator, "build_indicator", refuse)
+    with pytest.raises(ValueError, match="node limit"):
+        decide_nu(sa, 5, node_limit=-1)
 
 
 def rand_structure(rng):
@@ -178,6 +216,42 @@ def test_solver_agrees_with_brute_force():
         else:
             agree_unsat += 1
     assert agree_sat and agree_unsat
+
+
+def padded(struct, size):
+    """struct over `size` elements, the new ones in no relation, plus a
+    unary relation holding the old elements."""
+    old = struct.domain.size
+    rels = [(name, Relation(rel.arity, size, rel.tuples)) for name, rel in struct.relations.items()]
+    rels.append(("OLD", Relation(1, size, [(x,) for x in range(old)])))
+    return Structure(Domain([str(x) for x in range(size)]), rels)
+
+
+def test_wide_domain_search_matches_padded_narrow_one():
+    # past 8 elements the solver keeps domains in a list rather than a
+    # bytearray.  Padding a two-element structure to 9 elements leaves every
+    # constraint over the old variables, whose domains OLD keeps as before:
+    # the search over them is the same, and then each new variable, free
+    # and in no constraint, takes one node and its lowest value
+    rng = random.Random(20261018)
+    k = 3
+    old_codes = [int("".join(map(str, args)), 9) for args in itertools.product((0, 1), repeat=k)]
+    verdicts, searched = set(), 0
+    for _ in range(20):
+        struct = rand_structure(rng)
+        pins = list(remark_pins(2, k))
+        narrow = solve(build_indicator(struct, k, pins))
+        wide = solve(build_indicator(padded(struct, 9), k, pins))
+        assert wide.verdict == narrow.verdict
+        verdicts.add(narrow.verdict)
+        if narrow.verdict == "sat":
+            assert wide.nodes == narrow.nodes + 9**k - 2**k
+            assert [wide.table.values[c] for c in old_codes] == list(narrow.table.values)
+            assert wide.table.values.count(0) == narrow.table.values.count(0) + 9**k - 2**k
+        else:
+            assert wide.nodes == narrow.nodes
+        searched += narrow.nodes > 0
+    assert verdicts == {"sat", "unsat"} and searched
 
 
 PIN_SETS = {"nu": nu_pins, "remark": remark_pins}
@@ -280,9 +354,23 @@ def test_orbit_build_matches_full_enumeration(case, seed):
 
     def blocks(i):
         out = [[] for _ in i.rel_list]
-        for cid, idx in enumerate(i.con_rel):
-            out[idx].append(tuple(i.scopes[i.con_start[cid] : i.con_start[cid + 1]]))
+        for cid, g in enumerate(i.con_group):
+            out[i.groups[g][0]].append(tuple(i.scopes[i.con_start[cid] : i.con_start[cid + 1]]))
         return out
+
+    for i in (inst, full):
+        # each constraint's group carries the repeat pattern of its scope,
+        # and each group is one (relation, pattern) pair
+        patterns = repeat_patterns(i.con_start, i.scopes)
+        assert [i.groups[g][1] for g in i.con_group] == patterns
+        assert len(set(i.groups)) == len(i.groups)
+        # each variable lists every constraint whose scope holds it, once
+        # per occurrence
+        holders = [[] for _ in range(i.nvars)]
+        for cid in range(i.n_constraints):
+            for v in i.scopes[i.con_start[cid] : i.con_start[cid + 1]]:
+                holders[v].append(cid)
+        assert [sorted(cids) for cids in i.var_cons] == holders
 
     for rel, kept, every in zip(inst.rel_list, blocks(inst), blocks(full)):
         kept_set = set(kept)

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyclone"
@@ -51,3 +52,40 @@ def test_uncalled_helper_scan_sees_references(tmp_path):
     )
     (tmp_path / "b.py").write_text("from . import a\nX = a.by_attribute\n")
     assert uncalled_helpers(tmp_path) == ["a.py:Orphan", "a.py:recursive"]
+
+
+def foreign_imports(src_dir: Path) -> list[str]:
+    """Absolute imports of the modules in src_dir whose top-level package is
+    not in the standard library."""
+    found = []
+    for path in sorted(src_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    # verdicts must not hang on a third-party package: the package runs on
+    # a bare interpreter
+    assert foreign_imports(SRC) == []
+
+
+def test_foreign_import_scan_sees_imports(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os, numpy.linalg\n"
+        "from collections import deque\n"
+        "from . import b\n"
+        "def f():\n"
+        "    from scipy import optimize\n"
+    )
+    assert foreign_imports(tmp_path) == ["a.py:numpy.linalg", "a.py:scipy"]

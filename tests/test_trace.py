@@ -270,6 +270,27 @@ def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
     assert report.faults == ("parameters: parameters outside the certified range",)
 
 
+def test_check_json_bounds_claimed_n_by_the_structure(monkeypatch):
+    # a certificate file claims its n; parsing its names builds a domain of
+    # n + 2 elements, so the claim is held against the structure first
+    real = trace._domain_for
+
+    def bounded(family, n):
+        if n > 100:
+            raise AssertionError(f"domain of the claimed n = {n} built")
+        return real(family, n)
+
+    monkeypatch.setattr(trace, "_domain_for", bounded)
+    struct = structure_a(SpecA(1, 2))
+    obj = json.loads(json.dumps(certificate_to_json(certify_lower_bound_a(1, 2))))
+    assert check_certificate_json(obj, struct).ok
+    report = check_certificate_json({**obj, "n": 10**6}, struct)
+    assert report.faults == ("structure domain does not match the certificate parameters",)
+    # an out-of-range n is named as such, ahead of the domain mismatch
+    report = check_certificate_json({**obj, "n": -1}, struct)
+    assert report.faults == ("parameters: parameters outside the certified range",)
+
+
 def test_check_rejects_unparseable_json():
     struct = structure_a(SpecA(2, 2))
     report = check_certificate_json({"family": "A"}, struct)
