@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from polyclone import trace
 from polyclone.cli import main
 from polyclone.relations import Relation
 from polyclone.structures import SpecA, SpecB, structure_a, structure_b
@@ -184,6 +185,15 @@ def test_outputs_are_reproducible(capsys):
          "946ca3922f9a53d0f105dfa7918a63338ff8dca34c03e60d95425ef139a842d3"),
         (("A", "--n", "4", "--m", "2"),
          "d6aec83acf46de28d45c6cc40d7d3f8e2850655ccd0f7c0df028f0e214e0fa70"),
+        # no steps, a family B base alone, one doubled step, counts up to 5**64
+        (("A", "--n", "0", "--m", "3"),
+         "53eb9301d57b938c8e37989753413cbdbe9925d828117d0b56c6125305588784"),
+        (("B", "--n", "0"),
+         "d194953f673f579a09a75767e919f5d82419a80a5f159afb9c27449c263c7dc1"),
+        (("B", "--n", "1"),
+         "5365c8b9d64344e8c9328b6b5c2bba6c225bff91a7f645891ad85817cb7cb35f"),
+        (("A", "--n", "6", "--m", "5"),
+         "b847b5214089f3c529cba925929964792230429a419cb332bf85ef29f16b3cd8"),
     ],
 )
 def test_trace_output_is_pinned(capsys, argv, digest):
@@ -192,6 +202,23 @@ def test_trace_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "trace", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_trace_reports_faults(capsys, monkeypatch):
+    # a certificate the checker refuses is still printed, followed by
+    # "checked": false and the faults, in the same layout
+    faults = ("step 0: pivot count deviates", "schedule deviates")
+    monkeypatch.setattr(
+        trace, "check_certificate", lambda cert, struct: trace.CheckReport(False, faults)
+    )
+    code, out, _ = run(capsys, "trace", "B", "--n", "1")
+    assert code == 1
+    expected = {
+        **trace.certificate_to_json(trace.certify_lower_bound_b(1)),
+        "checked": False,
+        "faults": list(faults),
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
