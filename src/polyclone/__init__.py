@@ -72,6 +72,7 @@ from .trace import (
     pivot_identities,
     schedule_count,
     schedule_vector,
+    write_certificate_json,
 )
 
 __version__ = "0.1.0"

@@ -34,8 +34,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby, islice
-from operator import add, sub
+from itertools import islice
+from operator import add
 
 from .relations import BudgetExceededError, OpTable, Relation, Structure, table_compatible
 
@@ -51,11 +51,14 @@ _ROOT_SLICE = 4096  # constraint ids queued at once at the root
 class IndicatorInstance:
     """Compiled constraint problem for one (structure, arity) question.
 
-    Constraint `cid` has scope `scopes[con_start[cid]:con_start[cid + 1]]`
-    and belongs to group `con_group[cid]`; `groups[g]` is the pair
-    (relation index, repeat pattern) shared by every constraint of group g.
-    `var_cons[v]` lists the constraints whose scope holds variable v, once
-    per occurrence.
+    The constraints over `rel_list[j]` have ids `rel_start[j]` to
+    `rel_start[j + 1] - 1`, and their scopes follow one another in `scopes`,
+    one relation block after another.  Constraint `cid` belongs to group
+    `g = con_group[cid]`; `groups[g]` is the pair (relation index, repeat
+    pattern) shared by every constraint of group g, and the scope of `cid`
+    is the `group_arity[g]` variables from `group_shift[g] + cid *
+    group_arity[g]` on.  `var_cons[v]` lists the constraints whose scope
+    holds variable v, once per occurrence.
     """
 
     __slots__ = (
@@ -65,40 +68,46 @@ class IndicatorInstance:
         "nvars",
         "domains",
         "rel_list",
+        "rel_start",
         "groups",
+        "group_shift",
+        "group_arity",
         "con_group",
-        "con_start",
         "scopes",
         "var_cons",
     )
 
-    def __init__(self, structure, arity, domains, rel_list, groups, con_group, con_start, scopes):
+    def __init__(self, structure, arity, domains, rel_list, rel_start, groups, con_group, scopes):
         self.structure = structure
         self.arity = arity
         self.domain_size = structure.domain.size
         self.nvars = len(domains)
         self.domains = domains
         self.rel_list = rel_list
+        self.rel_start = rel_start
         self.groups = groups
         self.con_group = con_group
-        self.con_start = con_start
         self.scopes = scopes
         self._index_vars()
 
     def _index_vars(self):
-        # filled one run of equal-arity constraints and one scope position
-        # at a time, so no Python code runs per constraint
+        # one pass over the relation blocks gives each group's shift and
+        # fills the incidence lists one scope position at a time, so no
+        # Python code runs per constraint
         self.var_cons = [array("l") for _ in range(self.nvars)]
         lists = self.var_cons.__getitem__
-        starts = self.con_start
-        cid = 0
-        for r, run in groupby(map(sub, islice(starts, 1, None), starts)):
-            count = sum(run) // r
-            lo, hi = starts[cid], starts[cid + count]
+        shifts = []
+        lo = 0
+        for rel, first, end in zip(self.rel_list, self.rel_start, self.rel_start[1:]):
+            r = rel.arity
+            shifts.append(lo - first * r)
+            hi = lo + (end - first) * r
             for p in range(r):
                 column = islice(self.scopes, lo + p, hi, r)
-                deque(map(array.append, map(lists, column), range(cid, cid + count)), 0)
-            cid += count
+                deque(map(array.append, map(lists, column), range(first, end)), 0)
+            lo = hi
+        self.group_shift = [shifts[j] for j, _ in self.groups]
+        self.group_arity = [self.rel_list[j].arity for j, _ in self.groups]
 
     @property
     def n_constraints(self) -> int:
@@ -273,9 +282,9 @@ def build_indicator(
         domains[code] &= 1 << val
 
     rel_list = []
+    rel_start = [0]
     groups = []
     con_group = array("i")
-    con_start = array("l", [0])
     scopes = array("l")
     for rel in structure.relations.values():
         if rel.arity < 2 or not len(rel):
@@ -287,14 +296,12 @@ def build_indicator(
             )
         block, ids, patterns = _scopes_for_relation(rel, k, d, len(groups))
         groups.extend((len(rel_list), pattern) for pattern in patterns)
-        r = rel.arity
-        base = len(scopes)
         scopes.extend(block)
         con_group.extend(ids)
-        con_start.extend(range(base + r, len(scopes) + 1, r))
         rel_list.append(rel)
+        rel_start.append(len(con_group))
 
-    return IndicatorInstance(structure, k, domains, rel_list, groups, con_group, con_start, scopes)
+    return IndicatorInstance(structure, k, domains, rel_list, rel_start, groups, con_group, scopes)
 
 
 @dataclass
@@ -347,7 +354,8 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     nvars = inst.nvars
     ncons = inst.n_constraints
     con_group = inst.con_group
-    con_start = inst.con_start
+    shift = inst.group_shift
+    width = inst.group_arity
     scopes = inst.scopes
     var_cons = inst.var_cons
     # up to 8 elements a domain fits a byte, and choose() counts them in C
@@ -365,18 +373,22 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     def propagate(queue) -> bool:
         while queue:
             cid = queue.popleft()
-            scope = scopes[con_start[cid] : con_start[cid + 1]]
+            g = con_group[cid]
+            r = width[g]
+            lo = shift[g] + cid * r
+            scope = scopes[lo : lo + r]
             sig = 0
             for v in scope:
                 sig = sig << d | dom[v]
+            memo = memos[g]
             try:
-                new = memos[con_group[cid]][sig]
+                new = memo[sig]
             except KeyError:
                 new = 0
-                for t in supports[con_group[cid]]:
+                for t in supports[g]:
                     if t & sig == t:
                         new |= t
-                memos[con_group[cid]][sig] = new
+                memo[sig] = new
             if new != sig:
                 if not new:
                     in_queue[cid] = 0

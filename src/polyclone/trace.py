@@ -22,13 +22,21 @@ bookkeeping step constrains an operation under every argument order at once,
 so certificates store counts only.  `check_certificate` re-derives every
 recorded fact from the parameters alone, shares no construction code with
 the builder, and rejects any single-field deviation.
+
+Certificates are serialized by one renderer, `write_certificate_json`,
+which writes JSON text (counts as decimal strings) in the layout of
+`json.dump(..., indent=2)` straight from the certificate's fields, one step
+at a time, with no intermediate object tree.  `certificate_to_json` is the
+parse of that text, and `certificate_from_json` reads it back.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .relations import Relation, Structure, blocks, compose, converse, tally_rows
 from .structures import (
@@ -383,55 +391,123 @@ def _domain_for(family: str, n: int):
     return domain_a(n) if family == "A" else domain_b(n)
 
 
-def _app_to_json(app: Application, names, dec) -> dict:
-    return {
-        "target": app.target,
-        "columns": [
-            {"column": [names[x] for x in b.column], "count": dec(b.count)}
-            for b in app.columns
-        ],
-    }
+def _layout(open_: str, members, close: str, level: int) -> str:
+    """Rendered members between brackets, laid out as json.dump(indent=2)
+    lays out a container whose opening bracket is at nesting `level`."""
+    if not members:
+        return open_ + close
+    inner = "\n" + "  " * (level + 1)
+    return f"{open_}{inner}{(',' + inner).join(members)}\n{'  ' * level}{close}"
+
+
+def _array(items, level: int) -> str:
+    return _layout("[", items, "]", level)
+
+
+def _object(fields, level: int) -> str:
+    """`fields` are (key, rendered value) pairs."""
+    return _layout("{", [f"{_quote(key)}: {value}" for key, value in fields], "}", level)
+
+
+def write_certificate_json(cert: TraceCertificate, write, extra: dict | None = None) -> None:
+    """Write the certificate as JSON text through `write`, one step at a
+    time, in the layout of json.dump(obj, indent=2) and with no trailing
+    newline.  The fields of `extra`, if given, follow the certificate's.
+
+    Every domain name is quoted once, and so is every distinct count: a
+    ladder count recurs across columns, steps and the schedule.  A column
+    block is laid out once per column and nesting level, with a slot for
+    its count, and so are the congruence blocks of each step.
+    """
+    names = [_quote(x) for x in _domain_for(cert.family, cert.n).names]
+    counts: dict[int, str] = {}
+    slotted: dict = {}  # (column, level) -> the column block's text around its count
+    arrays: dict = {}  # congruence blocks -> their rendered array
+
+    def dec(c: int) -> str:
+        s = counts.get(c)
+        if s is None:
+            s = counts[c] = f'"{c}"'
+        return s
+
+    def block(b: ColumnBlock, level: int) -> str:
+        key = (b.column, level)
+        parts = slotted.get(key)
+        if parts is None:
+            # quoted names escape NUL, so the slot marker occurs once
+            column = _array([names[x] for x in b.column], level + 1)
+            parts = _object([("column", column), ("count", "\0")], level).split("\0")
+            slotted[key] = parts
+        return dec(b.count).join(parts)
+
+    def application(app: Application, level: int) -> str:
+        columns = _array([block(b, level + 2) for b in app.columns], level + 1)
+        return _object([("target", _quote(app.target)), ("columns", columns)], level)
+
+    def congruence_blocks(blocks) -> str:
+        text = arrays.get(blocks)
+        if text is None:
+            rendered = [_array([names[x] for x in blk], 4) for blk in blocks]
+            text = arrays[blocks] = _array(rendered, 3)
+        return text
+
+    def step(s: StepCertificate) -> str:
+        return _object(
+            [
+                ("k", str(s.k)),
+                ("pivot", str(s.pivot)),
+                ("applications", _array([application(a, 4) for a in s.applications], 3)),
+                ("pivot_count", dec(s.pivot_count)),
+                ("below_succ_premise", dec(s.below_succ_premise)),
+                ("below_pivot_conclusion", dec(s.below_pivot_conclusion)),
+                ("congruence_level", str(s.congruence_level)),
+                ("congruence_blocks", congruence_blocks(s.congruence_blocks)),
+                ("doubled", "null" if s.doubled is None else dec(s.doubled)),
+            ],
+            2,
+        )
+
+    rows = (
+        _layout("{", [f"{names[e]}: {dec(c)}" for e, c in enumerate(row) if c], "}", 2)
+        for row in cert.schedule
+    )
+    base = _array([application(a, 3) for a in cert.base.applications], 2)
+    fields = [
+        ("family", _quote(cert.family)),
+        ("n", str(cert.n)),
+        ("m", str(cert.m)),
+        ("arity", dec(cert.arity)),
+        ("schedule", rows),
+        ("base", _object([("applications", base)], 1)),
+        ("steps", map(step, cert.steps)),
+        ("terminal_support", _array([names[x] for x in cert.terminal_support], 1)),
+    ]
+    # json.dumps lays out a value at nesting 0; at nesting 1 each of its
+    # line breaks gains one indent (strings never hold a raw line break)
+    for key, value in (extra or {}).items():
+        fields.append((key, json.dumps(value, indent=2).replace("\n", "\n  ")))
+    # the top-level object; the schedule and the steps, the two arrays that
+    # grow with the ladder, are written one member at a time
+    sep = "{"
+    for key, value in fields:
+        write(f"{sep}\n  {_quote(key)}: ")
+        sep = ","
+        if isinstance(value, str):
+            write(value)
+            continue
+        open_ = "["
+        for member in value:
+            write(f"{open_}\n    {member}")
+            open_ = ","
+        write("[]" if open_ == "[" else "\n  ]")
+    write("\n}")
 
 
 def certificate_to_json(cert: TraceCertificate) -> dict:
-    names = _domain_for(cert.family, cert.n).names
-    # a ladder count recurs across columns, steps and the schedule; each
-    # distinct count is formatted once
-    text: dict[int, str] = {}
-
-    def dec(c: int) -> str:
-        s = text.get(c)
-        if s is None:
-            s = text[c] = str(c)
-        return s
-
-    out = {
-        "family": cert.family,
-        "n": cert.n,
-        "m": cert.m,
-        "arity": dec(cert.arity),
-        "schedule": [
-            {names[e]: dec(c) for e, c in enumerate(row) if c}
-            for row in cert.schedule
-        ],
-        "base": {"applications": [_app_to_json(a, names, dec) for a in cert.base.applications]},
-        "steps": [
-            {
-                "k": s.k,
-                "pivot": s.pivot,
-                "applications": [_app_to_json(a, names, dec) for a in s.applications],
-                "pivot_count": dec(s.pivot_count),
-                "below_succ_premise": dec(s.below_succ_premise),
-                "below_pivot_conclusion": dec(s.below_pivot_conclusion),
-                "congruence_level": s.congruence_level,
-                "congruence_blocks": [[names[x] for x in blk] for blk in s.congruence_blocks],
-                "doubled": None if s.doubled is None else dec(s.doubled),
-            }
-            for s in cert.steps
-        ],
-        "terminal_support": [names[x] for x in cert.terminal_support],
-    }
-    return out
+    """The certificate as the object `write_certificate_json` writes."""
+    parts: list[str] = []
+    write_certificate_json(cert, parts.append)
+    return json.loads("".join(parts))
 
 
 def _app_from_json(obj: dict, index) -> Application:

@@ -44,18 +44,23 @@ def as_table(op: SymmetricOp, budget: int = 10**7) -> OpTable:
     return OpTable.from_function(op.arity, d, fn)
 
 
-def repeat_patterns(con_start, scopes) -> list[tuple]:
-    """Each constraint's repeat pattern, read off its scope: position p maps
-    to the first position that holds the same variable."""
-    patterns = []
-    for cid in range(len(con_start) - 1):
-        scope = scopes[con_start[cid] : con_start[cid + 1]]
-        first = {}
-        pattern = []
-        for p, v in enumerate(scope):
-            pattern.append(first.setdefault(v, p))
-        patterns.append(tuple(pattern))
-    return patterns
+def scope_of(inst: IndicatorInstance, cid: int):
+    """The variables of constraint `cid`, as `IndicatorInstance` lays them out."""
+    g = inst.con_group[cid]
+    r = inst.group_arity[g]
+    lo = inst.group_shift[g] + cid * r
+    return inst.scopes[lo : lo + r]
+
+
+def _pattern(scope) -> tuple:
+    """Position p maps to the first position that holds the same variable."""
+    first = {}
+    return tuple(first.setdefault(v, p) for p, v in enumerate(scope))
+
+
+def repeat_patterns(inst: IndicatorInstance) -> list[tuple]:
+    """Each constraint's repeat pattern, read off its scope."""
+    return [_pattern(scope_of(inst, cid)) for cid in range(inst.n_constraints)]
 
 
 def full_instance(inst: IndicatorInstance) -> IndicatorInstance:
@@ -65,20 +70,23 @@ def full_instance(inst: IndicatorInstance) -> IndicatorInstance:
     group ids number the (relation, repeat pattern) pairs in order of first
     appearance."""
     k, d = inst.arity, inst.domain_size
-    con_rel, con_start, scopes = [], array("l", [0]), array("l")
-    for idx, rel in enumerate(inst.rel_list):
+    rel_start, scopes, patterns = [0], array("l"), []
+    for rel in inst.rel_list:
         for cols in itertools.product(rel.tuples, repeat=k):
+            scope = []
             for p in range(rel.arity):
                 code = 0
                 for t in cols:
                     code = code * d + t[p]
-                scopes.append(code)
-            con_rel.append(idx)
-            con_start.append(len(scopes))
+                scope.append(code)
+            scopes.extend(scope)
+            patterns.append(_pattern(scope))
+        rel_start.append(len(patterns))
     group_of: dict = {}
     con_group = array("i")
-    for key in zip(con_rel, repeat_patterns(con_start, scopes)):
-        con_group.append(group_of.setdefault(key, len(group_of)))
+    for j, (lo, hi) in enumerate(zip(rel_start, rel_start[1:])):
+        for pattern in patterns[lo:hi]:
+            con_group.append(group_of.setdefault((j, pattern), len(group_of)))
     return IndicatorInstance(
-        inst.structure, k, inst.domains, inst.rel_list, list(group_of), con_group, con_start, scopes
+        inst.structure, k, inst.domains, inst.rel_list, rel_start, list(group_of), con_group, scopes
     )

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polyclone import trace
+from polyclone import cli, trace
 from polyclone.cli import main
 from polyclone.relations import Relation
 from polyclone.structures import SpecA, SpecB, structure_a, structure_b
@@ -176,29 +176,43 @@ def test_outputs_are_reproducible(capsys):
     assert t1 == t2
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (("A", "--n", "3", "--m", "3"),
-         "65ec145a6ac1cd0b8cc3c118bebd7679848edf14d362f7c18f28ba5efc441c46"),
-        (("B", "--n", "4"),
-         "946ca3922f9a53d0f105dfa7918a63338ff8dca34c03e60d95425ef139a842d3"),
-        (("A", "--n", "4", "--m", "2"),
-         "d6aec83acf46de28d45c6cc40d7d3f8e2850655ccd0f7c0df028f0e214e0fa70"),
-        # no steps, a family B base alone, one doubled step, counts up to 5**64
-        (("A", "--n", "0", "--m", "3"),
-         "53eb9301d57b938c8e37989753413cbdbe9925d828117d0b56c6125305588784"),
-        (("B", "--n", "0"),
-         "d194953f673f579a09a75767e919f5d82419a80a5f159afb9c27449c263c7dc1"),
-        (("B", "--n", "1"),
-         "5365c8b9d64344e8c9328b6b5c2bba6c225bff91a7f645891ad85817cb7cb35f"),
-        (("A", "--n", "6", "--m", "5"),
-         "b847b5214089f3c529cba925929964792230429a419cb332bf85ef29f16b3cd8"),
-    ],
-)
+TRACE_PINS = [
+    (("A", "--n", "3", "--m", "3"),
+     "65ec145a6ac1cd0b8cc3c118bebd7679848edf14d362f7c18f28ba5efc441c46"),
+    (("B", "--n", "4"),
+     "946ca3922f9a53d0f105dfa7918a63338ff8dca34c03e60d95425ef139a842d3"),
+    (("A", "--n", "4", "--m", "2"),
+     "d6aec83acf46de28d45c6cc40d7d3f8e2850655ccd0f7c0df028f0e214e0fa70"),
+    # no steps, a family B base alone, one doubled step, counts up to 5**64
+    (("A", "--n", "0", "--m", "3"),
+     "53eb9301d57b938c8e37989753413cbdbe9925d828117d0b56c6125305588784"),
+    (("B", "--n", "0"),
+     "d194953f673f579a09a75767e919f5d82419a80a5f159afb9c27449c263c7dc1"),
+    (("B", "--n", "1"),
+     "5365c8b9d64344e8c9328b6b5c2bba6c225bff91a7f645891ad85817cb7cb35f"),
+    (("A", "--n", "6", "--m", "5"),
+     "b847b5214089f3c529cba925929964792230429a419cb332bf85ef29f16b3cd8"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", TRACE_PINS)
 def test_trace_output_is_pinned(capsys, argv, digest):
     # the certificate and its JSON layout are part of the interface: a
     # builder or serializer change must leave these bytes alone
+    code, out, _ = run(capsys, "trace", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_trace_builds_no_object_tree(capsys, monkeypatch):
+    # the CLI writes the certificate straight from its fields: neither the
+    # object form nor json.dump is on its path
+    def refuse(*args, **kwargs):
+        raise AssertionError("trace built an object tree")
+
+    monkeypatch.setattr(trace, "certificate_to_json", refuse)
+    monkeypatch.setattr(cli.json, "dump", refuse)
+    argv, digest = TRACE_PINS[0]
     code, out, _ = run(capsys, "trace", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -24,7 +24,7 @@ from polyclone.relations import (
 from polyclone.structures import SpecA, SpecB, structure_a, structure_b
 from polyclone.witness import witness_a
 
-from oracles import as_table, full_instance, repeat_patterns
+from oracles import as_table, full_instance, repeat_patterns, scope_of
 
 
 def test_build_counts_and_pins():
@@ -355,20 +355,22 @@ def test_orbit_build_matches_full_enumeration(case, seed):
     def blocks(i):
         out = [[] for _ in i.rel_list]
         for cid, g in enumerate(i.con_group):
-            out[i.groups[g][0]].append(tuple(i.scopes[i.con_start[cid] : i.con_start[cid + 1]]))
+            out[i.groups[g][0]].append(tuple(scope_of(i, cid)))
         return out
 
     for i in (inst, full):
+        # scopes follow one another in constraint order
+        assert [v for c in range(i.n_constraints) for v in scope_of(i, c)] == list(i.scopes)
         # each constraint's group carries the repeat pattern of its scope,
         # and each group is one (relation, pattern) pair
-        patterns = repeat_patterns(i.con_start, i.scopes)
+        patterns = repeat_patterns(i)
         assert [i.groups[g][1] for g in i.con_group] == patterns
         assert len(set(i.groups)) == len(i.groups)
         # each variable lists every constraint whose scope holds it, once
         # per occurrence
         holders = [[] for _ in range(i.nvars)]
         for cid in range(i.n_constraints):
-            for v in i.scopes[i.con_start[cid] : i.con_start[cid + 1]]:
+            for v in scope_of(i, cid):
                 holders[v].append(cid)
         assert [sorted(cids) for cids in i.var_cons] == holders
 

@@ -26,6 +26,7 @@ from polyclone.trace import (
     pivot_identities,
     schedule_count,
     schedule_vector,
+    write_certificate_json,
 )
 
 
@@ -183,6 +184,41 @@ def test_certificates_roundtrip_and_check():
         obj = json.loads(json.dumps(certificate_to_json(cert)))
         assert certificate_from_json(obj) == cert
         assert check_certificate_json(obj, struct).ok
+
+
+def _sweep():
+    """Acceptance 5's instances, each with its structure."""
+    for n in range(7):
+        for m in range(2, 6):
+            if (n, m) != (0, 2):
+                yield certify_lower_bound_a(n, m), structure_a(SpecA(n, m))
+        yield certify_lower_bound_b(n), structure_b(SpecB(n))
+
+
+def _render(cert, extra=None) -> str:
+    parts = []
+    write_certificate_json(cert, parts.append, extra)
+    return "".join(parts)
+
+
+def test_rendered_certificates_keep_the_json_layout():
+    # the renderer is the only layout of certificate JSON; json.dump's
+    # indent=2 layout is the oracle, and the text parses back to the
+    # certificate and passes the checker
+    for cert, struct in _sweep():
+        text = _render(cert)
+        obj = json.loads(text)
+        assert text == json.dumps(obj, indent=2)
+        assert check_certificate_json(obj, struct).ok
+        assert certificate_from_json(obj) == cert
+        assert certificate_to_json(cert) == obj
+
+
+def test_rendered_extra_fields_follow_the_certificate():
+    cert = certify_lower_bound_b(1)
+    extra = {"checked": False, "faults": ["step 0: \u00e9\n", "x"], "empty": [], "none": {}}
+    text = _render(cert, extra)
+    assert text == json.dumps({**certificate_to_json(cert), **extra}, indent=2)
 
 
 def test_certificate_rejects_excluded_parameters():
