@@ -3,10 +3,12 @@
 Subcommands: gen, ppcheck, witness, decide, trace, bounds.  All output is
 JSON on stdout; identical invocations (including seeds) produce identical
 bytes.  Exit codes: 0 ok / sat, 1 violation / unsat / failed identity,
-2 usage error, 3 budget exceeded or unknown verdict.  The environment
-variable POLYCLONE_BUDGET sets the default of exactly two flags, `witness
---budget` and `decide --matrix-budget`; an explicit flag wins over it.  A
-negative budget, cap or node limit is a usage error.
+2 usage error, 3 budget exceeded or unknown verdict, 141 (128 + SIGPIPE)
+stdout closed by its reader before all output was written, with nothing on
+stderr.  The environment variable POLYCLONE_BUDGET sets the default of
+exactly two flags, `witness --budget` and `decide --matrix-budget`; an
+explicit flag wins over it.  A negative budget, cap or node limit is a
+usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader gone early
 
 
 def _budget(flag: int | None, default: int) -> int:
@@ -228,6 +231,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout; point it at /dev/null so that the
+        # interpreter's last flush of what is left stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -28,6 +28,11 @@ which writes JSON text (counts as decimal strings) in the layout of
 `json.dump(..., indent=2)` straight from the certificate's fields, one step
 at a time, with no intermediate object tree.  `certificate_to_json` is the
 parse of that text, and `certificate_from_json` reads it back.
+`check_certificate_json` parses only the members (schedule rows, base,
+steps) that deviate from the canonical certificate's JSON, once that JSON
+is built for a repeat check of its parameters and verified to parse back to
+the canonical certificate; until then, or if that round trip fails, every
+member is parsed.
 """
 
 from __future__ import annotations
@@ -510,15 +515,21 @@ def certificate_to_json(cert: TraceCertificate) -> dict:
     return json.loads("".join(parts))
 
 
-def _app_from_json(obj: dict, index) -> Application:
-    columns = tuple(
-        ColumnBlock(tuple(index[x] for x in entry["column"]), int(entry["count"]))
-        for entry in obj["columns"]
-    )
-    return Application(str(obj["target"]), columns)
+def certificate_from_json(
+    obj: dict, reference: tuple[dict, TraceCertificate] | None = None
+) -> TraceCertificate:
+    """Read a certificate back from its JSON object.
 
-
-def certificate_from_json(obj: dict) -> TraceCertificate:
+    `reference`, if given, is a JSON object and the certificate it parses
+    to.  A schedule row, the base or a step of `obj` that equals (==) the
+    reference's member at the same position is taken from the reference
+    certificate instead of being parsed: a member is read only through
+    int(), str() and name lookups, so equal members parse to equal objects.
+    Members are read in one order (schedule, base, steps, arity, terminal
+    support) with or without a reference, so a malformed member raises the
+    same error either way.  Within one parse each distinct decimal string
+    and each distinct list of names is converted once.
+    """
     family = str(obj["family"])
     if family not in ("A", "B"):
         raise ValueError(f"unknown family {family!r}")
@@ -527,40 +538,88 @@ def certificate_from_json(obj: dict) -> TraceCertificate:
     domain = _domain_for(family, n)
     index = domain.index
     size = domain.size
-    schedule = []
-    for row in obj["schedule"]:
+    ref_obj, ref = reference or ({}, None)
+    ints: dict = {}  # decimal string -> int
+    ids: dict = {}  # names -> domain ids
+    blocks: dict = {}  # (names, count) -> column block
+
+    def dec(c) -> int:
+        try:
+            v = ints.get(c)
+        except TypeError:  # unhashable: int() raises as without the memo
+            return int(c)
+        if v is None:
+            v = ints[c] = int(c)
+        return v
+
+    def ids_of(names) -> tuple[int, ...]:
+        key = tuple(names)
+        try:
+            v = ids.get(key)
+        except TypeError:  # an unhashable name: the lookup raises
+            v = None
+        if v is None:
+            v = ids[key] = tuple(index[x] for x in key)
+        return v
+
+    def block(e) -> ColumnBlock:
+        try:
+            key = tuple(e["column"]), e["count"]
+            b = blocks.get(key)
+        except (KeyError, TypeError):  # malformed: reading it in order raises
+            b = None
+        if b is None:
+            # reading it succeeds only if `key` was built and is hashable
+            b = blocks[key] = ColumnBlock(ids_of(e["column"]), dec(e["count"]))
+        return b
+
+    def row(r) -> tuple[int, ...]:
         counts = [0] * size
-        for name, c in row.items():
-            counts[index[name]] = int(c)
-        schedule.append(tuple(counts))
-    base = BaseCertificate(
-        applications=tuple(_app_from_json(a, index) for a in obj["base"]["applications"])
-    )
-    steps = tuple(
-        StepCertificate(
+        for name, c in r.items():
+            counts[index[name]] = dec(c)
+        return tuple(counts)
+
+    def app(a) -> Application:
+        columns = tuple(map(block, a["columns"]))
+        return Application(str(a["target"]), columns)
+
+    def step(s) -> StepCertificate:
+        return StepCertificate(
             k=int(s["k"]),
             pivot=int(s["pivot"]),
-            applications=tuple(_app_from_json(a, index) for a in s["applications"]),
-            pivot_count=int(s["pivot_count"]),
-            below_succ_premise=int(s["below_succ_premise"]),
-            below_pivot_conclusion=int(s["below_pivot_conclusion"]),
+            applications=tuple(map(app, s["applications"])),
+            pivot_count=dec(s["pivot_count"]),
+            below_succ_premise=dec(s["below_succ_premise"]),
+            below_pivot_conclusion=dec(s["below_pivot_conclusion"]),
             congruence_level=int(s["congruence_level"]),
-            congruence_blocks=tuple(
-                tuple(index[x] for x in blk) for blk in s["congruence_blocks"]
-            ),
-            doubled=None if s["doubled"] is None else int(s["doubled"]),
+            congruence_blocks=tuple(ids_of(blk) for blk in s["congruence_blocks"]),
+            doubled=None if s["doubled"] is None else dec(s["doubled"]),
         )
-        for s in obj["steps"]
-    )
+
+    def members(key: str, parse) -> tuple:
+        """obj[key], each member equal to the reference's taken from it."""
+        ref_items, ref_parsed = ref_obj.get(key, ()), getattr(ref, key, ())
+        return tuple(
+            ref_parsed[p] if p < len(ref_items) and x == ref_items[p] else parse(x)
+            for p, x in enumerate(obj[key])
+        )
+
+    schedule = members("schedule", row)
+    base = obj["base"]
+    if ref is not None and base == ref_obj["base"]:
+        base = ref.base
+    else:
+        base = BaseCertificate(tuple(map(app, base["applications"])))
+    steps = members("steps", step)
     return TraceCertificate(
         family=family,
         n=n,
         m=m,
-        arity=int(obj["arity"]),
-        schedule=tuple(schedule),
+        arity=dec(obj["arity"]),
+        schedule=schedule,
         base=base,
         steps=steps,
-        terminal_support=tuple(index[x] for x in obj["terminal_support"]),
+        terminal_support=ids_of(obj["terminal_support"]),
     )
 
 
@@ -576,6 +635,11 @@ class CheckReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+# canonical certificates (and their JSON) kept per process: each holds a
+# whole ladder, so only the last few parameter sets checked are kept
+_CK_CACHE_SIZE = 4
 
 
 def _ck_count(n: int, m: int, k: int, level) -> int:
@@ -641,7 +705,6 @@ def _ck_parameters(family: str, n: int, m: int) -> None:
         raise ValueError("family B runs at m = 2")
 
 
-@lru_cache(maxsize=None)
 def _ck_model(family: str, n: int, m: int):
     """Everything a valid certificate must contain, derived from scratch."""
     _ck_parameters(family, n, m)
@@ -773,7 +836,7 @@ def _ck_model(family: str, n: int, m: int):
     }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CK_CACHE_SIZE)
 def _ck_canonical(family: str, n: int, m: int) -> TraceCertificate:
     """The unique certificate the model admits, with every recorded fact
     (memberships, tallies, arithmetic, ladder blocks) verified on the way."""
@@ -900,6 +963,31 @@ def _ck_claim(family: str, n: int, m: int, structure: Structure) -> CheckReport 
     return None
 
 
+def _ck_structure_faults(family: str, n: int, m: int, structure: Structure) -> list[str]:
+    """One fault per level relation of the structure that differs from the
+    relation the (in-range, domain-matching) parameters define."""
+    faults = []
+    if family == "A":
+        for i in range(n + 1):
+            rel = structure.relations.get(f"S{i}")
+            # the size test keeps a claimed m from building a relation
+            # of (i+1)*2**m tuples that the structure cannot match
+            if (
+                rel is None
+                or rel.arity != m + 1
+                or len(rel) != (i + 1) * 2**m - 1 + (n - i)
+                or rel != _ck_rel_s(n, m, i)
+            ):
+                faults.append(f"structure relation S{i} does not match the parameters")
+    else:
+        for i in range(n + 1):
+            for j in (1, 2):
+                rel = structure.relations.get(f"R{i}^{j}")
+                if rel is None or rel.arity != 2 or rel != _ck_rel_b(n, i, j):
+                    faults.append(f"structure relation R{i}^{j} does not match the parameters")
+    return faults
+
+
 def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckReport:
     """Re-verify every recorded fact of a certificate against the structure.
 
@@ -915,26 +1003,7 @@ def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckRepo
         refused = _ck_claim(family, n, m, structure)
         if refused is not None:
             return refused
-        if family == "A":
-            for i in range(n + 1):
-                rel = structure.relations.get(f"S{i}")
-                # the size test keeps a claimed m from building a relation
-                # of (i+1)*2**m tuples that the structure cannot match
-                if (
-                    rel is None
-                    or rel.arity != m + 1
-                    or len(rel) != (i + 1) * 2**m - 1 + (n - i)
-                    or rel != _ck_rel_s(n, m, i)
-                ):
-                    faults.append(f"structure relation S{i} does not match the parameters")
-        else:
-            for i in range(n + 1):
-                for j in (1, 2):
-                    rel = structure.relations.get(f"R{i}^{j}")
-                    if rel is None or rel.arity != 2 or rel != _ck_rel_b(n, i, j):
-                        faults.append(
-                            f"structure relation R{i}^{j} does not match the parameters"
-                        )
+        faults = _ck_structure_faults(family, n, m, structure)
         if faults:
             return CheckReport(False, tuple(faults))
 
@@ -973,14 +1042,55 @@ def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckRepo
     return CheckReport(not faults, tuple(faults))
 
 
+@lru_cache(maxsize=_CK_CACHE_SIZE)
+def _ck_json_memo(family: str, n: int, m: int) -> dict:
+    """What JSON checks of one parameter set keep: "seen" after the first,
+    and from the second on "reference", the canonical certificate's JSON
+    object with the certificate (None if that object does not parse back to
+    the certificate: the round trip keeps the renderer out of what the
+    checker trusts)."""
+    return {}
+
+
+def _ck_json_reference(family: str, n: int, m: int, structure: Structure):
+    """The reference for parsing a certificate that claims (family, n, m),
+    or None.  The canonical is derived only once the structure's relations
+    match the claim, and its JSON is built on the second check of these
+    parameters, so a single check renders nothing.  A derivation that fails
+    leaves the report to `check_certificate`, which meets the failure again
+    after the parse."""
+    try:
+        if _ck_structure_faults(family, n, m, structure):
+            return None
+        memo = _ck_json_memo(family, n, m)
+        if not memo:
+            memo["seen"] = True
+            return None
+        if "reference" not in memo:
+            good = _ck_canonical(family, n, m)
+            obj = certificate_to_json(good)
+            memo["reference"] = (obj, good) if certificate_from_json(obj) == good else None
+        return memo["reference"]
+    except Exception:
+        return None
+
+
 def check_certificate_json(obj: dict, structure: Structure) -> CheckReport:
+    """`check_certificate` of the certificate that `obj` encodes, reporting
+    an unparseable certificate ahead of any other fault.
+
+    Members of `obj` equal to those of the canonical certificate's JSON
+    (verified by round trip) are not parsed again, so a check costs about
+    as much as what deviates from the canonical.
+    """
     # the claimed n is held against the structure before the names of a
     # domain of that size are built to parse the certificate
     try:
-        refused = _ck_claim(str(obj["family"]), int(obj["n"]), int(obj["m"]), structure)
+        family, n, m = str(obj["family"]), int(obj["n"]), int(obj["m"])
+        refused = _ck_claim(family, n, m, structure)
         if refused is not None:
             return refused
-        cert = certificate_from_json(obj)
+        cert = certificate_from_json(obj, _ck_json_reference(family, n, m, structure))
     except Exception as exc:
         return CheckReport(False, (f"unparseable certificate: {exc}",))
     return check_certificate(cert, structure)

@@ -3,8 +3,18 @@
 import itertools
 from array import array
 
+from polyclone import trace
 from polyclone.indicator import IndicatorInstance
 from polyclone.relations import BudgetExceededError, OpTable
+from polyclone.trace import (
+    Application,
+    BaseCertificate,
+    CheckReport,
+    ColumnBlock,
+    StepCertificate,
+    TraceCertificate,
+    check_certificate,
+)
 from polyclone.witness import CountVector, SymmetricOp
 
 
@@ -90,3 +100,71 @@ def full_instance(inst: IndicatorInstance) -> IndicatorInstance:
     return IndicatorInstance(
         inst.structure, k, inst.domains, inst.rel_list, rel_start, list(group_of), con_group, scopes
     )
+
+
+def _app_from_json(obj: dict, index) -> Application:
+    columns = tuple(
+        ColumnBlock(tuple(index[x] for x in entry["column"]), int(entry["count"]))
+        for entry in obj["columns"]
+    )
+    return Application(str(obj["target"]), columns)
+
+
+def plain_certificate_from_json(obj: dict) -> TraceCertificate:
+    """Every member parsed, one conversion per value: no reference and no
+    interning."""
+    family = str(obj["family"])
+    if family not in ("A", "B"):
+        raise ValueError(f"unknown family {family!r}")
+    n = int(obj["n"])
+    m = int(obj["m"])
+    domain = trace._domain_for(family, n)
+    index = domain.index
+    schedule = []
+    for row in obj["schedule"]:
+        counts = [0] * domain.size
+        for name, c in row.items():
+            counts[index[name]] = int(c)
+        schedule.append(tuple(counts))
+    base = BaseCertificate(
+        applications=tuple(_app_from_json(a, index) for a in obj["base"]["applications"])
+    )
+    steps = tuple(
+        StepCertificate(
+            k=int(s["k"]),
+            pivot=int(s["pivot"]),
+            applications=tuple(_app_from_json(a, index) for a in s["applications"]),
+            pivot_count=int(s["pivot_count"]),
+            below_succ_premise=int(s["below_succ_premise"]),
+            below_pivot_conclusion=int(s["below_pivot_conclusion"]),
+            congruence_level=int(s["congruence_level"]),
+            congruence_blocks=tuple(
+                tuple(index[x] for x in blk) for blk in s["congruence_blocks"]
+            ),
+            doubled=None if s["doubled"] is None else int(s["doubled"]),
+        )
+        for s in obj["steps"]
+    )
+    return TraceCertificate(
+        family=family,
+        n=n,
+        m=m,
+        arity=int(obj["arity"]),
+        schedule=tuple(schedule),
+        base=base,
+        steps=steps,
+        terminal_support=tuple(index[x] for x in obj["terminal_support"]),
+    )
+
+
+def check_json_in_full(obj: dict, structure) -> CheckReport:
+    """The JSON check with every member parsed: the claim held against the
+    structure, a plain parse, then `check_certificate`."""
+    try:
+        refused = trace._ck_claim(str(obj["family"]), int(obj["n"]), int(obj["m"]), structure)
+        if refused is not None:
+            return refused
+        cert = plain_certificate_from_json(obj)
+    except Exception as exc:
+        return CheckReport(False, (f"unparseable certificate: {exc}",))
+    return check_certificate(cert, structure)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyclone
 from polyclone import cli, trace
 from polyclone.cli import main
 from polyclone.relations import Relation
@@ -151,6 +156,26 @@ def test_trace_roundtrip(capsys):
 def test_trace_rejects_trivial_instance(capsys):
     code, _, err = run(capsys, "trace", "A", "--n", "0", "--m", "2")
     assert code == 2 and "error" in err
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the output (about 590 kB) overfills the pipe, so writing goes on after
+    # the reader has read one line and closed its end
+    src = str(Path(polyclone.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polyclone.cli", "trace", "A", "--n", "8", "--m", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_bounds(capsys):

@@ -29,6 +29,8 @@ from polyclone.trace import (
     write_certificate_json,
 )
 
+from oracles import check_json_in_full
+
 
 def test_schedule_count_worked_example():
     # the (n=3, m=3) ladder starts (3, 6, 72, 6480) and then (9, 0, 72, 6480)
@@ -279,31 +281,198 @@ def test_check_rejects_mismatched_structure():
 
 def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
     # n and m are claims of the certificate; a mismatch with the structure
-    # must be found without deriving anything of the claimed size
+    # must be found without deriving anything of the claimed size, by the
+    # JSON check too, which must not swallow a derivation started too early
+    derived = []
+
     def refuse(*args):
+        derived.append(args)
         raise AssertionError(f"derivation started for {args}")
 
     monkeypatch.setattr(trace, "_ck_canonical", refuse)
     monkeypatch.setattr(trace, "_ck_rel_s", refuse)
     cert = certify_lower_bound_a(1, 2)
-    report = check_certificate(replace(cert, n=40), structure_a(SpecA(1, 2)))
-    assert report.faults == ("structure domain does not match the certificate parameters",)
-    report = check_certificate(replace(cert, m=40), structure_a(SpecA(1, 3)))
-    assert report.faults == (
-        "structure relation S0 does not match the parameters",
-        "structure relation S1 does not match the parameters",
-    )
+    obj = certificate_to_json(cert)
+    domain = structure_a(SpecA(1, 2)).domain
     # relations of the claimed arity but of one tuple each are told apart by
     # their size, not by a derived relation of 2**40 tuples
-    domain = structure_a(SpecA(1, 2)).domain
     one_tuple = Structure(domain, [(f"S{i}", Relation(41, 3, [(0,) * 41])) for i in (0, 1)])
-    report = check_certificate(replace(cert, m=40), one_tuple)
-    assert report.faults == (
+    relations_differ = (
         "structure relation S0 does not match the parameters",
         "structure relation S1 does not match the parameters",
     )
-    report = check_certificate(replace(cert, n=-1), structure_a(SpecA(1, 2)))
-    assert report.faults == ("parameters: parameters outside the certified range",)
+    cases = [
+        ({"n": 40}, structure_a(SpecA(1, 2)),
+         ("structure domain does not match the certificate parameters",)),
+        ({"m": 40}, structure_a(SpecA(1, 3)), relations_differ),
+        ({"m": 40}, one_tuple, relations_differ),
+        ({"n": -1}, structure_a(SpecA(1, 2)),
+         ("parameters: parameters outside the certified range",)),
+    ]
+    for change, struct, faults in cases:
+        assert check_certificate(replace(cert, **change), struct).faults == faults
+        # a repeat check is the one that would use the canonical's JSON
+        for _ in range(3):
+            assert check_certificate_json({**obj, **change}, struct).faults == faults
+    assert derived == []
+
+
+def test_checker_caches_are_bounded():
+    for cache in (trace._ck_canonical, trace._ck_json_memo):
+        assert cache.cache_info().maxsize == trace._CK_CACHE_SIZE
+    assert 0 < trace._CK_CACHE_SIZE <= 8
+    assert not hasattr(trace._ck_model, "cache_info")
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+def _with_leaf(obj, path, value):
+    """A deep copy of `obj` with the leaf at `path` replaced."""
+    copy = json.loads(json.dumps(obj))
+    node = copy
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return copy
+
+
+def _mutant(obj, rng):
+    """`obj` with one leaf changed: a name to the next name, a number or a
+    decimal string by one, a family, target or null to something else."""
+    names = list(trace._domain_for(obj["family"], obj["n"]).names)
+    path = rng.choice(list(_leaves(obj)))
+    old = obj
+    for key in path:
+        old = old[key]
+    if path[0] == "family":
+        new = "B" if old == "A" else "A"
+    elif old is None:
+        new = "1"
+    elif isinstance(old, int):
+        new = old + rng.choice((-1, 1))
+    elif old in names and path[0] != "schedule":
+        new = names[(names.index(old) + 1) % len(names)]
+    elif old.isdigit():
+        new = str(int(old) + rng.choice((-1, 1)))
+    else:
+        new = old + "x"
+    return _with_leaf(obj, path, new)
+
+
+def test_json_check_matches_the_full_parse_on_mutants():
+    # each instance is checked repeatedly, so all but its first check parse
+    # against the canonical's JSON; the oracle parses every member
+    import random
+
+    rng = random.Random(5)
+    for cert, struct in _sweep():
+        obj = certificate_to_json(cert)
+        assert check_certificate_json(obj, struct) == check_json_in_full(obj, struct)
+        for _ in range(30):
+            mutant = _mutant(obj, rng)
+            report = check_certificate_json(mutant, struct)
+            assert report == check_json_in_full(mutant, struct), mutant
+            assert not report.ok
+        assert check_certificate_json(obj, struct).ok
+
+
+def _reorder(node: dict) -> dict:
+    return dict(reversed(list(node.items())))
+
+
+def test_json_check_matches_the_full_parse_on_equal_members():
+    cert = certify_lower_bound_b(2)
+    struct = structure_b(SpecB(2))
+    obj = certificate_to_json(cert)
+    for _ in range(2):  # the second check builds the canonical's JSON
+        assert check_certificate_json(obj, struct).ok
+
+    def changed(path, value):
+        return _with_leaf(obj, path, value)
+
+    steps = obj["steps"]
+    variants = {
+        "k as a float": changed(("steps", 1, "k"), 1.0),
+        "k as true": changed(("steps", 1, "k"), True),
+        "reordered step": changed(("steps", 2), _reorder(steps[2])),
+        "reordered row": changed(("schedule", 0), _reorder(obj["schedule"][0])),
+        "reordered base": changed(("base",), {"applications": obj["base"]["applications"]}),
+        "reordered certificate": _reorder(obj),
+        "extra key in a step": changed(("steps", 0), {**steps[0], "note": "x"}),
+        "steps swapped": changed(("steps",), [steps[1], steps[0]] + steps[2:]),
+        "count as a number": changed(("steps", 0, "pivot_count"), int(steps[0]["pivot_count"])),
+        "malformed count": changed(("steps", 0, "pivot_count"), "x"),
+        "unknown name": changed(("steps", 0, "applications", 0, "columns", 0, "column", 0), "z"),
+        "unhashable name": changed(("steps", 0, "applications", 0, "columns", 0, "column", 0), []),
+        "unhashable count": changed(("schedule", 1, "a1"), [1]),
+        "step without k": changed(("steps", 1), {k: v for k, v in steps[1].items() if k != "k"}),
+        "column not a list": changed(("steps", 0, "applications", 0, "columns", 0, "column"), 7),
+    }
+    accepted = {"k as a float", "k as true", "reordered step", "reordered row",
+                "reordered base", "reordered certificate", "extra key in a step",
+                "count as a number"}
+    for name, variant in variants.items():
+        report = check_certificate_json(variant, struct)
+        assert report == check_json_in_full(variant, struct), name
+        assert report.ok == (name in accepted), name
+    # an unparseable certificate is named ahead of a structure mismatch
+    wrong = structure_b(SpecB(1))
+    broken = {**variants["malformed count"], "n": 1}
+    report = check_certificate_json(broken, wrong)
+    assert report == check_json_in_full(broken, wrong)
+    assert report.faults[0].startswith("unparseable certificate")
+
+
+def test_members_equal_to_the_canonical_are_shared():
+    cert = certify_lower_bound_a(2, 3)
+    struct = structure_a(SpecA(2, 3))
+    obj = certificate_to_json(cert)
+    for _ in range(2):
+        assert check_certificate_json(obj, struct).ok
+    reference = trace._ck_json_memo("A", 2, 3)["reference"]
+    good = reference[1]
+    variant = _with_leaf(obj, ("steps", 1), _reorder(obj["steps"][1]))
+    variant["steps"][2]["pivot_count"] = "0"
+    parsed = certificate_from_json(variant, reference)
+    assert parsed.schedule[0] is good.schedule[0] and parsed.base is good.base
+    assert parsed.steps[1] is good.steps[1]
+    assert parsed.steps[2] is not good.steps[2]
+    assert parsed.steps[2].pivot_count == 0
+
+
+def test_json_check_trusts_no_canonical_json_that_fails_its_round_trip(monkeypatch):
+    # a renderer that writes a wrong count into the canonical's JSON must
+    # not make an input with that same wrong count pass
+    real = trace.certificate_to_json
+
+    def bump(obj):
+        step = obj["steps"][0]
+        step["pivot_count"] = str(int(step["pivot_count"]) + 1)
+        return obj
+
+    monkeypatch.setattr(trace, "certificate_to_json", lambda cert: bump(real(cert)))
+    trace._ck_json_memo.cache_clear()
+    try:
+        for cert, struct in [(certify_lower_bound_a(3, 2), structure_a(SpecA(3, 2))),
+                             (certify_lower_bound_b(3), structure_b(SpecB(3)))]:
+            obj = real(cert)
+            wrong = bump(real(cert))
+            for variant in (obj, wrong, obj, wrong):
+                report = check_certificate_json(variant, struct)
+                assert report == check_json_in_full(variant, struct)
+                assert report.ok == (variant is obj)
+            assert trace._ck_json_memo(cert.family, cert.n, cert.m)["reference"] is None
+    finally:
+        trace._ck_json_memo.cache_clear()
 
 
 def test_check_json_bounds_claimed_n_by_the_structure(monkeypatch):
