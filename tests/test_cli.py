@@ -220,6 +220,26 @@ TRACE_PINS = [
 ]
 
 
+SAMPLED_PINS = [
+    (("A", "--n", "2", "--m", "2", "--trials", "5000", "--seed", "1729"),
+     "9a2e7638282c55b6aed3b06ef0d623458101a5bca7e3010b3af0a34940d7fc1f"),
+    (("B", "--n", "2", "--trials", "5000", "--seed", "9"),
+     "834663d176026f68fd9c435baf8871fe492df6a4bfc91680637c3e5543165572"),
+    # arity 257 with the default seed
+    (("A", "--n", "3", "--m", "2", "--trials", "2000"),
+     "46a15cab5582dac674b3e18e522f482180b0c6a67bc52f3ffe4c9999d7573d3c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SAMPLED_PINS)
+def test_sampled_witness_output_is_pinned(capsys, argv, digest):
+    # a seed names its samples: a change to the draws or to the row
+    # evaluation must leave these bytes alone
+    code, out, _ = run(capsys, "witness", *argv, "--mode", "sampled")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, digest", TRACE_PINS)
 def test_trace_output_is_pinned(capsys, argv, digest):
     # the certificate and its JSON layout are part of the interface: a

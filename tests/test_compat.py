@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyclone.compat import (
     ColumnMultiset,
+    Verdict,
     check_compat_sampled,
     check_compat_symmetric,
     multiset_count,
@@ -180,6 +181,44 @@ def test_sampled_check_finds_violation_with_default_seed():
     assert verdict.checked <= 10**4
     image = tuple(op.value(row) for row in row_counts(verdict.violation))
     assert image not in bad
+
+
+# (seed, samples checked, counts of the violating multiset) of the sampled
+# check of witness A(0,3) against the corrupted S_0 at 10**4 trials
+SAMPLED_VERDICT_PINS = [
+    (0, 1, (0, 2, 0, 0, 2, 0)),
+    (1, 8, (0, 0, 2, 2, 0, 0)),
+    (2, 3, (1, 2, 0, 0, 1, 0)),
+    (3, 3, (2, 0, 0, 2, 0, 0)),
+    (4, 4, (2, 1, 0, 1, 0, 0)),
+    (5, 1, (2, 1, 0, 1, 0, 0)),
+    (6, 1, (0, 2, 0, 2, 0, 0)),
+    (7, 2, (0, 1, 1, 2, 0, 0)),
+    (8, 6, (2, 0, 0, 1, 0, 1)),
+    (9, 1, (2, 0, 0, 2, 0, 0)),
+    (10, 1, (0, 2, 0, 2, 0, 0)),
+    (11, 8, (2, 0, 0, 2, 0, 0)),
+    (12, 17, (0, 2, 0, 2, 0, 0)),
+    (13, 3, (0, 2, 0, 1, 1, 0)),
+    (14, 1, (0, 2, 0, 0, 2, 0)),
+    (15, 6, (2, 0, 0, 0, 0, 2)),
+    (16, 4, (2, 1, 0, 0, 0, 1)),
+    (17, 15, (2, 2, 0, 0, 0, 0)),
+    (18, 6, (2, 0, 0, 1, 0, 1)),
+    (19, 1, (0, 2, 0, 1, 1, 0)),
+    (1729, 8, (0, 1, 1, 2, 0, 0)),
+    (2**64 + 3, 3, (1, 1, 0, 2, 0, 0)),
+]
+
+
+def test_sampled_verdicts_are_pinned():
+    # a seed names its samples: the same seed finds the same violation
+    # after the same number of samples
+    op = witness_a(0, 3)
+    bad = corrupted_s0()
+    for seed, checked, counts in SAMPLED_VERDICT_PINS:
+        verdict = check_compat_sampled(op, bad, 10**4, seed)
+        assert verdict == Verdict(False, "sampled", checked, ColumnMultiset(bad, counts), seed)
 
 
 def test_sampled_check_rejects_no_trials():
