@@ -8,7 +8,9 @@ stdout closed by its reader before all output was written, with nothing on
 stderr.  The environment variable POLYCLONE_BUDGET sets the default of
 exactly two flags, `witness --budget` and `decide --matrix-budget`; an
 explicit flag wins over it.  A negative budget, cap or node limit is a
-usage error.
+usage error, and so is a negative `witness --mode sampled --seed`:
+`random.Random` seeds with the absolute value, so seed -5 would draw the
+samples of seed 5 under another name.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ of every row.  The exact check therefore walks the reachable row tallies (a
 dynamic program over the relation's tuples) instead of every column multiset
 or the exponentially larger space of matrices.  Verdicts count the
 column multisets they cover, and a violation is a concrete multiset.
+
+The sampled check draws random column multisets instead, and evaluates
+them through the same packed row tallies, with one cached value per
+distinct row for the length of a call.  Its draws are those of
+`random.Random(seed).randrange`, so a seed names its compositions.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .relations import BudgetExceededError, Domain, Relation, tally_rows
 from .witness import (
@@ -104,25 +110,48 @@ def _row_value(op, chunk: int, base: int, d: int) -> int:
     return op.value_counts(counts)
 
 
+def _tally_image(op, rel: Relation, base: int):
+    """The packed row tallies of `rel`'s column multisets and their images.
+
+    A tally is one int in base `base` (more than any count): digit p*d + x
+    counts value x in row p, so no digit ever carries.  Returns `(steps,
+    image)`: adding tuple t as a column adds `steps[t]` to the tally, and
+    `image(tally)` is the tuple of the operation's values on its rows.  Each
+    distinct row chunk is evaluated once; the cache lives as long as `image`.
+    """
+    d = rel.domain_size
+    steps = [sum(base ** (p * d + x) for p, x in enumerate(t)) for t in rel.tuples]
+    row_base = base**d
+    rows = range(rel.arity)
+    cache = {}
+    get = cache.get
+
+    def image(tally: int) -> tuple:
+        out = []
+        for _ in rows:
+            tally, chunk = divmod(tally, row_base)
+            v = get(chunk)
+            if v is None:
+                v = cache[chunk] = _row_value(op, chunk, base, d)
+            out.append(v)
+        return tuple(out)
+
+    return steps, image
+
+
 def _violating_tally(op, rel: Relation, base: int):
     """First reachable row tally of `op.arity` columns whose image lies
     outside `rel`, or None when every tally maps into `rel`.
-
-    A tally is one int in base `base` (more than any count): digit p*d + x
-    counts value x in row p, so no digit ever carries.
 
     Layer k maps each tally of k columns to the smallest tuple index that
     reaches it.  Extending a tally only by indices at least that large still
     reaches every tally of k+1 columns, since a multiset sorted by tuple
     index extends a prefix whose stored index is at most its last one.
     Only two layers are alive at a time; the last one is evaluated as it is
-    generated, with one cached value per distinct row chunk.
+    generated.
     """
-    d = rel.domain_size
-    # adding tuple t as a column adds steps[t] to the tally
-    steps = [sum(base ** (p * d + x) for p, x in enumerate(t)) for t in rel.tuples]
+    steps, image = _tally_image(op, rel, base)
     T = len(steps)
-    row_base = base**d
     layer = {0: 0}
     for _ in range(op.arity - 1):
         nxt = {}
@@ -134,19 +163,10 @@ def _violating_tally(op, rel: Relation, base: int):
                     nxt[key] = t
         layer = nxt
     members = rel._members
-    cache = {}
-    rows = range(rel.arity)
     for tally, lo in layer.items():
         for t in range(lo, T):
-            rest = key = tally + steps[t]
-            image = []
-            for _ in rows:
-                rest, chunk = divmod(rest, row_base)
-                v = cache.get(chunk)
-                if v is None:
-                    v = cache[chunk] = _row_value(op, chunk, base, d)
-                image.append(v)
-            if tuple(image) not in members:
+            key = tally + steps[t]
+            if image(key) not in members:
                 return key
     return None
 
@@ -230,23 +250,27 @@ def check_compat_sampled(
     seed: int = DEFAULT_SEED,
 ) -> Verdict:
     """One-sided randomized check: a found violation is definitive, an ok
-    verdict is evidence only and is labeled as sampled."""
+    verdict is evidence only and is labeled as sampled.
+
+    Each trial draws a uniformly random multiset of `op.arity` columns with
+    `random.Random(seed)` and evaluates its packed row tally as the exact
+    scan does.  A negative seed is refused: `Random` seeds with its absolute
+    value, so it would repeat the samples of the positive seed.
+    """
     if op.domain.size != rel.domain_size:
         raise ValueError("operation and relation must share a domain")
     if trials < 1:
         raise ValueError(f"sampled check needs at least one trial, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if not len(rel):
         return Verdict(True, "sampled", 0, None, seed)
     rng = random.Random(seed)
-    tuples = rel.tuples
-    T = len(tuples)
-    r = rel.arity
-    d = rel.domain_size
+    steps, image = _tally_image(op, rel, op.arity + 1)
+    T = len(steps)
     members = rel._members
-    value = op.value_counts
     for trial in range(trials):
         counts = random_composition(rng, op.arity, T)
-        image = tuple(map(value, tally_rows(r, d, zip(tuples, counts))))
-        if image not in members:
+        if image(sum(map(mul, steps, counts))) not in members:
             return Verdict(False, "sampled", trial + 1, ColumnMultiset(rel, counts), seed)
     return Verdict(True, "sampled", trials, None, seed)

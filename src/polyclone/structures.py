@@ -86,7 +86,13 @@ def level_b(t: int) -> int:
     return t + 2
 
 
-@lru_cache(maxsize=None)
+# level relations kept per process, keyed by (spec, level): a structure
+# build needs at most 2(n+1) of them (family B), and no structure past n = 30
+# can be built, since it holds 2^(n+2) - 1 or more unary relations
+_LEVEL_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def gen_s(spec: SpecA, i: int) -> Relation:
     """The (m+1)-ary level relation S_i of family A."""
     if not 0 <= i <= spec.n:
@@ -100,7 +106,7 @@ def gen_s(spec: SpecA, i: int) -> Relation:
     return Relation(spec.m + 1, spec.domain_size, tuples)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def gen_r(spec: SpecA, i: int) -> Relation:
     """The binary level relation R_i, also the 2-coordinate projection of S_i."""
     if not 0 <= i <= spec.n:
@@ -152,7 +158,7 @@ def structure_a(spec: SpecA) -> Structure:
     return Structure(domain_a(spec.n), rels)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def gen_r_b(spec: SpecB, i: int, j: int) -> Relation:
     """The binary level relation R_i^j of family B.
 

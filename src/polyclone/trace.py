@@ -641,6 +641,10 @@ class CheckReport:
 # whole ladder, so only the last few parameter sets checked are kept
 _CK_CACHE_SIZE = 4
 
+# the checker's level relations and congruence blocks kept per process: one
+# check needs at most 2(n+1) of each, and no ladder past n = 30 can be built
+_CK_LEVEL_CACHE_SIZE = 64
+
 
 def _ck_count(n: int, m: int, k: int, level) -> int:
     if level == "a":
@@ -652,7 +656,7 @@ def _ck_count(n: int, m: int, k: int, level) -> int:
     return m ** (prefix + step) * (m**step - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CK_LEVEL_CACHE_SIZE)
 def _ck_rel_s(n: int, m: int, i: int) -> Relation:
     lv = i + 1
     tups = set()
@@ -665,7 +669,7 @@ def _ck_rel_s(n: int, m: int, i: int) -> Relation:
     return Relation(m + 1, n + 2, tups)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CK_LEVEL_CACHE_SIZE)
 def _ck_rel_b(n: int, i: int, j: int) -> Relation:
     lv = i + 2
     pairs = set()
@@ -678,7 +682,7 @@ def _ck_rel_b(n: int, i: int, j: int) -> Relation:
     return Relation(2, n + 3, pairs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CK_LEVEL_CACHE_SIZE)
 def _ck_chain_blocks(family: str, n: int, level: int):
     """Blocks of the composed converse/forward ladder up to `level`."""
     if family == "A":

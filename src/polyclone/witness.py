@@ -181,9 +181,15 @@ def compositions(total: int, parts: int):
 
 def sample_distinct(rng: random.Random, n: int, k: int):
     """Floyd's uniform k-subset of range(n); works for arbitrarily large n."""
+    getrandbits = rng.getrandbits
     chosen = set()
     for j in range(n - k, n):
-        t = rng.randrange(j + 1)
+        # rng.randrange(j + 1), drawn as Random draws it: the bits of j + 1,
+        # redrawn until at most j, so a seed keeps its samples
+        bits = (j + 1).bit_length()
+        t = getrandbits(bits)
+        while t > j:
+            t = getrandbits(bits)
         chosen.add(t if t not in chosen else j)
     return sorted(chosen)
 

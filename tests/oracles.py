@@ -1,11 +1,13 @@
 """Reference implementations that tests compare the library against."""
 
 import itertools
+import random
 from array import array
 
 from polyclone import trace
+from polyclone.compat import ColumnMultiset, Verdict
 from polyclone.indicator import IndicatorInstance
-from polyclone.relations import BudgetExceededError, OpTable
+from polyclone.relations import BudgetExceededError, OpTable, tally_rows
 from polyclone.trace import (
     Application,
     BaseCertificate,
@@ -15,7 +17,7 @@ from polyclone.trace import (
     TraceCertificate,
     check_certificate,
 )
-from polyclone.witness import CountVector, SymmetricOp
+from polyclone.witness import DEFAULT_SEED, CountVector, SymmetricOp
 
 
 def value_by_max_rule(op: SymmetricOp, x: CountVector) -> int:
@@ -168,3 +170,42 @@ def check_json_in_full(obj: dict, structure) -> CheckReport:
     except Exception as exc:
         return CheckReport(False, (f"unparseable certificate: {exc}",))
     return check_certificate(cert, structure)
+
+
+def randrange_sample_distinct(rng: random.Random, n: int, k: int):
+    """Floyd's uniform k-subset of range(n), drawn through `rng.randrange`."""
+    chosen = set()
+    for j in range(n - k, n):
+        t = rng.randrange(j + 1)
+        chosen.add(t if t not in chosen else j)
+    return sorted(chosen)
+
+
+def randrange_composition(rng: random.Random, total: int, parts: int):
+    """Uniformly random composition of `total` into `parts` nonnegative
+    integers, with the cuts of `randrange_sample_distinct`."""
+    if parts == 1:
+        return (total,)
+    cuts = randrange_sample_distinct(rng, total + parts - 1, parts - 1)
+    out = []
+    prev = -1
+    for c in cuts:
+        out.append(c - prev - 1)
+        prev = c
+    out.append(total + parts - 2 - prev)
+    return tuple(out)
+
+
+def sampled_in_full(op, rel, trials: int, seed: int = DEFAULT_SEED) -> Verdict:
+    """The sampled check with every row of every sample tallied by
+    `tally_rows` and evaluated by `value_counts`, drawn through
+    `randrange_composition`."""
+    if not len(rel):
+        return Verdict(True, "sampled", 0, None, seed)
+    rng = random.Random(seed)
+    for trial in range(trials):
+        counts = randrange_composition(rng, op.arity, len(rel))
+        rows = tally_rows(rel.arity, rel.domain_size, zip(rel.tuples, counts))
+        if tuple(map(op.value_counts, rows)) not in rel:
+            return Verdict(False, "sampled", trial + 1, ColumnMultiset(rel, counts), seed)
+    return Verdict(True, "sampled", trials, None, seed)

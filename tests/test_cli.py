@@ -92,6 +92,11 @@ def test_witness_sampled(capsys):
         capsys, "witness", "A", "--n", "0", "--m", "3", "--mode", "sampled", "--trials", "-5"
     )
     assert code == 2 and out == "" and "trial" in err
+    # seed -5 would draw the samples of seed 5 under another name
+    code, out, err = run(
+        capsys, "witness", "A", "--n", "0", "--m", "3", "--mode", "sampled", "--seed", "-5"
+    )
+    assert code == 2 and out == "" and "seed must be nonnegative" in err
 
 
 def test_decide_exit_codes(capsys):

@@ -23,7 +23,7 @@ from polyclone.witness import (
     witness_b,
 )
 
-from oracles import as_table
+from oracles import as_table, sampled_in_full
 
 
 def multiset_scan(op, rel):
@@ -229,6 +229,17 @@ def test_sampled_check_rejects_no_trials():
             check_compat_sampled(op, gen_s(SpecA(0, 3), 0), trials)
 
 
+def test_sampled_check_rejects_negative_seeds():
+    # Random seeds with abs(seed): seed -5 would repeat the samples of seed
+    # 5 under another name
+    op = witness_a(0, 3)
+    rel = gen_s(SpecA(0, 3), 0)
+    for seed in (-1, -5, -(2**70)):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            check_compat_sampled(op, rel, 10, seed)
+    assert check_compat_sampled(op, rel, 10, 0).seed == 0
+
+
 def test_binary_check_families():
     spec = SpecB(0)
     op = witness_b(0)
@@ -348,3 +359,94 @@ def test_sampled_check_at_astronomical_arity():
     op = witness_a(4, 3)
     verdict = check_compat_sampled(op, gen_s(SpecA(4, 3), 2), 100, seed=DEFAULT_SEED)
     assert verdict.ok
+
+
+# small bundled witnesses with their structures; arities up to 10, so the
+# exact scan can confirm every sampled violation
+SAMPLED_CASES = [
+    (witness_a(0, 3), structure_a(SpecA(0, 3))),
+    (witness_a(0, 4), structure_a(SpecA(0, 4))),
+    (witness_a(1, 2), structure_a(SpecA(1, 2))),
+    (witness_a(1, 3), structure_a(SpecA(1, 3))),
+    (witness_b(0), structure_b(SpecB(0))),
+    (witness_b(1), structure_b(SpecB(1))),
+]
+
+
+def perturbed(rng, rel):
+    """`rel` with a random tuple dropped, a random tuple added, or both."""
+    d = rel.domain_size
+    tuples = set(rel.tuples)
+    kind = rng.randrange(3)
+    if kind != 1 and len(tuples) > 1:
+        tuples.discard(rng.choice(rel.tuples))
+    if kind != 0:
+        tuples.add(tuple(rng.randrange(d) for _ in range(rel.arity)))
+    return Relation(rel.arity, d, tuples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 2))
+def test_sampled_check_matches_the_full_loop(seed, kind):
+    # the packed tallies with one cached value per row reach the verdict of
+    # the plain loop, sample for sample; a sampled violation is a real one
+    rng = random.Random(seed)
+    if kind == 0:
+        d = rng.randint(2, 3)
+        op = CountTableOp(rng, d, rng.randint(1, 5))
+        arity = rng.randint(1, 3)
+        universe = list(itertools.product(range(d), repeat=arity))
+        rel = Relation(arity, d, rng.sample(universe, rng.randint(1, min(8, len(universe)))))
+    else:
+        op, struct = rng.choice(SAMPLED_CASES)
+        rel = rng.choice(list(struct.relations.values()))
+        if kind == 2:
+            rel = perturbed(rng, rel)
+    trials = rng.randint(1, 300)
+    sample_seed = rng.randrange(2**40)
+    verdict = check_compat_sampled(op, rel, trials, sample_seed)
+    assert verdict == sampled_in_full(op, rel, trials, sample_seed)
+    if not verdict.ok:
+        assert not check_compat_symmetric(op, rel).ok
+
+
+def test_sampled_check_matches_the_full_loop_on_failing_witnesses():
+    # perturbed bundled relations that the witnesses do not preserve
+    rng = random.Random(11)
+    failing = 0
+    while failing < 20:
+        op, struct = rng.choice(SAMPLED_CASES)
+        rel = perturbed(rng, rng.choice(list(struct.relations.values())))
+        verdict = check_compat_sampled(op, rel, 500, rng.randrange(2**40))
+        assert verdict == sampled_in_full(op, rel, 500, verdict.seed)
+        if not verdict.ok:
+            failing += 1
+            assert not check_compat_symmetric(op, rel).ok
+
+
+class CountingOp:
+    """A witness that records the rows it is evaluated on."""
+
+    def __init__(self, op):
+        self.op = op
+        self.arity = op.arity
+        self.domain = op.domain
+        self.calls = 0
+        self.rows = set()
+
+    def value_counts(self, counts):
+        self.calls += 1
+        self.rows.add(tuple(counts))
+        return self.op.value_counts(counts)
+
+
+def test_sampled_check_evaluates_each_distinct_row_once():
+    op = witness_a(2, 2)
+    rel = gen_s(SpecA(2, 2), 2)
+    fast, full = CountingOp(op), CountingOp(op)
+    verdict = check_compat_sampled(fast, rel, 5000)
+    assert verdict == sampled_in_full(full, rel, 5000)
+    assert verdict.ok and full.calls == 5000 * rel.arity
+    # one evaluation per distinct row the samples meet
+    assert fast.rows == full.rows
+    assert fast.calls == len(full.rows) < 5000

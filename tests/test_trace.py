@@ -5,7 +5,16 @@ import pytest
 
 from polyclone import trace
 from polyclone.relations import Relation, Structure
-from polyclone.structures import SpecA, SpecB, gen_s, structure_a, structure_b
+from polyclone.structures import (
+    SpecA,
+    SpecB,
+    chain_matches_congruence_a,
+    gen_r,
+    gen_r_b,
+    gen_s,
+    structure_a,
+    structure_b,
+)
 from polyclone.trace import (
     CertificateError,
     ColumnBlock,
@@ -322,6 +331,25 @@ def test_checker_caches_are_bounded():
         assert cache.cache_info().maxsize == trace._CK_CACHE_SIZE
     assert 0 < trace._CK_CACHE_SIZE <= 8
     assert not hasattr(trace._ck_model, "cache_info")
+    # the level caches are bounded too, yet hold every entry one structure
+    # build or one certificate check needs: up to 2(n+1) for B(n), and
+    # A(12,2) has 13 levels
+    level_caches = (
+        gen_s, gen_r, gen_r_b, trace._ck_rel_s, trace._ck_rel_b, trace._ck_chain_blocks
+    )
+    for cache in level_caches:
+        assert 2 * (12 + 1) <= cache.cache_info().maxsize <= 256
+        cache.cache_clear()
+    structure_a(SpecA(12, 2))
+    chain_matches_congruence_a(SpecA(12, 2), 12)
+    for cert, struct in [
+        (certify_lower_bound_b(10), structure_b(SpecB(10))),
+        (certify_lower_bound_a(10, 3), structure_a(SpecA(10, 3))),
+    ]:
+        assert check_certificate(cert, struct).ok
+    for cache in level_caches:
+        info = cache.cache_info()
+        assert info.misses == info.currsize > 0, cache  # nothing was evicted
 
 
 def _leaves(node, path=()):

@@ -11,11 +11,17 @@ from polyclone.witness import (
     compositions,
     is_nu_symmetric,
     random_composition,
+    sample_distinct,
     witness_a,
     witness_b,
 )
 
-from oracles import as_table, value_by_max_rule
+from oracles import (
+    as_table,
+    randrange_composition,
+    randrange_sample_distinct,
+    value_by_max_rule,
+)
 
 
 def cv(*counts):
@@ -180,6 +186,25 @@ def test_random_composition_covers_space():
 def test_random_composition_always_valid(total, parts, seed):
     c = random_composition(random.Random(seed), total, parts)
     assert sum(c) == total and len(c) == parts and min(c) >= 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 17, 257, 2**32 + 1, 2**256 + 1]),
+    st.integers(1, 12),
+    st.integers(0, 2**64),
+)
+def test_draws_match_randrange(total, parts, seed):
+    # a seed names its samples: the inline draws must give the compositions
+    # of Random.randrange and leave the generator in the same state, or the
+    # sampled outputs of every seed would drift
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert random_composition(fast, total, parts) == randrange_composition(slow, total, parts)
+        assert fast.getstate() == slow.getstate()
+        n = total + parts - 1
+        assert sample_distinct(fast, n, parts) == randrange_sample_distinct(slow, n, parts)
+        assert fast.getstate() == slow.getstate()
 
 
 def test_symmetric_op_validation():
