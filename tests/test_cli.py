@@ -294,6 +294,9 @@ def test_trace_reports_faults(capsys, monkeypatch):
          "a6cdf7d246d9ae4b0c5c20e8d9cc82923a2af0176dad4477df57ae3408c92091"),
         (("B", "--n", "1", "--k", "5"),
          "cdbaf087ff1b7dff3cce805b21b565b450bd05726c5c5af4cf173bcdc2d5a659"),
+        # 2,360 nodes: the one search the decide workload spends most on
+        (("B", "--n", "1", "--k", "6"),
+         "992b8faf09507f93b3b4dc8df12eb32530755152e0db5addd77a279039732450"),
     ],
 )
 def test_decide_output_is_pinned(capsys, argv, digest):
