@@ -7,8 +7,10 @@ bytes.  Exit codes: 0 ok / sat, 1 violation / unsat / failed identity,
 stdout closed by its reader before all output was written, with nothing on
 stderr.  The environment variable POLYCLONE_BUDGET sets the default of
 exactly two flags, `witness --budget` and `decide --matrix-budget`; an
-explicit flag wins over it.  A negative budget, cap or node limit is a
-usage error, and so is a negative `witness --mode sampled --seed`:
+explicit flag wins over it.  `witness --budget` caps the multisets of an
+exact scan, and in `--mode sampled` the trials times the relations, which
+is checked before any sample is drawn.  A negative budget, cap or node
+limit is a usage error, and so is a negative `witness --mode sampled --seed`:
 `random.Random` seeds with the absolute value, so seed -5 would draw the
 samples of seed 5 under another name.
 """
@@ -94,6 +96,11 @@ def cmd_witness(args) -> int:
     _, struct = _family_structure(fam, args.n, args.m)
     op = witness.witness_a(args.n, args.m) if fam == "A" else witness.witness_b(args.n)
     budget = _budget(args.budget, compat.DEFAULT_MULTISET_BUDGET)
+    count = len(struct.relations)
+    if args.mode == "sampled" and args.trials * count > budget:
+        raise BudgetExceededError(
+            f"{args.trials} trials for each of {count} relations exceed budget {budget}"
+        )
     results = []
     ok = True
     for name, rel in struct.relations.items():

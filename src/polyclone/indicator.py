@@ -27,6 +27,21 @@ constraint with a group id, one per (relation, pattern) pair.  The search
 packs a scope's domains into one int, d bits per position, and looks up the
 narrowed domains in a memo per group, so each distinct signature of a group
 is revised against R once.
+
+A narrowing queues only the constraints it may leave short of generalized
+arc consistency (GAC; after Mackworth 1977, and Lecoutre & Hemery 2007 on
+residual supports).  A constraint out of the queue is GAC.  Say a variable
+at the positions P of a constraint over R narrows from `old` to `now`.  If
+every tuple the constraint allows whose P-entries lie in old∖now has a
+sibling in R, the same tuple with every P-entry set to one value of `now`,
+the siblings keep every value supported and the constraint stays GAC.  The
+constraints over R that hold the variable at one position p form a class;
+the test is asked once per (class, old, now), for every repeat pattern of
+R's groups, and the class is queued only on a no.  The root still revises
+every constraint once.  GAC has a unique fixpoint, so skipped revisions,
+which would narrow nothing, change no node's domains: verdicts, node counts
+and tables stay as they were, while B(1) at arity 6 revises 862,250
+constraints instead of 2,102,821.
 """
 
 from __future__ import annotations
@@ -57,8 +72,11 @@ class IndicatorInstance:
     `g = con_group[cid]`; `groups[g]` is the pair (relation index, repeat
     pattern) shared by every constraint of group g, and the scope of `cid`
     is the `group_arity[g]` variables from `group_shift[g] + cid *
-    group_arity[g]` on.  `var_cons[v]` lists the constraints whose scope
-    holds variable v, once per occurrence.
+    group_arity[g]` on.  Class c is the pair `classes[c] = (j, p)`: the
+    constraints over `rel_list[j]`, seen from scope position p.
+    `var_cons[v]` holds a pair (c, cids) for each class whose constraints
+    hold variable v at position p, `cids` listing them; so a constraint is
+    listed once per occurrence of each variable in its scope.
     """
 
     __slots__ = (
@@ -74,6 +92,7 @@ class IndicatorInstance:
         "group_arity",
         "con_group",
         "scopes",
+        "classes",
         "var_cons",
     )
 
@@ -92,19 +111,26 @@ class IndicatorInstance:
 
     def _index_vars(self):
         # one pass over the relation blocks gives each group's shift and
-        # fills the incidence lists one scope position at a time, so no
-        # Python code runs per constraint
-        self.var_cons = [array("l") for _ in range(self.nvars)]
-        lists = self.var_cons.__getitem__
+        # fills the incidence lists one class at a time, so no Python code
+        # runs per constraint
+        self.var_cons = [[] for _ in range(self.nvars)]
+        self.classes = []
         shifts = []
         lo = 0
-        for rel, first, end in zip(self.rel_list, self.rel_start, self.rel_start[1:]):
+        blocks = zip(self.rel_list, self.rel_start, self.rel_start[1:])
+        for j, (rel, first, end) in enumerate(blocks):
             r = rel.arity
             shifts.append(lo - first * r)
             hi = lo + (end - first) * r
             for p in range(r):
+                lists = [array("l") for _ in range(self.nvars)]
                 column = islice(self.scopes, lo + p, hi, r)
-                deque(map(array.append, map(lists, column), range(first, end)), 0)
+                deque(map(array.append, map(lists.__getitem__, column), range(first, end)), 0)
+                c = len(self.classes)
+                self.classes.append((j, p))
+                for held, cids in zip(self.var_cons, lists):
+                    if cids:
+                        held.append((c, cids))
             lo = hi
         self.group_shift = [shifts[j] for j, _ in self.groups]
         self.group_arity = [self.rel_list[j].arity for j, _ in self.groups]
@@ -309,6 +335,7 @@ class SolveReport:
     verdict: str  # "sat" | "unsat" | "unknown"
     table: OpTable | None
     nodes: int
+    revisions: int = 0  # constraints revised, root included; not in the JSON
 
     def to_json(self) -> dict:
         obj = {"verdict": self.verdict, "nodes": self.nodes}
@@ -336,6 +363,35 @@ def _packed_supports(rel: Relation, pattern: tuple, d: int) -> list[int]:
     return out
 
 
+def _stays_gac(rel: Relation, pattern: tuple, p: int, old: int, now: int) -> bool:
+    """Whether a constraint over rel with repeat pattern `pattern` that is
+    GAC stays GAC when the variable at position p narrows from `old` to `now`
+    (domain masks) and nothing else changes.
+
+    That variable sits at the positions P tied to p.  A tuple of rel that
+    repeats as the pattern does and has its P-entries in old∖now loses its
+    support role; it suffices that a sibling takes it over: the tuple with
+    every P-entry set to some b in `now`, which also repeats as the pattern
+    does.  The sibling agrees with the lost tuple everywhere else, so every
+    value at another position keeps a support, and a value in `now` had a
+    support with its own value at P, which stays.
+    """
+    at = [q for q in range(rel.arity) if pattern[q] == pattern[p]]
+    lost = old & ~now
+    values = [b for b in range(now.bit_length()) if now >> b & 1]
+    for t in rel:
+        if lost >> t[p] & 1 and all(t[q] == t[pattern[q]] for q in range(rel.arity)):
+            sibling = list(t)
+            for b in values:
+                for q in at:
+                    sibling[q] = b
+                if sibling in rel:
+                    break
+            else:
+                return False
+    return True
+
+
 def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveReport:
     """Complete depth-first search with generalized arc consistency.
 
@@ -347,6 +403,13 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     up in the memo of the constraint's group, which maps it to the union of
     the supports under it: the narrowed domains, packed the same way.  The
     union is 0 exactly when some position has no support.
+
+    Every constraint out of the queue is GAC.  When a variable narrows, the
+    constraints of a class that holds it are queued only if `_stays_gac`
+    cannot show that they stay GAC; its answer depends on the class and the
+    two domains alone, and is kept in a memo.  The fixpoint of GAC is
+    unique, so skipping a revision that would narrow nothing leaves every
+    node's domains, and so verdicts, node counts and tables, unchanged.
     """
     if node_limit < 0:
         raise ValueError(f"node limit must be nonnegative, got {node_limit}")
@@ -358,6 +421,7 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     width = inst.group_arity
     scopes = inst.scopes
     var_cons = inst.var_cons
+    classes = inst.classes
     # up to 8 elements a domain fits a byte, and choose() counts them in C
     dom = bytearray(inst.domains) if d <= 8 else list(inst.domains)
 
@@ -365,14 +429,43 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
         return SolveReport("unsat", None, 0)
 
     mask = (1 << d) - 1
+    twice = 2 * d  # bits of an (old, now) pair of domains
     supports = [_packed_supports(inst.rel_list[i], pattern, d) for i, pattern in inst.groups]
+    patterns = [[] for _ in inst.rel_list]  # repeat patterns of each relation's groups
+    for j, pattern in inst.groups:
+        patterns[j].append(pattern)
     memos: list[dict] = [{} for _ in supports]
+    stays: dict[int, bool] = {}  # (class, old, now), packed -> _stays_gac
     in_queue = bytearray(b"\x01") * ncons  # the root queues every constraint
     trail: list[tuple[int, int]] = []
+    revisions = 0
+
+    def wake(v, old, queue):
+        # queue the constraints that v's narrowing from `old` may leave short
+        # of GAC
+        now = dom[v]
+        change = old << d | now
+        for c, cids in var_cons[v]:
+            key = c << twice | change
+            try:
+                stay = stays[key]
+            except KeyError:
+                j, p = classes[c]
+                rel = inst.rel_list[j]
+                stay = stays[key] = all(
+                    _stays_gac(rel, pattern, p, old, now) for pattern in patterns[j]
+                )
+            if not stay:
+                for c2 in cids:
+                    if not in_queue[c2]:
+                        in_queue[c2] = 1
+                        queue.append(c2)
 
     def propagate(queue) -> bool:
+        nonlocal revisions
         while queue:
             cid = queue.popleft()
+            revisions += 1
             g = con_group[cid]
             r = width[g]
             lo = shift[g] + cid * r
@@ -400,23 +493,13 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
                 for v in reversed(scope):
                     now = new & mask
                     new >>= d
-                    if now != dom[v]:
-                        trail.append((v, dom[v]))
+                    old = dom[v]
+                    if now != old:
+                        trail.append((v, old))
                         dom[v] = now
-                        for c2 in var_cons[v]:
-                            if not in_queue[c2]:
-                                in_queue[c2] = 1
-                                queue.append(c2)
+                        wake(v, old, queue)
             in_queue[cid] = 0
         return True
-
-    def enqueue_var(v):
-        queue = deque()
-        for c2 in var_cons[v]:
-            if not in_queue[c2]:
-                in_queue[c2] = 1
-                queue.append(c2)
-        return queue
 
     def choose():
         counts = dom.translate(_POPCOUNT) if d <= 8 else list(map(int.bit_count, dom))
@@ -441,12 +524,12 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     # once; the ones not yet fed are marked queued and so never queued twice
     for lo in range(0, ncons, _ROOT_SLICE):
         if not propagate(deque(range(lo, min(lo + _ROOT_SLICE, ncons)))):
-            return SolveReport("unsat", None, 0)
+            return SolveReport("unsat", None, 0, revisions)
 
     nodes = 0
     var = choose()
     if var < 0:
-        return SolveReport("sat", extract(), nodes)
+        return SolveReport("sat", extract(), nodes, revisions)
     stack = [[var, bits_of(dom[var]), 0, len(trail)]]
     while stack:
         frame = stack[-1]
@@ -458,17 +541,20 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
             stack.pop()
             continue
         if nodes == node_limit:
-            return SolveReport("unknown", None, nodes)
+            return SolveReport("unknown", None, nodes, revisions)
         frame[2] += 1
         nodes += 1
-        trail.append((v, dom[v]))
+        old = dom[v]
+        trail.append((v, old))
         dom[v] = 1 << vals[vi]
-        if propagate(enqueue_var(v)):
+        queue = deque()
+        wake(v, old, queue)
+        if propagate(queue):
             nxt = choose()
             if nxt < 0:
-                return SolveReport("sat", extract(), nodes)
+                return SolveReport("sat", extract(), nodes, revisions)
             stack.append([nxt, bits_of(dom[nxt]), 0, len(trail)])
-    return SolveReport("unsat", None, nodes)
+    return SolveReport("unsat", None, nodes, revisions)
 
 
 PIN_SETS = {"nu": nu_pins, "remark": remark_pins}

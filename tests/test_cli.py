@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import polyclone
-from polyclone import cli, trace
+from polyclone import cli, compat, trace
 from polyclone.cli import main
 from polyclone.relations import Relation
 from polyclone.structures import SpecA, SpecB, structure_a, structure_b
@@ -305,6 +305,34 @@ def test_decide_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "decide", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sampled_witness_budget(capsys, monkeypatch):
+    # trials times relations (4 for A(0,3)) is checked against the budget,
+    # from the flag or the environment, before any sample is drawn
+    argv = ("witness", "A", "--n", "0", "--m", "3", "--mode", "sampled")
+    code, out, _ = run(capsys, *argv, "--trials", "5", "--budget", "20")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+    def refuse(*args):
+        raise AssertionError("drew samples past the budget")
+
+    monkeypatch.setattr(compat, "check_compat_sampled", refuse)
+    code, out, err = run(capsys, *argv, "--trials", "5", "--budget", "19")
+    assert code == 3 and out == "" and "5 trials for each of 4 relations exceed budget 19" in err
+    code, out, err = run(capsys, *argv, "--trials", "100000000", "--budget", "10")
+    assert code == 3 and out == "" and "exceed budget 10" in err
+    # the default budget is 10**8
+    code, out, err = run(capsys, *argv, "--trials", "25000001")
+    assert code == 3 and out == "" and "exceed budget 100000000" in err
+    monkeypatch.setenv("POLYCLONE_BUDGET", "19")
+    code, out, err = run(capsys, *argv, "--trials", "5")
+    assert code == 3 and out == "" and "exceed budget 19" in err
+    # an explicit flag wins over the environment
+    monkeypatch.undo()
+    monkeypatch.setenv("POLYCLONE_BUDGET", "19")
+    code, out, _ = run(capsys, *argv, "--trials", "5", "--budget", "20")
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_unknown_subcommand_exits_two():

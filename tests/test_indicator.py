@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from polyclone import indicator
 from polyclone.indicator import (
@@ -303,6 +303,120 @@ def test_orbit_reduced_counts_and_nodes():
     assert solve(inst).nodes == 2360
 
 
+def never_skip(*args):
+    return False
+
+
+def test_skipped_revisions_are_counted(monkeypatch):
+    # the search revises under half the constraints it would if every
+    # narrowing queued every constraint over the variable; the count is
+    # pinned so that a change which silently stops skipping fails, and it
+    # stays out of the JSON, so decide's output does not change
+    b1 = structure_b(SpecB(1))
+    report = decide_nu(b1, 5)
+    assert report.revisions == 109940
+    assert "revisions" not in report.to_json()
+    monkeypatch.setattr(indicator, "_stays_gac", never_skip)
+    every = decide_nu(b1, 5)
+    assert every.revisions == 232667
+    assert (every.verdict, every.nodes, every.table) == (report.verdict, report.nodes, report.table)
+
+
+def test_stays_gac_examples():
+    full = Relation(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert indicator._stays_gac(full, (0, 1), 0, 0b11, 0b01)
+    # dropping 1 at position 0 loses (1, 0), whose sibling (0, 0) is missing
+    swap = Relation(2, 2, [(0, 1), (1, 0)])
+    assert not indicator._stays_gac(swap, (0, 1), 0, 0b11, 0b01)
+    # dropping 1 at position 0 loses (1, 0) and (1, 1); (0, 0) takes over
+    # from (1, 0), but (0, 1) is missing.  A variable at both positions
+    # loses only (1, 1), and its sibling is (0, 0)
+    diag = Relation(2, 2, [(0, 0), (1, 1), (1, 0)])
+    assert not indicator._stays_gac(diag, (0, 1), 0, 0b11, 0b01)
+    assert indicator._stays_gac(diag, (0, 0), 0, 0b11, 0b01)
+    assert indicator._stays_gac(diag, (0, 0), 1, 0b11, 0b01)
+
+
+def all_patterns(r):
+    """Every repeat pattern of r positions: each position maps to the first
+    position of its class."""
+    return [
+        f
+        for f in itertools.product(range(r), repeat=r)
+        if all(f[q] <= q and f[f[q]] == f[q] for q in range(r))
+    ]
+
+
+def revise(rel, pattern, doms):
+    """One revision by brute force: position q keeps the values that the
+    tuples of rel within the domains `doms` (one mask per position, equal
+    at tied positions) and repeating as `pattern` does take there."""
+    out = [0] * rel.arity
+    for t in rel:
+        if all(t[q] == t[pattern[q]] and doms[q] >> t[q] & 1 for q in range(rel.arity)):
+            for q, x in enumerate(t):
+                out[q] |= 1 << x
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_stays_gac_is_sound(data):
+    # whenever the rule says a GAC constraint stays GAC under a narrowing,
+    # revising it under the narrowed domains changes nothing
+    r = data.draw(st.integers(2, 4), label="arity")
+    d = data.draw(st.integers(2, 4), label="domain size")
+    low = st.integers(0, 1)  # tuples over {0, 1} repeat entries at any arity
+    entry = data.draw(st.sampled_from([low, st.integers(0, d - 1)]))
+    pattern = data.draw(st.sampled_from(all_patterns(r)), label="pattern")
+    # tuples that repeat as the pattern does, so that domains holding the
+    # first have a support and others may hold more than one value
+    anchors = [
+        tuple(t[pattern[q]] for q in range(r))
+        for t in data.draw(st.lists(st.tuples(*[entry] * r), min_size=1, max_size=3))
+    ]
+    tuples = data.draw(st.lists(st.tuples(*[entry] * r), max_size=9), label="tuples")
+    rel = Relation(r, d, anchors + tuples)
+    full = (1 << d) - 1
+    mask = st.one_of(st.just(full), st.integers(1, full))
+    masks = data.draw(st.lists(mask, min_size=r, max_size=r))
+    doms = revise(rel, pattern, [masks[pattern[q]] | 1 << anchors[0][q] for q in range(r)])
+    wide = [q for q in range(r) if doms[q].bit_count() > 1]
+    assume(wide)
+    p = data.draw(st.sampled_from(wide), label="position")
+    old = doms[p]
+    bits = [b for b in range(d) if old >> b & 1]
+    kept = data.draw(
+        st.lists(st.sampled_from(bits), min_size=1, max_size=len(bits) - 1, unique=True)
+    )
+    now = sum(1 << b for b in kept)
+    if indicator._stays_gac(rel, pattern, p, old, now):
+        event("skipped")
+        narrowed = [now if pattern[q] == pattern[p] else x for q, x in enumerate(doms)]
+        assert revise(rel, pattern, narrowed) == narrowed
+    else:
+        event("revised")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(2, 3, "nu"), (2, 4, "nu"), (3, 3, "nu"), (2, 3, "remark"), (3, 3, "remark")]),
+    st.integers(0, 10**6),
+)
+def test_skipping_revisions_changes_no_search(case, seed):
+    # the same search with every narrowing queueing every constraint over
+    # the variable: GAC has one fixpoint, so nodes and tables agree
+    d, k, pin = case
+    struct = rand_small_structure(random.Random(seed), d)
+    skipping = decide_nu(struct, k, pin=pin)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(indicator, "_stays_gac", never_skip)
+        every = decide_nu(struct, k, pin=pin)
+    assert skipping.verdict == every.verdict
+    assert skipping.nodes == every.nodes
+    assert skipping.table == every.table
+
+
 def rand_symmetric_relation(rng, d, arity, cap):
     """Random relation closed under every permutation of a random block of
     coordinates, grown one orbit at a time up to `cap` tuples."""
@@ -372,7 +486,21 @@ def test_orbit_build_matches_full_enumeration(case, seed):
         for cid in range(i.n_constraints):
             for v in scope_of(i, cid):
                 holders[v].append(cid)
-        assert [sorted(cids) for cids in i.var_cons] == holders
+        assert [sorted(c for _, cids in held for c in cids) for held in i.var_cons] == holders
+        # split by class: the list of class (j, p) names exactly the
+        # constraints over relation j that hold the variable at position p,
+        # and no class is listed twice for one variable
+        at = {}
+        for cid in range(i.n_constraints):
+            j = i.groups[i.con_group[cid]][0]
+            for p, v in enumerate(scope_of(i, cid)):
+                at.setdefault((v, j, p), []).append(cid)
+        assert len(set(i.classes)) == len(i.classes)
+        assert all(len({c for c, _ in held}) == len(held) for held in i.var_cons)
+        listed = {
+            (v, *i.classes[c]): list(cids) for v, held in enumerate(i.var_cons) for c, cids in held
+        }
+        assert listed == at
 
     for rel, kept, every in zip(inst.rel_list, blocks(inst), blocks(full)):
         kept_set = set(kept)
