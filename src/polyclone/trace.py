@@ -19,24 +19,51 @@ at the top level whose premise is a row deviating once at a bottom id.
 
 Position permutations are absorbed by the count representation: a symmetric
 bookkeeping step constrains an operation under every argument order at once,
-so certificates store counts only.  `check_certificate` re-derives every
-recorded fact from the parameters alone, shares no construction code with
-the builder, and rejects any single-field deviation.
+so certificates store counts only.
+
+`check_certificate` replays a certificate as a derivation.  L is the checked
+arity m**(2**n), and a fact F(w), a subset of the domain, says that f(x) lies
+in F(w) for every NU polymorphism f of arity L and every x with count
+vector w.  Facts start from two axioms and narrow under one rule:
+
+- conservativity: F(w) starts at support(w) where the structure holds that
+  support as a unary relation, and at the whole domain otherwise;
+- near unanimity: if w[e] >= L - 1, then F(w) lies in {e};
+- relation rule: for columns of a relation R of the structure whose rows
+  tally to w_0 .. w_r, F(w_0) is narrowed to {t_0 : t in R, t_q in F(w_q)
+  for every q >= 1}.  It is sound because the columns can be ordered so
+  that row 0 reads any x with count vector w_0.
+
+A certificate is accepted iff every local check passes and the fact of the
+last schedule row is empty.  The local checks: the ladder has 2**n rows,
+each a count vector of total L, and 2**n - 1 steps; `arity` is L and
+`terminal_support` the support of the last row; application `own` of the
+base has row 0 equal to the first schedule row and every other row equal to
+1 at bottom id `own` and L - 1 at the top id; each application of step k
+has row 0 equal to schedule row k+1 and every other row equal to row k; and
+a step's annotations (k, its pivot as the least zero bit of k, the pivot
+count, the prefix sums, the congruence level and blocks, `doubled`) are
+read off the schedule and the checker's own congruence ladder.  The checker
+(`_ck_*`) shares no construction code with the builder.  A sound
+certificate built another way (columns reordered or split, other relations
+of the structure) passes, and every single-field change of a built
+certificate fails.
 
 Certificates are serialized by one renderer, `write_certificate_json`,
 which writes JSON text (counts as decimal strings) in the layout of
 `json.dump(..., indent=2)` straight from the certificate's fields, one step
 at a time, with no intermediate object tree.  `certificate_to_json` is the
 parse of that text, and `certificate_from_json` reads it back.
-`check_certificate_json` parses only the members (schedule rows, base,
-steps) that deviate from the canonical certificate's JSON, once that JSON
-is built for a repeat check of its parameters and verified to parse back to
-the canonical certificate; until then, or if that round trip fails, every
-member is parsed.
+`check_certificate_json` takes the members (schedule rows, base, steps) of
+its input that equal those of the last certificate it accepted for the same
+parameters from that certificate's parse, and parses the rest; it keeps a
+private copy of the accepted JSON object for the comparison and renders
+nothing.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 from dataclasses import dataclass
@@ -524,7 +551,8 @@ def certificate_from_json(
     to.  A schedule row, the base or a step of `obj` that equals (==) the
     reference's member at the same position is taken from the reference
     certificate instead of being parsed: a member is read only through
-    int(), str() and name lookups, so equal members parse to equal objects.
+    int() and name lookups, and a target must be a string, so equal members
+    parse to equal objects.
     Members are read in one order (schedule, base, steps, arity, terminal
     support) with or without a reference, so a malformed member raises the
     same error either way.  Within one parse each distinct decimal string
@@ -581,7 +609,10 @@ def certificate_from_json(
 
     def app(a) -> Application:
         columns = tuple(map(block, a["columns"]))
-        return Application(str(a["target"]), columns)
+        # str() would parse 1 and True, which are equal, to different names
+        if not isinstance(a["target"], str):
+            raise ValueError("an application target is not a string")
+        return Application(a["target"], columns)
 
     def step(s) -> StepCertificate:
         return StepCertificate(
@@ -624,8 +655,8 @@ def certificate_from_json(
 
 
 # ---------------------------------------------------------------------------
-# Checker: re-derives everything, shares no construction code with the
-# builders beyond the domain types.
+# Checker: replays a certificate as a derivation; shares no construction
+# code with the builders beyond the domain types.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -637,23 +668,13 @@ class CheckReport:
         return self.ok
 
 
-# canonical certificates (and their JSON) kept per process: each holds a
-# whole ladder, so only the last few parameter sets checked are kept
+# parse references of JSON checks kept per process: each holds a whole
+# ladder, so only the last few parameter sets checked are kept
 _CK_CACHE_SIZE = 4
 
 # the checker's level relations and congruence blocks kept per process: one
 # check needs at most 2(n+1) of each, and no ladder past n = 30 can be built
 _CK_LEVEL_CACHE_SIZE = 64
-
-
-def _ck_count(n: int, m: int, k: int, level) -> int:
-    if level == "a":
-        return m ** (k + 1)
-    if (k >> level) & 1:
-        return 0
-    prefix = (k >> (level + 1)) << (level + 1)
-    step = 1 << level
-    return m ** (prefix + step) * (m**step - 1)
 
 
 @lru_cache(maxsize=_CK_LEVEL_CACHE_SIZE)
@@ -709,244 +730,6 @@ def _ck_parameters(family: str, n: int, m: int) -> None:
         raise ValueError("family B runs at m = 2")
 
 
-def _ck_model(family: str, n: int, m: int):
-    """Everything a valid certificate must contain, derived from scratch."""
-    _ck_parameters(family, n, m)
-    width = n + 2 if family == "A" else n + 3
-    base_ids = 1 if family == "A" else 2
-    total = m ** (2**n)
-
-    def lv(t):
-        return t + base_ids
-
-    schedule = []
-    for k in range(2**n):
-        counts = [0] * width
-        bottom = _ck_count(n, m, k, "a")
-        if family == "A":
-            counts[0] = bottom
-        else:
-            counts[0] = counts[1] = bottom // 2
-        for t in range(n):
-            counts[lv(t)] = _ck_count(n, m, k, t)
-        if sum(counts) != total:
-            raise ValueError("schedule does not conserve the total")
-        schedule.append(tuple(counts))
-
-    def step_model(k):
-        i = 0
-        while (k >> i) & 1:
-            i += 1
-        l_a = _ck_count(n, m, k, "a")
-        below = [(lv(b), _ck_count(n, m, k + 1, b)) for b in range(i)]
-        consts = [(lv(u), _ck_count(n, m, k, u)) for u in range(i + 1, n)]
-        if family == "A":
-            cols = {}
-            for r in range(1, m + 1):
-                col = [0] + [lv(i)] * m
-                col[r] = 0
-                cols[tuple(col)] = l_a
-            for e, c in below:
-                if c:
-                    cols[(e,) + (lv(i),) * m] = c
-            for e, c in consts:
-                if c:
-                    cols[(e,) * (m + 1)] = c
-            apps = [(f"S{i}", cols)]
-            premise = schedule[k]
-            rows = [schedule[k + 1]] + [premise] * m
-            rows_by_app = [rows]
-        else:
-            half = 2 ** k
-            apps = []
-            rows_by_app = []
-            for which in (1, 2):
-                own, other = which - 1, 2 - which
-                cols = {(own, 0): half, (own, 1): half, (other, lv(i)): 2 * half}
-                for e, c in below:
-                    if c:
-                        cols[(e, lv(i))] = c
-                for e, c in consts:
-                    if c:
-                        cols[(e, e)] = c
-                apps.append((f"R{i}^{which}", cols))
-                rows_by_app.append([schedule[k + 1], schedule[k]])
-        power = m ** (k + 1 + (1 << i))
-        pivot_count = _ck_count(n, m, k, i)
-        if pivot_count != m ** (k + 1) * (m ** (1 << i) - 1):
-            raise ValueError("pivot count identity failed")
-        below_succ = sum(schedule[k][: lv(i) + 1])
-        below_conc = sum(schedule[k + 1][: lv(i)])
-        if below_succ != power or below_conc != power:
-            raise ValueError("prefix-sum identity failed")
-        cong_blocks = (tuple(range(lv(i + 1))),) + tuple(
-            (lv(t),) for t in range(i + 1, n + 1)
-        )
-        if _ck_chain_blocks(family, n, i + 1) != cong_blocks:
-            raise ValueError("congruence ladder does not produce the expected blocks")
-        return {
-            "pivot": i,
-            "apps": apps,
-            "rows": rows_by_app,
-            "pivot_count": pivot_count,
-            "below_succ": below_succ,
-            "below_conc": below_conc,
-            "blocks": cong_blocks,
-            "doubled": None if family == "A" else 2 ** (k + 1),
-        }
-
-    steps = [step_model(k) for k in range(2**n - 1)]
-
-    # base derivation at the top level
-    if family == "A":
-        cols = {}
-        for r in range(1, m + 1):
-            col = [0] + [lv(n)] * m
-            col[r] = 0
-            cols[tuple(col)] = 1
-        for b in range(n):
-            c = _ck_count(n, m, 0, b)
-            if c:
-                cols[(lv(b),) + (lv(n),) * m] = c
-        premise = [0] * width
-        premise[0] = 1
-        premise[lv(n)] = total - 1
-        base_apps = [(f"S{n}", cols)]
-        base_rows = [[schedule[0]] + [tuple(premise)] * m]
-    else:
-        base_apps = []
-        base_rows = []
-        for which in (1, 2):
-            own, other = which - 1, 2 - which
-            cols = {(own, own): 1, (other, lv(n)): 1}
-            for b in range(n):
-                c = _ck_count(n, m, 0, b)
-                if c:
-                    cols[(lv(b), lv(n))] = c
-            premise = [0] * width
-            premise[own] = 1
-            premise[lv(n)] = total - 1
-            base_apps.append((f"R{n}^{which}", cols))
-            base_rows.append([schedule[0], tuple(premise)])
-
-    return {
-        "width": width,
-        "arity": total,
-        "schedule": tuple(schedule),
-        "steps": steps,
-        "base_apps": base_apps,
-        "base_rows": base_rows,
-        "terminal": tuple(range(base_ids)),
-    }
-
-
-@lru_cache(maxsize=_CK_CACHE_SIZE)
-def _ck_canonical(family: str, n: int, m: int) -> TraceCertificate:
-    """The unique certificate the model admits, with every recorded fact
-    (memberships, tallies, arithmetic, ladder blocks) verified on the way."""
-    model = _ck_model(family, n, m)
-    width = model["width"]
-    schedule = model["schedule"]
-
-    def verified_app(tgt, cols, rows_expected):
-        rel = _ck_rel_s(n, m, int(tgt[1:])) if family == "A" else _ck_rel_b(
-            n, int(tgt[1 : tgt.index("^")]), int(tgt[-1])
-        )
-        arity = rel.arity
-        rows = [[0] * width for _ in range(arity)]
-        for col, c in cols.items():
-            if col not in rel or c <= 0:
-                raise ValueError(f"column {col} fails membership in {tgt}")
-            for p in range(arity):
-                rows[p][col[p]] += c
-        for p in range(arity):
-            if tuple(rows[p]) != rows_expected[p]:
-                raise ValueError(f"row {p} tally mismatch in {tgt}")
-        return Application(tgt, tuple(ColumnBlock(col, c) for col, c in cols.items()))
-
-    base_apps = tuple(
-        verified_app(tgt, cols, rows)
-        for (tgt, cols), rows in zip(model["base_apps"], model["base_rows"])
-    )
-    steps = []
-    for k, ms in enumerate(model["steps"]):
-        apps = tuple(
-            verified_app(tgt, cols, rows)
-            for (tgt, cols), rows in zip(ms["apps"], ms["rows"])
-        )
-        if ms["doubled"] is not None and ms["doubled"] > ms["pivot_count"]:
-            raise ValueError("doubled bottom block exceeds the pivot count")
-        steps.append(
-            StepCertificate(
-                k=k,
-                pivot=ms["pivot"],
-                applications=apps,
-                pivot_count=ms["pivot_count"],
-                below_succ_premise=ms["below_succ"],
-                below_pivot_conclusion=ms["below_conc"],
-                congruence_level=ms["pivot"] + 1,
-                congruence_blocks=ms["blocks"],
-                doubled=ms["doubled"],
-            )
-        )
-    return TraceCertificate(
-        family=family,
-        n=n,
-        m=m,
-        arity=model["arity"],
-        schedule=schedule,
-        base=BaseCertificate(base_apps),
-        steps=tuple(steps),
-        terminal_support=model["terminal"],
-    )
-
-
-def _describe_app_fault(app: Application, good: Application, structure: Structure, faults, where):
-    if app.target != good.target:
-        faults.append(f"{where}: target {app.target!r} differs from {good.target!r}")
-        return
-    rel = structure.relations.get(app.target)
-    if rel is None:
-        faults.append(f"{where}: structure has no relation {app.target!r}")
-        return
-    for block in app.columns:
-        if block.column not in rel:
-            faults.append(f"{where}: column {block.column} is not in {app.target}")
-        elif block.count <= 0:
-            faults.append(f"{where}: column {block.column} has count {block.count}")
-    if app.columns != good.columns:
-        faults.append(f"{where}: column multiset deviates from the derivation")
-
-
-def _describe_step_fault(step: StepCertificate, good: StepCertificate, structure, faults):
-    where = f"step {good.k}"
-    before = len(faults)
-    if step.k != good.k:
-        faults.append(f"{where}: records k={step.k}")
-    if step.pivot != good.pivot:
-        faults.append(f"{where}: pivot {step.pivot} differs from {good.pivot}")
-    if len(step.applications) != len(good.applications):
-        faults.append(f"{where}: application count mismatch")
-    else:
-        for app, ga in zip(step.applications, good.applications):
-            if app != ga:
-                _describe_app_fault(app, ga, structure, faults, where)
-    if step.pivot_count != good.pivot_count:
-        faults.append(f"{where}: pivot count deviates from the level bookkeeping")
-    if step.below_succ_premise != good.below_succ_premise:
-        faults.append(f"{where}: premise prefix sum deviates from the level bookkeeping")
-    if step.below_pivot_conclusion != good.below_pivot_conclusion:
-        faults.append(f"{where}: conclusion prefix sum deviates from the level bookkeeping")
-    if step.congruence_level != good.congruence_level:
-        faults.append(f"{where}: congruence level deviates")
-    if step.congruence_blocks != good.congruence_blocks:
-        faults.append(f"{where}: congruence blocks deviate from the ladder")
-    if step.doubled != good.doubled:
-        faults.append(f"{where}: doubled bottom-block size deviates")
-    if len(faults) == before:
-        faults.append(f"{where}: deviates from the derivation")
-
-
 def _ck_claim(family: str, n: int, m: int, structure: Structure) -> CheckReport | None:
     """The report refusing a certificate whose parameters are out of range
     or whose n does not fit the structure's domain, else None.
@@ -992,14 +775,153 @@ def _ck_structure_faults(family: str, n: int, m: int, structure: Structure) -> l
     return faults
 
 
-def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckReport:
-    """Re-verify every recorded fact of a certificate against the structure.
+def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> None:
+    """Replay `cert` under the calculus of the module docstring, appending
+    one fault per failed local check, and one if the fact of the last
+    schedule row is not empty.  Facts are bitmasks over the domain; an
+    application whose own checks fail narrows nothing."""
+    n, m = cert.n, cert.m
+    lo = 1 if cert.family == "A" else 2
+    schedule, steps = cert.schedule, cert.steps
+    if len(schedule) != 2**n or len(steps) != 2**n - 1:
+        faults.append(
+            f"ladder has {len(schedule)} rows and {len(steps)} steps, "
+            f"not {2**n} and {2**n - 1}"
+        )
+        return
+    # a ladder of 2**n rows bounds the size of m**2**n
+    arity = m ** (2**n)
+    if cert.arity != arity:
+        faults.append(f"arity {cert.arity} is not m**2**n = {arity}")
+    for k, row in enumerate(schedule):
+        if sum(row) != arity or not all(isinstance(c, int) and c >= 0 for c in row):
+            faults.append(f"schedule row {k} is not a count vector of total m**2**n")
+    if cert.terminal_support != tuple(e for e, c in enumerate(schedule[-1]) if c):
+        faults.append("terminal support is not the support of the last schedule row")
 
-    The expected content is derived from the certificate's parameters alone
-    (memberships, row tallies, exact arithmetic, congruence ladders) and the
-    certificate must match it field for field.  Returns a report rather than
-    raising; any deviation, including a structure that does not match the
-    parameters, is a fault.
+    size = structure.domain.size
+    bits = [1 << e for e in range(size)]
+    unary = None  # the supports of all unary relations, read on the first miss
+    facts: dict = {}  # count vector -> the values an NU operation may take on it
+    # target -> {the values of t[1:] -> the t[0] of those tuples t}, as masks
+    patterns: dict = {}
+
+    def mask(rel: Relation) -> int:
+        return sum(bits[t[0]] for t in rel)
+
+    def holds(support: int) -> bool:
+        """Whether the structure has `support` as a unary relation; the
+        bundled name U<support> is tried before every relation is read."""
+        nonlocal unary
+        named = structure.relations.get(f"U{support}")
+        if named is not None and named.arity == 1 and mask(named) == support:
+            return True
+        if unary is None:
+            unary = {mask(r) for r in structure.relations.values() if r.arity == 1}
+        return support in unary
+
+    def fact(w) -> int:
+        f = facts.get(w)
+        if f is None:
+            f, support = (1 << size) - 1, 0
+            for e, c in enumerate(w):
+                if c:
+                    support |= bits[e]
+                    if c >= arity - 1:  # near unanimity
+                        f &= bits[e]
+            if holds(support):  # conservativity
+                f &= support
+            facts[w] = f
+        return f
+
+    def apply(app: Application, conclusion, premise, where: str) -> None:
+        target = app.target
+        rel = structure.relations.get(target)
+        if rel is None:
+            faults.append(f"{where}: structure has no relation {target!r}")
+            return
+        columns = [(b.column, b.count) for b in app.columns]
+        before = len(faults)
+        for column, count in columns:
+            if column not in rel:
+                faults.append(f"{where}: column {column} is not in {target}")
+            elif not isinstance(count, int) or count <= 0:
+                faults.append(f"{where}: column {column} has count {count!r}")
+        if len(faults) > before:
+            return
+        row0, *rows = tally_rows(rel.arity, size, columns)
+        if row0 != list(conclusion):
+            faults.append(f"{where}: row 0 of {target} does not tally to the conclusion")
+            return
+        if rows != [list(premise)] * len(rows):
+            faults.append(f"{where}: a row of {target} does not tally to the premise")
+            return
+        by_rest = patterns.get(target)
+        if by_rest is None:
+            by_rest = patterns[target] = {}
+            for t in rel:
+                rest = 0
+                for x in t[1:]:
+                    rest |= bits[x]
+                by_rest[rest] = by_rest.get(rest, 0) | bits[t[0]]
+        # the relation rule: t[0] for every t of the relation whose later
+        # entries lie in the premise's fact
+        outside = ~fact(premise)
+        allowed = 0
+        for rest, firsts in by_rest.items():
+            if not rest & outside:
+                allowed |= firsts
+        facts[conclusion] = fact(conclusion) & allowed
+
+    for own, app in enumerate(cert.base.applications):
+        if own >= lo:
+            faults.append(f"base: application {own} has no bottom id to deviate at")
+            continue
+        premise = [0] * size
+        premise[own] = 1
+        premise[-1] = arity - 1
+        apply(app, schedule[0], tuple(premise), "base")
+
+    for k, step in enumerate(steps):
+        where = f"step {k}"
+        v, v1 = schedule[k], schedule[k + 1]
+        i = (~k & (k + 1)).bit_length() - 1  # the least zero bit of k
+        p = lo + i
+        if step.k != k:
+            faults.append(f"{where}: records k={step.k}")
+        if step.pivot != i:
+            faults.append(f"{where}: pivot {step.pivot} is not the least zero bit of k, {i}")
+        if step.pivot_count != v[p]:
+            faults.append(f"{where}: pivot count is not the premise's count at the pivot")
+        if step.below_succ_premise != sum(v[: p + 1]):
+            faults.append(f"{where}: premise prefix sum deviates from the schedule")
+        if step.below_pivot_conclusion != sum(v1[:p]):
+            faults.append(f"{where}: conclusion prefix sum deviates from the schedule")
+        if step.congruence_level != i + 1:
+            faults.append(f"{where}: congruence level is not pivot + 1")
+        if step.congruence_blocks != _ck_chain_blocks(cert.family, n, i + 1):
+            faults.append(f"{where}: congruence blocks deviate from the ladder")
+        doubled = None if lo == 1 else sum(v[:lo])
+        if step.doubled != doubled:
+            faults.append(f"{where}: doubled is not the bottom block's count")
+        elif doubled is not None and doubled > step.pivot_count:
+            faults.append(f"{where}: doubled bottom block exceeds the pivot count")
+        for app in step.applications:
+            apply(app, v1, v, where)
+
+    if fact(schedule[-1]):
+        faults.append("the fact of the last schedule row is not empty")
+
+
+def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckReport:
+    """Replay a certificate as a derivation of "no NU polymorphism of arity
+    m**2**n" from the structure's relations.
+
+    Every local check of the module docstring must pass and the fact of the
+    last schedule row must be empty; a certificate built any other way that
+    passes them is accepted.  Returns a report rather than raising; any
+    failed check, including a structure that does not match the parameters,
+    is a fault.
     """
     faults: list[str] = []
     try:
@@ -1010,82 +932,29 @@ def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckRepo
         faults = _ck_structure_faults(family, n, m, structure)
         if faults:
             return CheckReport(False, tuple(faults))
-
-        try:
-            good = _ck_canonical(family, n, m)
-        except (ValueError, TypeError) as exc:
-            return CheckReport(False, (f"parameters: {exc}",))
-
-        if cert == good:
-            return CheckReport(True, ())
-
-        # something deviates; locate it for the report
-        if cert.arity != good.arity:
-            faults.append(f"arity {cert.arity} differs from the derived {good.arity}")
-        if cert.schedule != good.schedule:
-            faults.append("schedule deviates from the derived count vectors")
-        if cert.terminal_support != good.terminal_support:
-            faults.append("terminal support is not the bottom block")
-        if cert.base != good.base:
-            if len(cert.base.applications) != len(good.base.applications):
-                faults.append("base application count mismatch")
-            else:
-                for app, ga in zip(cert.base.applications, good.base.applications):
-                    if app != ga:
-                        _describe_app_fault(app, ga, structure, faults, "base")
-        if len(cert.steps) != len(good.steps):
-            faults.append("step count mismatch")
-        else:
-            for step, gs in zip(cert.steps, good.steps):
-                if step != gs:
-                    _describe_step_fault(step, gs, structure, faults)
-        if not faults:
-            faults.append("certificate deviates from the derivation")
+        _ck_replay(cert, structure, faults)
     except Exception as exc:  # malformed data is a fault, not a crash
         faults.append(f"malformed certificate: {exc}")
     return CheckReport(not faults, tuple(faults))
 
 
 @lru_cache(maxsize=_CK_CACHE_SIZE)
-def _ck_json_memo(family: str, n: int, m: int) -> dict:
-    """What JSON checks of one parameter set keep: "seen" after the first,
-    and from the second on "reference", the canonical certificate's JSON
-    object with the certificate (None if that object does not parse back to
-    the certificate: the round trip keeps the renderer out of what the
-    checker trusts)."""
+def _ck_accepted(family: str, n: int, m: int) -> dict:
+    """The parse reference of JSON checks that claim (family, n, m): under
+    "reference", a private deep copy of the last JSON object accepted for
+    these parameters, with its parse; empty until one is accepted."""
     return {}
-
-
-def _ck_json_reference(family: str, n: int, m: int, structure: Structure):
-    """The reference for parsing a certificate that claims (family, n, m),
-    or None.  The canonical is derived only once the structure's relations
-    match the claim, and its JSON is built on the second check of these
-    parameters, so a single check renders nothing.  A derivation that fails
-    leaves the report to `check_certificate`, which meets the failure again
-    after the parse."""
-    try:
-        if _ck_structure_faults(family, n, m, structure):
-            return None
-        memo = _ck_json_memo(family, n, m)
-        if not memo:
-            memo["seen"] = True
-            return None
-        if "reference" not in memo:
-            good = _ck_canonical(family, n, m)
-            obj = certificate_to_json(good)
-            memo["reference"] = (obj, good) if certificate_from_json(obj) == good else None
-        return memo["reference"]
-    except Exception:
-        return None
 
 
 def check_certificate_json(obj: dict, structure: Structure) -> CheckReport:
     """`check_certificate` of the certificate that `obj` encodes, reporting
     an unparseable certificate ahead of any other fault.
 
-    Members of `obj` equal to those of the canonical certificate's JSON
-    (verified by round trip) are not parsed again, so a check costs about
-    as much as what deviates from the canonical.
+    Members of `obj` equal to those of the last certificate accepted for
+    its parameters are taken from that certificate's parse, so a check
+    parses about as much as deviates from it.  The reference is a copy of
+    the accepted object, so changing that object in place changes nothing
+    the next check trusts.
     """
     # the claimed n is held against the structure before the names of a
     # domain of that size are built to parse the certificate
@@ -1094,7 +963,11 @@ def check_certificate_json(obj: dict, structure: Structure) -> CheckReport:
         refused = _ck_claim(family, n, m, structure)
         if refused is not None:
             return refused
-        cert = certificate_from_json(obj, _ck_json_reference(family, n, m, structure))
+        accepted = _ck_accepted(family, n, m)
+        cert = certificate_from_json(obj, accepted.get("reference"))
     except Exception as exc:
         return CheckReport(False, (f"unparseable certificate: {exc}",))
-    return check_certificate(cert, structure)
+    report = check_certificate(cert, structure)
+    if report.ok:
+        accepted["reference"] = (copy.deepcopy(obj), cert)
+    return report

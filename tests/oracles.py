@@ -109,7 +109,9 @@ def _app_from_json(obj: dict, index) -> Application:
         ColumnBlock(tuple(index[x] for x in entry["column"]), int(entry["count"]))
         for entry in obj["columns"]
     )
-    return Application(str(obj["target"]), columns)
+    if not isinstance(obj["target"], str):
+        raise ValueError("an application target is not a string")
+    return Application(obj["target"], columns)
 
 
 def plain_certificate_from_json(obj: dict) -> TraceCertificate:

@@ -89,3 +89,45 @@ def test_foreign_import_scan_sees_imports(tmp_path):
         "    from scipy import optimize\n"
     )
     assert foreign_imports(tmp_path) == ["a.py:numpy.linalg", "a.py:scipy"]
+
+
+# prefixes of the builder's functions, which the certificate checker must
+# not name: it re-derives what it trusts, so a builder bug cannot vouch for
+# itself
+BUILDER_PREFIXES = ("_certify", "_applications", "_ladder_vector", "_pivot_report",
+                    "schedule_count", "gen_", "congruence_", "chain_congruence_")
+
+
+def checker_uses_of_builder(paths: list[Path]) -> list[str]:
+    """The builder functions (top-level functions of `paths` named with a
+    builder prefix) that `check_certificate*` or a `_ck_*` function of
+    `paths` names, as "checker:builder"."""
+    tops = [top for path in paths for top in ast.parse(path.read_text()).body
+            if isinstance(top, ast.FunctionDef)]
+    builder = {top.name for top in tops if top.name.startswith(BUILDER_PREFIXES)}
+    found = set()
+    for top in tops:
+        if top.name.startswith(("check_certificate", "_ck_")):
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in builder:
+                    found.add(f"{top.name}:{name}")
+    return sorted(found)
+
+
+def test_checker_shares_no_construction_code():
+    assert checker_uses_of_builder([SRC / "trace.py", SRC / "structures.py"]) == []
+
+
+def test_builder_use_scan_sees_names(tmp_path):
+    (tmp_path / "s.py").write_text("def congruence_a(n): pass\ndef gen_s(n): pass\n")
+    (tmp_path / "t.py").write_text(
+        "def _certify(n): return gen_s(n)\n"
+        "def _ladder_vector(n): pass\n"
+        "def _ck_model(c): return _ladder_vector(c.n) + s.congruence_a(c.congruence_blocks)\n"
+        "def check_certificate(c): return _ck_model(c) or _certify\n"
+        "def certify(n): return _certify(n)\n"
+    )
+    assert checker_uses_of_builder([tmp_path / "t.py", tmp_path / "s.py"]) == [
+        "_ck_model:_ladder_vector", "_ck_model:congruence_a", "check_certificate:_certify",
+    ]

@@ -1,9 +1,10 @@
 import json
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
 from polyclone import trace
+from polyclone.indicator import decide_nu
 from polyclone.relations import Relation, Structure
 from polyclone.structures import (
     SpecA,
@@ -16,9 +17,10 @@ from polyclone.structures import (
     structure_b,
 )
 from polyclone.trace import (
+    Application,
+    BaseCertificate,
     CertificateError,
     ColumnBlock,
-    StepCertificate,
     _certify_base,
     _certify_step,
     _ladder_vector,
@@ -263,20 +265,17 @@ def test_check_names_bad_membership():
 
 
 def test_check_names_every_deviating_step():
-    # a step of a foreign type matches the derived step field by field, so
-    # only the catch-all line can name it; each such step needs its own line
-    class ForeignStep(StepCertificate):
-        pass
-
+    # two steps with the same deviating annotation need a line each; the
+    # derivation itself still reaches the empty fact
     cert = certify_lower_bound_a(2, 2)
     steps = list(cert.steps)
     for s in (0, 2):
-        steps[s] = ForeignStep(**{f.name: getattr(steps[s], f.name) for f in fields(steps[s])})
+        steps[s] = replace(steps[s], pivot_count=steps[s].pivot_count + 1)
     report = check_certificate(replace(cert, steps=tuple(steps)), structure_a(SpecA(2, 2)))
     assert not report.ok
     assert report.faults == (
-        "step 0: deviates from the derivation",
-        "step 2: deviates from the derivation",
+        "step 0: pivot count is not the premise's count at the pivot",
+        "step 2: pivot count is not the premise's count at the pivot",
     )
 
 
@@ -286,6 +285,96 @@ def test_check_rejects_mismatched_structure():
     assert not check_certificate(cert, structure_b(SpecB(2))).ok
     certb = certify_lower_bound_b(1)
     assert not check_certificate(certb, structure_b(SpecB(2))).ok
+
+
+def _both_families():
+    return [(certify_lower_bound_a(2, 3), structure_a(SpecA(2, 3))),
+            (certify_lower_bound_b(2), structure_b(SpecB(2)))]
+
+
+def _with_step_app(cert, k, app):
+    """`cert` with the first application of step k replaced by `app`."""
+    step = cert.steps[k]
+    steps = list(cert.steps)
+    steps[k] = replace(step, applications=(app,) + step.applications[1:])
+    return replace(cert, steps=tuple(steps))
+
+
+def test_check_accepts_sound_certificates_built_another_way():
+    # the checker replays the derivation, so a certificate that differs from
+    # the builder's and is still sound passes
+    for cert, struct in _both_families():
+        for k in range(len(cert.steps)):
+            app = cert.steps[k].applications[0]
+            reversed_ = replace(app, columns=app.columns[::-1])
+            big, *rest = sorted(app.columns, key=lambda b: -b.count)
+            half = big.count // 2
+            assert half > 0
+            split = replace(app, columns=(replace(big, count=half),
+                                          replace(big, count=big.count - half), *rest))
+            for variant in (reversed_, split):
+                changed = _with_step_app(cert, k, variant)
+                assert changed != cert
+                assert check_certificate(changed, struct).ok, (cert.family, k)
+
+
+def test_check_rejects_unsound_applications_and_ladders():
+    for cert, struct in _both_families():
+        app = cert.steps[1].applications[0]
+        missing = _with_step_app(cert, 1, replace(app, target="S9"))
+        assert check_certificate(missing, struct).faults == (
+            "step 1: structure has no relation 'S9'",
+            "the fact of the last schedule row is not empty",
+        )
+        # U1 = {bottom}: its one row tallies to the all-bottom vector only
+        unary = _with_step_app(cert, 1, Application("U1", (ColumnBlock((0,), cert.arity),)))
+        assert check_certificate(unary, struct).faults[0] == (
+            "step 1: row 0 of U1 does not tally to the conclusion"
+        )
+        short = replace(cert, schedule=cert.schedule[:-1], steps=cert.steps[:-1])
+        report = check_certificate(short, struct)
+        assert not report.ok and report.faults[0].startswith("ladder has 3 rows and 2 steps")
+
+
+def test_conservativity_holds_only_for_the_structure_s_unary_relations():
+    # A(1,2) (L = 4) with one more relation Q of arity 5.  The base feeds Q
+    # rows 1..4 that tally to (1, 0, 3), whose fact is {1} by near
+    # unanimity, so (2, 0, 2) gets the fact {1}.  Only conservativity, f(x)
+    # in {a, 1}, empties it, so the certificate passes only where the
+    # structure has the unary relation {a, 1}
+    fed = [(0, 0, 2, 2, 2), (0, 2, 0, 2, 2), (2, 2, 2, 0, 2), (2, 2, 2, 2, 0)]
+    kept = [(0, 0, 0, 2, 2), (0, 2, 2, 0, 0), (2, 0, 2, 0, 2), (2, 2, 0, 2, 0)]
+    q = Relation(5, 3, fed + kept + [(1, 2, 2, 2, 2), (1, 1, 1, 1, 1)])
+    base = structure_a(SpecA(1, 2))
+    cert = certify_lower_bound_a(1, 2)
+    ladder = replace(
+        cert,
+        schedule=((2, 0, 2), (2, 0, 2)),
+        base=BaseCertificate((Application("Q", tuple(ColumnBlock(t, 1) for t in fed)),)),
+        steps=(replace(cert.steps[0],
+                       applications=(Application("Q", tuple(ColumnBlock(t, 1) for t in kept)),),
+                       pivot_count=0, below_succ_premise=2, below_pivot_conclusion=2),),
+        terminal_support=(0, 2),
+    )
+    rels = {**base.relations, "Q": q}
+    assert check_certificate(ladder, Structure(base.domain, rels)).ok
+    # {a, 1} is held by its content, whatever its name
+    renamed = {("W" if name == "U5" else name): rel for name, rel in rels.items()}
+    assert check_certificate(ladder, Structure(base.domain, renamed)).ok
+    del renamed["W"]
+    assert not check_certificate(ladder, Structure(base.domain, renamed)).ok
+    bare = {name: rel for name, rel in rels.items() if rel.arity > 1}
+    assert check_certificate(ladder, Structure(base.domain, bare)).faults == (
+        "the fact of the last schedule row is not empty",
+    )
+    # the builder's certificates need no conservativity: the level relations
+    # alone empty the last fact, so they pass without the unary relations
+    # too, and a complete search agrees on A(1,2)
+    for built, struct in [(cert, base)] + _both_families():
+        levels = {name: rel for name, rel in struct.relations.items() if rel.arity > 1}
+        assert check_certificate(built, Structure(struct.domain, levels)).ok
+    levels = {name: rel for name, rel in base.relations.items() if rel.arity > 1}
+    assert decide_nu(Structure(base.domain, levels), 4).verdict == "unsat"
 
 
 def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
@@ -298,7 +387,7 @@ def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
         derived.append(args)
         raise AssertionError(f"derivation started for {args}")
 
-    monkeypatch.setattr(trace, "_ck_canonical", refuse)
+    monkeypatch.setattr(trace, "_ck_chain_blocks", refuse)
     monkeypatch.setattr(trace, "_ck_rel_s", refuse)
     cert = certify_lower_bound_a(1, 2)
     obj = certificate_to_json(cert)
@@ -320,17 +409,15 @@ def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
     ]
     for change, struct, faults in cases:
         assert check_certificate(replace(cert, **change), struct).faults == faults
-        # a repeat check is the one that would use the canonical's JSON
+        # a repeat check is the one that would use a parse reference
         for _ in range(3):
             assert check_certificate_json({**obj, **change}, struct).faults == faults
     assert derived == []
 
 
 def test_checker_caches_are_bounded():
-    for cache in (trace._ck_canonical, trace._ck_json_memo):
-        assert cache.cache_info().maxsize == trace._CK_CACHE_SIZE
+    assert trace._ck_accepted.cache_info().maxsize == trace._CK_CACHE_SIZE
     assert 0 < trace._CK_CACHE_SIZE <= 8
-    assert not hasattr(trace._ck_model, "cache_info")
     # the level caches are bounded too, yet hold every entry one structure
     # build or one certificate check needs: up to 2(n+1) for B(n), and
     # A(12,2) has 13 levels
@@ -397,8 +484,8 @@ def _mutant(obj, rng):
 
 
 def test_json_check_matches_the_full_parse_on_mutants():
-    # each instance is checked repeatedly, so all but its first check parse
-    # against the canonical's JSON; the oracle parses every member
+    # each instance is accepted first, so every later check parses against
+    # it; the oracle parses every member
     import random
 
     rng = random.Random(5)
@@ -421,8 +508,7 @@ def test_json_check_matches_the_full_parse_on_equal_members():
     cert = certify_lower_bound_b(2)
     struct = structure_b(SpecB(2))
     obj = certificate_to_json(cert)
-    for _ in range(2):  # the second check builds the canonical's JSON
-        assert check_certificate_json(obj, struct).ok
+    assert check_certificate_json(obj, struct).ok  # the parse reference from here on
 
     def changed(path, value):
         return _with_leaf(obj, path, value)
@@ -444,6 +530,7 @@ def test_json_check_matches_the_full_parse_on_equal_members():
         "unhashable count": changed(("schedule", 1, "a1"), [1]),
         "step without k": changed(("steps", 1), {k: v for k, v in steps[1].items() if k != "k"}),
         "column not a list": changed(("steps", 0, "applications", 0, "columns", 0, "column"), 7),
+        "target not a string": changed(("steps", 0, "applications", 0, "target"), 0),
     }
     accepted = {"k as a float", "k as true", "reordered step", "reordered row",
                 "reordered base", "reordered certificate", "extra key in a step",
@@ -460,14 +547,14 @@ def test_json_check_matches_the_full_parse_on_equal_members():
     assert report.faults[0].startswith("unparseable certificate")
 
 
-def test_members_equal_to_the_canonical_are_shared():
+def test_members_equal_to_the_reference_are_shared():
     cert = certify_lower_bound_a(2, 3)
     struct = structure_a(SpecA(2, 3))
     obj = certificate_to_json(cert)
-    for _ in range(2):
-        assert check_certificate_json(obj, struct).ok
-    reference = trace._ck_json_memo("A", 2, 3)["reference"]
+    assert check_certificate_json(obj, struct).ok
+    reference = trace._ck_accepted("A", 2, 3)["reference"]
     good = reference[1]
+    assert reference[0] == obj and reference[0] is not obj
     variant = _with_leaf(obj, ("steps", 1), _reorder(obj["steps"][1]))
     variant["steps"][2]["pivot_count"] = "0"
     parsed = certificate_from_json(variant, reference)
@@ -477,30 +564,45 @@ def test_members_equal_to_the_canonical_are_shared():
     assert parsed.steps[2].pivot_count == 0
 
 
-def test_json_check_trusts_no_canonical_json_that_fails_its_round_trip(monkeypatch):
-    # a renderer that writes a wrong count into the canonical's JSON must
-    # not make an input with that same wrong count pass
+def test_json_check_references_only_accepted_certificates(monkeypatch):
+    # a rejected certificate never becomes the reference, so a wrong count
+    # cannot pass by equalling it; repeat checks render nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON check rendered a certificate")
+
     real = trace.certificate_to_json
-
-    def bump(obj):
-        step = obj["steps"][0]
-        step["pivot_count"] = str(int(step["pivot_count"]) + 1)
-        return obj
-
-    monkeypatch.setattr(trace, "certificate_to_json", lambda cert: bump(real(cert)))
-    trace._ck_json_memo.cache_clear()
+    cases = [(certify_lower_bound_a(3, 2), structure_a(SpecA(3, 2))),
+             (certify_lower_bound_b(3), structure_b(SpecB(3)))]
+    objs = [(real(cert), struct) for cert, struct in cases]
+    monkeypatch.setattr(trace, "certificate_to_json", refuse)
+    monkeypatch.setattr(trace, "write_certificate_json", refuse)
+    trace._ck_accepted.cache_clear()
     try:
-        for cert, struct in [(certify_lower_bound_a(3, 2), structure_a(SpecA(3, 2))),
-                             (certify_lower_bound_b(3), structure_b(SpecB(3)))]:
-            obj = real(cert)
-            wrong = bump(real(cert))
-            for variant in (obj, wrong, obj, wrong):
+        for (cert, _), (obj, struct) in zip(cases, objs):
+            wrong = _with_leaf(obj, ("steps", 0, "pivot_count"),
+                               str(int(obj["steps"][0]["pivot_count"]) + 1))
+            for variant in (wrong, obj, wrong, obj, wrong):
                 report = check_certificate_json(variant, struct)
                 assert report == check_json_in_full(variant, struct)
                 assert report.ok == (variant is obj)
-            assert trace._ck_json_memo(cert.family, cert.n, cert.m)["reference"] is None
+                accepted = trace._ck_accepted(cert.family, cert.n, cert.m)
+                assert accepted.get("reference", (obj,))[0] == obj
     finally:
-        trace._ck_json_memo.cache_clear()
+        trace._ck_accepted.cache_clear()
+
+
+def test_json_check_reference_is_a_private_copy():
+    # changing an accepted object in place must not change what the next
+    # check trusts
+    for cert, struct in [(certify_lower_bound_a(2, 2), structure_a(SpecA(2, 2))),
+                         (certify_lower_bound_b(2), structure_b(SpecB(2)))]:
+        obj = certificate_to_json(cert)
+        assert check_certificate_json(obj, struct).ok
+        block = obj["steps"][1]["applications"][0]["columns"][0]
+        block["count"] = str(int(block["count"]) + 1)
+        report = check_certificate_json(obj, struct)
+        assert not report.ok
+        assert report == check_json_in_full(obj, struct)
 
 
 def test_check_json_bounds_claimed_n_by_the_structure(monkeypatch):
