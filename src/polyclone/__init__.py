@@ -58,7 +58,6 @@ from .indicator import (
     verify_witness_table,
 )
 from .trace import (
-    CertificateError,
     CheckReport,
     TraceCertificate,
     build_schedule_a,

@@ -12,6 +12,7 @@ from polyclone import cli, compat, trace
 from polyclone.cli import main
 from polyclone.relations import Relation
 from polyclone.structures import SpecA, SpecB, structure_a, structure_b
+from polyclone.witness import CountVector
 
 
 def run(capsys, *argv):
@@ -283,6 +284,23 @@ def test_trace_reports_faults(capsys, monkeypatch):
         "faults": list(faults),
     }
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_trace_faulty_ladder_reaches_the_checker(capsys, monkeypatch):
+    # the builder checks nothing: a wrong ladder is built, printed and
+    # refused by the checker, not raised
+    real = trace._ladder_vector
+
+    def bumped(spec, k):
+        v = real(spec, k)
+        return CountVector((v.counts[0] + 1,) + v.counts[1:]) if k == 1 else v
+
+    monkeypatch.setattr(trace, "_ladder_vector", bumped)
+    code, out, err = run(capsys, "trace", "B", "--n", "2")
+    assert code == 1 and err == ""
+    obj = json.loads(out)
+    assert obj["checked"] is False
+    assert "schedule row 1 is not a count vector of total m**2**n" in obj["faults"]
 
 
 @pytest.mark.parametrize(

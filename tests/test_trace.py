@@ -19,12 +19,10 @@ from polyclone.structures import (
 from polyclone.trace import (
     Application,
     BaseCertificate,
-    CertificateError,
     ColumnBlock,
     _certify_base,
     _certify_step,
     _ladder_vector,
-    _require_member,
     build_schedule_a,
     build_schedule_b,
     certificate_from_json,
@@ -133,14 +131,6 @@ def test_pivot_identities_no_zero_bit():
 
 def test_least_zero_bit():
     assert [least_zero_bit(k) for k in range(7)] == [0, 1, 0, 2, 0, 1, 0]
-
-
-def test_membership_guard_rejects_excluded_corner():
-    # the single removed tuple of each level relation must be caught
-    rel = gen_s(SpecA(3, 3), 3)
-    bad = ColumnBlock((0, 4, 4, 4), 1)
-    with pytest.raises(CertificateError, match="not in S3"):
-        _require_member(bad, rel, "S3")
 
 
 def single_step(spec, k):
@@ -260,8 +250,22 @@ def test_check_names_bad_membership():
     col = obj["steps"][0]["applications"][0]["columns"][0]["column"]
     col[1] = obj["steps"][0]["applications"][0]["columns"][1]["column"][1]
     report = check_certificate_json(obj, struct)
-    assert not report.ok
-    assert any("not in" in f or "deviates" in f for f in report.faults)
+    assert report.faults == (
+        "step 0: column (0, 1, 1) is not in S0",
+        "the fact of the last schedule row is not empty",
+    )
+
+
+def test_membership_guard_rejects_excluded_corner():
+    # the single removed tuple of each level relation must be caught
+    cert = certify_lower_bound_a(3, 3)
+    app = cert.base.applications[0]
+    columns = (ColumnBlock((0, 4, 4, 4), app.columns[0].count),) + app.columns[1:]
+    bad = replace(cert, base=BaseCertificate((replace(app, columns=columns),)))
+    assert check_certificate(bad, structure_a(SpecA(3, 3))).faults == (
+        "base: column (0, 4, 4, 4) is not in S3",
+        "the fact of the last schedule row is not empty",
+    )
 
 
 def test_check_names_every_deviating_step():
@@ -603,6 +607,33 @@ def test_json_check_reference_is_a_private_copy():
         report = check_certificate_json(obj, struct)
         assert not report.ok
         assert report == check_json_in_full(obj, struct)
+
+
+def test_json_check_copies_only_a_new_reference(monkeypatch):
+    # an accepted object that parses to the reference's certificate keeps
+    # the reference; another sound certificate replaces it, copied once
+    copies = []
+    real = trace.copy.deepcopy
+
+    def counted(obj, *args):
+        copies.append(obj)
+        return real(obj, *args)
+
+    monkeypatch.setattr(trace.copy, "deepcopy", counted)
+    cert, struct = certify_lower_bound_b(2), structure_b(SpecB(2))
+    app = cert.steps[1].applications[0]
+    other = _with_step_app(cert, 1, replace(app, columns=app.columns[::-1]))
+    obj, other_obj = certificate_to_json(cert), certificate_to_json(other)
+    assert other_obj != obj
+    trace._ck_accepted.cache_clear()
+    try:
+        for variant, copied in [(obj, 1), (json.loads(json.dumps(obj)), 1),
+                                (other_obj, 2), (other_obj, 2)]:
+            assert check_certificate_json(variant, struct).ok
+            assert len(copies) == copied
+            assert trace._ck_accepted("B", 2, 2)["reference"][0] == variant
+    finally:
+        trace._ck_accepted.cache_clear()
 
 
 def test_check_json_bounds_claimed_n_by_the_structure(monkeypatch):
