@@ -237,6 +237,29 @@ SAMPLED_PINS = [
 ]
 
 
+# outputs that read every unary relation of the structure, in order
+STRUCTURE_PINS = [
+    (("gen", "A", "--n", "2", "--m", "2"),
+     "4d2e0a6d946c96d84f8b939165489f08c61dea4f626388daca89cc3a0507701d"),
+    (("gen", "B", "--n", "2"),
+     "fd892db7beaec1975ebaab13b90693397f98b60a3cd6483931b8145f9c005909"),
+    (("witness", "A", "--n", "1", "--m", "3", "--mode", "exact"),
+     "cb45a82261ced5603b59df4ce3efa797c9418bef3020f2311f6dcf56d5cfc181"),
+    (("witness", "B", "--n", "1", "--mode", "exact"),
+     "ce0354e9e17e64e942430c730c7f4aa7e5b5ba00d799efb0db8e010bc844bed8"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STRUCTURE_PINS)
+def test_structure_output_is_pinned(capsys, argv, digest):
+    # relation names, their order and their tuples are part of the
+    # interface: a change to how a structure holds them must leave these
+    # bytes alone
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, digest", SAMPLED_PINS)
 def test_sampled_witness_output_is_pinned(capsys, argv, digest):
     # a seed names its samples: a change to the draws or to the row
