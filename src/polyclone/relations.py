@@ -9,6 +9,8 @@ function of its inputs, so concurrent use needs no coordination.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
+from types import MappingProxyType
 
 
 class BudgetExceededError(RuntimeError):
@@ -265,25 +267,58 @@ def tally_rows(arity: int, domain_size: int, columns) -> list[list[int]]:
     return rows
 
 
+class Relations(Mapping):
+    """The named relations of a structure, read-only: those of an explicit
+    dict, then those of a second mapping whose names are disjoint from them
+    and which may build a relation when its name is read (a family's unary
+    relations).  Iteration follows that order, and `len` adds the two sizes.
+    """
+
+    __slots__ = ("_named", "_lazy")
+
+    def __init__(self, named: dict, lazy: Mapping):
+        self._named = named
+        self._lazy = lazy
+
+    def __getitem__(self, name) -> Relation:
+        rel = self._named.get(name)
+        return self._lazy[name] if rel is None else rel
+
+    def __contains__(self, name) -> bool:
+        return name in self._named or name in self._lazy
+
+    def __iter__(self):
+        yield from self._named
+        yield from self._lazy
+
+    def __len__(self) -> int:
+        return len(self._named) + len(self._lazy)
+
+
 class Structure:
-    """A domain together with an ordered family of named relations."""
+    """A domain together with an ordered family of named relations.
+
+    `lazy`, if given, is a read-only mapping of further relations over the
+    domain, which follow the explicit ones and are read through it when
+    their names are; it may build them on that first read.
+    """
 
     __slots__ = ("domain", "relations")
 
-    def __init__(self, domain: Domain, relations):
-        if isinstance(relations, dict):
+    def __init__(self, domain: Domain, relations, lazy: Mapping = MappingProxyType({})):
+        if isinstance(relations, Mapping):
             items = list(relations.items())
         else:
             items = [(str(name), rel) for name, rel in relations]
         rels: dict[str, Relation] = {}
         for name, rel in items:
-            if name in rels:
+            if name in rels or name in lazy:
                 raise ValueError(f"duplicate relation name {name!r}")
             if rel.domain_size != domain.size:
                 raise ValueError(f"relation {name!r} has mismatched domain size")
             rels[name] = rel
         self.domain = domain
-        self.relations = rels
+        self.relations = Relations(rels, lazy)
 
     def relation(self, name: str) -> Relation:
         return self.relations[name]

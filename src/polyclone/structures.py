@@ -16,11 +16,19 @@ a1 < a2 < 0 < ... < n and carries two binary relations per level:
 plus every nonempty unary relation.  The composition ladders built from the
 level relations define the congruence that merges everything below a level
 into one block; `chain_matches_congruence_*` verify those identities.
+
+The unary relations are named U<mask> by their characteristic bitmask and
+follow the level relations, ordered by mask.  They are built on first read:
+a structure holds them as a read-only mapping that builds U<mask> when that
+name is read, through one bounded cache keyed by (domain size, mask), so a
+structure on d elements holds its level relations and not 2^d - 1 unary
+ones.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,9 +95,16 @@ def level_b(t: int) -> int:
 
 
 # level relations kept per process, keyed by (spec, level): a structure
-# build needs at most 2(n+1) of them (family B), and no structure past n = 30
-# can be built, since it holds 2^(n+2) - 1 or more unary relations
+# build reads its 2(n+1) or fewer level relations once each (family B has
+# the most), so the cache holds all of one structure's up to n = 31, far
+# past any ladder that can be certified (it has 2^n rows)
 _LEVEL_CACHE_SIZE = 64
+
+# unary relations kept per process, keyed by (domain size, mask): a command
+# may read thousands (gen reads all 2^d - 1, a check that needs
+# conservativity one per ladder row), so only the last few hundred read are
+# kept, which covers every unary relation of a structure on up to 8 elements
+_UNARY_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=_LEVEL_CACHE_SIZE)
@@ -143,19 +158,52 @@ def chain_matches_congruence_a(spec: SpecA, i: int) -> bool:
     return chain_congruence_a(spec, i) == congruence_a(spec, i)
 
 
-def _unary_relations(domain_size: int):
-    """All nonempty unary relations, named by their characteristic bitmask."""
-    out = []
-    for mask in range(1, 1 << domain_size):
-        elems = [(e,) for e in range(domain_size) if (mask >> e) & 1]
-        out.append((f"U{mask}", Relation(1, domain_size, elems)))
-    return out
+@lru_cache(maxsize=_UNARY_CACHE_SIZE)
+def unary_relation(domain_size: int, mask: int) -> Relation:
+    """The unary relation U<mask>: the elements whose bit is set in `mask`."""
+    return Relation(1, domain_size, [(e,) for e in range(domain_size) if mask >> e & 1])
+
+
+class UnaryRelations(Mapping):
+    """Every nonempty unary relation over 0..domain_size-1, named U<mask> and
+    ordered by mask; U<mask> is built when its name is read."""
+
+    __slots__ = ("domain_size", "_longest")
+
+    def __init__(self, domain_size: int):
+        self.domain_size = domain_size
+        self._longest = len(f"U{(1 << domain_size) - 1}")
+
+    def _mask(self, name) -> int:
+        """The mask that `name` spells in canonical decimal, or 0 if `name`
+        names none of these relations."""
+        if not (isinstance(name, str) and name[:1] == "U" and len(name) <= self._longest):
+            return 0
+        digits = name[1:]
+        if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
+            return 0
+        mask = int(digits)
+        return mask if mask >> self.domain_size == 0 else 0
+
+    def __getitem__(self, name) -> Relation:
+        mask = self._mask(name)
+        if not mask:
+            raise KeyError(name)
+        return unary_relation(self.domain_size, mask)
+
+    def __contains__(self, name) -> bool:
+        return self._mask(name) != 0
+
+    def __iter__(self):
+        return (f"U{mask}" for mask in range(1, 1 << self.domain_size))
+
+    def __len__(self) -> int:
+        return (1 << self.domain_size) - 1
 
 
 def structure_a(spec: SpecA) -> Structure:
     rels = [(f"S{i}", gen_s(spec, i)) for i in range(spec.n + 1)]
-    rels.extend(_unary_relations(spec.domain_size))
-    return Structure(domain_a(spec.n), rels)
+    return Structure(domain_a(spec.n), rels, UnaryRelations(spec.domain_size))
 
 
 @lru_cache(maxsize=_LEVEL_CACHE_SIZE)
@@ -219,8 +267,7 @@ def structure_b(spec: SpecB) -> Structure:
     for i in range(spec.n + 1):
         rels.append((f"R{i}^1", gen_r_b(spec, i, 1)))
         rels.append((f"R{i}^2", gen_r_b(spec, i, 2)))
-    rels.extend(_unary_relations(spec.domain_size))
-    return Structure(domain_b(spec.n), rels)
+    return Structure(domain_b(spec.n), rels, UnaryRelations(spec.domain_size))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,10 @@ vector w.  Facts start from two axioms and narrow under one rule:
   that row 0 reads any x with count vector w_0.
 
 A certificate is accepted iff every local check passes and the fact of the
-last schedule row is empty.  The local checks: the ladder has 2**n rows,
+last schedule row is empty.  Conservativity only narrows facts, so the
+checker derives them without it first and reads the structure's unary
+relations only if the last fact is then not empty; the builder's
+certificates never need it.  The local checks: the ladder has 2**n rows,
 each a count vector of total L, and 2**n - 1 steps; `arity` is L and
 `terminal_support` the support of the last row; application `own` of the
 base has row 0 equal to the first schedule row and every other row equal to
@@ -126,7 +129,13 @@ class Schedule:
 
 
 def _build_schedule(spec: SpecA | SpecB) -> Schedule:
-    vectors = tuple(_ladder_vector(spec, k) for k in range(2**spec.n))
+    # one int object per distinct count: the counts recur down the ladder
+    # (A(12,2)'s 28,672 nonzero counts take 6,143 values)
+    seen: dict[int, int] = {}
+    vectors = tuple(
+        CountVector([seen.setdefault(c, c) for c in _ladder_vector(spec, k).counts])
+        for k in range(2**spec.n)
+    )
     return Schedule(spec.n, _shape(spec)[0], vectors)
 
 
@@ -602,8 +611,9 @@ class CheckReport:
 # ladder, so only the last few parameter sets checked are kept
 _CK_CACHE_SIZE = 4
 
-# the checker's level relations and congruence blocks kept per process: one
-# check needs at most 2(n+1) of each, and no ladder past n = 30 can be built
+# the checker's level relations, congruence blocks and premise-pattern
+# tables kept per process: one check needs at most 2(n+1) of each, and no
+# ladder past n = 30 can be built
 _CK_LEVEL_CACHE_SIZE = 64
 
 
@@ -649,6 +659,19 @@ def _ck_chain_blocks(family: str, n: int, level: int):
     for lay in layers[1:]:
         out = compose(out, lay)
     return blocks(out)
+
+
+@lru_cache(maxsize=_CK_LEVEL_CACHE_SIZE)
+def _ck_patterns(rel: Relation) -> tuple[tuple[int, int], ...]:
+    """Pairs (the values of t[1:], the t[0] of those tuples t) over the
+    tuples t of `rel`, both as bitmasks over the domain."""
+    by_rest: dict[int, int] = {}
+    for t in rel:
+        rest = 0
+        for x in t[1:]:
+            rest |= 1 << x
+        by_rest[rest] = by_rest.get(rest, 0) | 1 << t[0]
+    return tuple(by_rest.items())
 
 
 def _ck_parameters(family: str, n: int, m: int) -> None:
@@ -708,8 +731,8 @@ def _ck_structure_faults(family: str, n: int, m: int, structure: Structure) -> l
 def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> None:
     """Replay `cert` under the calculus of the module docstring, appending
     one fault per failed local check, and one if the fact of the last
-    schedule row is not empty.  Facts are bitmasks over the domain; an
-    application whose own checks fail narrows nothing."""
+    schedule row is not empty.  The derivation runs after the local checks,
+    and an application whose own checks fail narrows nothing."""
     n, m = cert.n, cert.m
     lo = 1 if cert.family == "A" else 2
     schedule, steps = cert.schedule, cert.steps
@@ -730,39 +753,9 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
         faults.append("terminal support is not the support of the last schedule row")
 
     size = structure.domain.size
-    bits = [1 << e for e in range(size)]
-    unary = None  # the supports of all unary relations, read on the first miss
-    facts: dict = {}  # count vector -> the values an NU operation may take on it
-    # target -> {the values of t[1:] -> the t[0] of those tuples t}, as masks
-    patterns: dict = {}
-
-    def mask(rel: Relation) -> int:
-        return sum(bits[t[0]] for t in rel)
-
-    def holds(support: int) -> bool:
-        """Whether the structure has `support` as a unary relation; the
-        bundled name U<support> is tried before every relation is read."""
-        nonlocal unary
-        named = structure.relations.get(f"U{support}")
-        if named is not None and named.arity == 1 and mask(named) == support:
-            return True
-        if unary is None:
-            unary = {mask(r) for r in structure.relations.values() if r.arity == 1}
-        return support in unary
-
-    def fact(w) -> int:
-        f = facts.get(w)
-        if f is None:
-            f, support = (1 << size) - 1, 0
-            for e, c in enumerate(w):
-                if c:
-                    support |= bits[e]
-                    if c >= arity - 1:  # near unanimity
-                        f &= bits[e]
-            if holds(support):  # conservativity
-                f &= support
-            facts[w] = f
-        return f
+    # (conclusion, premise, premise-pattern pairs) of each application that
+    # passes its own checks, in certificate order
+    derivation = []
 
     def apply(app: Application, conclusion, premise, where: str) -> None:
         target = app.target
@@ -786,22 +779,7 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
         if rows != [list(premise)] * len(rows):
             faults.append(f"{where}: a row of {target} does not tally to the premise")
             return
-        by_rest = patterns.get(target)
-        if by_rest is None:
-            by_rest = patterns[target] = {}
-            for t in rel:
-                rest = 0
-                for x in t[1:]:
-                    rest |= bits[x]
-                by_rest[rest] = by_rest.get(rest, 0) | bits[t[0]]
-        # the relation rule: t[0] for every t of the relation whose later
-        # entries lie in the premise's fact
-        outside = ~fact(premise)
-        allowed = 0
-        for rest, firsts in by_rest.items():
-            if not rest & outside:
-                allowed |= firsts
-        facts[conclusion] = fact(conclusion) & allowed
+        derivation.append((conclusion, premise, _ck_patterns(rel)))
 
     for own, app in enumerate(cert.base.applications):
         if own >= lo:
@@ -839,8 +817,62 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
         for app in step.applications:
             apply(app, v1, v, where)
 
-    if fact(schedule[-1]):
-        faults.append("the fact of the last schedule row is not empty")
+    # conservativity only narrows facts, so a derivation that empties the
+    # last fact without it empties it with it too: the unary relations are
+    # read only when the derivation needs them
+    last = schedule[-1]
+    if _ck_last_fact(derivation, last, arity, structure, conservative=False):
+        if _ck_last_fact(derivation, last, arity, structure, conservative=True):
+            faults.append("the fact of the last schedule row is not empty")
+
+
+def _ck_last_fact(derivation, last, arity: int, structure: Structure, conservative: bool) -> int:
+    """The fact of the schedule row `last` after the applications of
+    `derivation`, with or without the conservativity axiom.  Facts are
+    bitmasks over the domain."""
+    size = structure.domain.size
+    bits = [1 << e for e in range(size)]
+    unary = None  # the supports of all unary relations, read on the first miss
+    facts: dict = {}  # count vector -> the values an NU operation may take on it
+
+    def mask(rel: Relation) -> int:
+        return sum(bits[t[0]] for t in rel)
+
+    def holds(support: int) -> bool:
+        """Whether the structure has `support` as a unary relation; the
+        bundled name U<support> is tried before every relation is read."""
+        nonlocal unary
+        named = structure.relations.get(f"U{support}")
+        if named is not None and named.arity == 1 and mask(named) == support:
+            return True
+        if unary is None:
+            unary = {mask(r) for r in structure.relations.values() if r.arity == 1}
+        return support in unary
+
+    def fact(w) -> int:
+        f = facts.get(w)
+        if f is None:
+            f, support = (1 << size) - 1, 0
+            for e, c in enumerate(w):
+                if c:
+                    support |= bits[e]
+                    if c >= arity - 1:  # near unanimity
+                        f &= bits[e]
+            if conservative and holds(support):  # conservativity
+                f &= support
+            facts[w] = f
+        return f
+
+    for conclusion, premise, patterns in derivation:
+        # the relation rule: t[0] for every t of the relation whose later
+        # entries lie in the premise's fact
+        outside = ~fact(premise)
+        allowed = 0
+        for rest, firsts in patterns:
+            if not rest & outside:
+                allowed |= firsts
+        facts[conclusion] = fact(conclusion) & allowed
+    return fact(last)
 
 
 def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckReport:

@@ -7,7 +7,8 @@ from array import array
 from polyclone import trace
 from polyclone.compat import ColumnMultiset, Verdict
 from polyclone.indicator import IndicatorInstance
-from polyclone.relations import BudgetExceededError, OpTable, tally_rows
+from polyclone.relations import BudgetExceededError, OpTable, Relation, Structure, tally_rows
+from polyclone.structures import SpecA, domain_a, domain_b, gen_r_b, gen_s
 from polyclone.trace import (
     Application,
     BaseCertificate,
@@ -54,6 +55,22 @@ def as_table(op: SymmetricOp, budget: int = 10**7) -> OpTable:
         return op.value_counts(counts)
 
     return OpTable.from_function(op.arity, d, fn)
+
+
+def eager_structure(spec) -> Structure:
+    """A family structure with all its relations built up front into one
+    dict: the level relations, then every nonempty unary relation U<mask>,
+    named by its characteristic bitmask, in order of mask."""
+    if isinstance(spec, SpecA):
+        domain = domain_a(spec.n)
+        rels = [(f"S{i}", gen_s(spec, i)) for i in range(spec.n + 1)]
+    else:
+        domain = domain_b(spec.n)
+        rels = [(f"R{i}^{j}", gen_r_b(spec, i, j)) for i in range(spec.n + 1) for j in (1, 2)]
+    d = spec.domain_size
+    for mask in range(1, 1 << d):
+        rels.append((f"U{mask}", Relation(1, d, [(e,) for e in range(d) if (mask >> e) & 1])))
+    return Structure(domain, rels)
 
 
 def scope_of(inst: IndicatorInstance, cid: int):

@@ -131,3 +131,61 @@ def test_builder_use_scan_sees_names(tmp_path):
     assert checker_uses_of_builder([tmp_path / "t.py", tmp_path / "s.py"]) == [
         "_ck_model:_ladder_vector", "_ck_model:congruence_a", "check_certificate:_certify",
     ]
+
+
+def unbounded_caches(src_dir: Path) -> list[str]:
+    """The caches in the modules of src_dir that have no bound, as
+    "file:line": a bare `lru_cache` or `cache` decorator, or a call of
+    `lru_cache` with maxsize None."""
+    found = []
+
+    def name(node) -> str | None:
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    for path in sorted(src_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found += [
+                    f"{path.name}:{d.lineno}"
+                    for d in node.decorator_list
+                    if name(d) in ("lru_cache", "cache")
+                ]
+            elif isinstance(node, ast.Call) and name(node.func) == "lru_cache":
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_every_cache_is_bounded():
+    # a process may check many structures and certificates in a row: what a
+    # cache keeps must not grow with them
+    assert unbounded_caches(SRC) == []
+
+
+def test_unbounded_cache_scan_sees_caches(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache\n"
+        "def bare(): pass\n"
+        "@functools.cache\n"
+        "def whole(): pass\n"
+        "@lru_cache(maxsize=None)\n"
+        "def unbounded(): pass\n"
+        "@functools.lru_cache(None)\n"
+        "def positional(): pass\n"
+        "@lru_cache(maxsize=64)\n"
+        "def bounded(): pass\n"
+        "@lru_cache()\n"
+        "def default(): pass\n"
+        "wrapped = lru_cache(maxsize=None)(len)\n"
+        "class Keeper:\n"
+        "    @functools.lru_cache(maxsize=None, typed=True)\n"
+        "    def method(self): pass\n"
+        "    @functools.lru_cache(4)\n"
+        "    def small(self): pass\n"
+    )
+    (tmp_path / "b.py").write_text("cache = {}\ndef f(x): return cache.get(x)\n")
+    assert unbounded_caches(tmp_path) == ["a.py:3", "a.py:5", "a.py:7", "a.py:9", "a.py:15",
+                                          "a.py:17"]

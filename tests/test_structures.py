@@ -2,7 +2,17 @@ import itertools
 
 import pytest
 
-from polyclone.relations import Relation, blocks, compose, converse, project
+from polyclone import structures
+from polyclone.cli import main
+from polyclone.relations import (
+    Relation,
+    Structure,
+    blocks,
+    compose,
+    converse,
+    project,
+    structure_to_json,
+)
 from polyclone.structures import (
     SpecA,
     SpecB,
@@ -22,6 +32,8 @@ from polyclone.structures import (
     structure_b,
     upper_bound,
 )
+
+from oracles import eager_structure
 
 
 def test_spec_validation():
@@ -225,3 +237,78 @@ def test_chain_b_pattern_length_checked():
         chain_congruence_b(SpecB(2), 2, (1, 1, 1))
     with pytest.raises(ValueError):
         chain_congruence_b(SpecB(2), 0)
+
+
+def _structure(spec):
+    return structure_a(spec) if isinstance(spec, SpecA) else structure_b(spec)
+
+
+@pytest.mark.parametrize(
+    "spec", [SpecA(0, 2), SpecA(1, 3), SpecA(2, 2), SpecB(0), SpecB(1), SpecB(2)], ids=repr
+)
+def test_unary_relations_read_as_the_eager_reference(spec):
+    lazy, eager = _structure(spec), eager_structure(spec)
+    assert list(lazy.relations) == list(eager.relations)
+    assert len(lazy) == len(eager) == len(list(lazy.relations))
+    assert list(lazy.relations.items()) == list(eager.relations.items())
+    assert all(name in lazy.relations for name in eager.relations)
+    assert lazy == eager and eager == lazy and lazy == _structure(spec)
+    assert structure_to_json(lazy) == structure_to_json(eager)
+
+
+def test_structures_with_unary_relations_compare_by_content():
+    lazy = structure_a(SpecA(1, 2))
+    assert lazy != structure_a(SpecA(1, 3)) and lazy != structure_b(SpecB(0))
+    levels = {name: rel for name, rel in lazy.relations.items() if rel.arity > 1}
+    unary = structures.UnaryRelations(lazy.domain.size)
+    assert Structure(lazy.domain, levels, unary) == lazy
+    assert Structure(lazy.domain, levels) != lazy
+    # the same unary relations held explicitly, in another order
+    swapped = dict(reversed(list(lazy.relations.items())))
+    assert Structure(lazy.domain, swapped) == lazy
+    swapped["U1"] = Relation(1, 3, [(1,)])
+    assert Structure(lazy.domain, swapped) != lazy
+    # the explicit names may not shadow a name of the lazy part
+    with pytest.raises(ValueError, match="duplicate relation name 'U1'"):
+        Structure(lazy.domain, {**levels, "U1": lazy.relation("U1")}, unary)
+
+
+@pytest.mark.parametrize("spec", [SpecA(1, 2), SpecB(1)], ids=repr)
+def test_unary_relations_miss_as_a_dict_does(spec):
+    lazy = _structure(spec).relations
+    eager = dict(eager_structure(spec).relations)
+    top = 2**spec.domain_size
+    assert f"U{top - 1}" in lazy
+    misses = ["U0", "U01", "U-1", "U+1", "U 1", "U1_0", "U\u0661", "U", "u1", "1",
+              f"U{top}", f"U{top * 10**40}", f"S{spec.n + 1}", f"R{spec.n + 1}^1",
+              1, None, ("U1",)]
+    for key in misses:
+        assert key not in lazy and key not in eager
+        assert lazy.get(key) is None and lazy.get(key, 7) == 7
+        for rels in (lazy, eager):
+            with pytest.raises(KeyError):
+                rels[key]
+    for key in ([], {"U1"}):  # unhashable: a dict raises TypeError
+        for rels in (lazy, eager):
+            with pytest.raises(TypeError):
+                rels[key]
+            with pytest.raises(TypeError):
+                key in rels
+    with pytest.raises(TypeError):  # read-only
+        lazy["U1"] = eager["U1"]
+
+
+def test_trace_builds_no_more_unary_relations_than_the_cache_keeps(capsys, monkeypatch):
+    # A(10,3) has 4,095 unary relations; the structure builds one only when
+    # its name is read, and the trace reads few
+    built = []
+    init = Relation.__init__
+
+    def counting(self, arity, domain_size, tuples):
+        built.append(arity)
+        init(self, arity, domain_size, tuples)
+
+    monkeypatch.setattr(Relation, "__init__", counting)
+    assert main(["trace", "A", "--n", "10", "--m", "3"]) == 0
+    assert '"checked": true' in capsys.readouterr().out
+    assert built.count(1) <= structures._UNARY_CACHE_SIZE

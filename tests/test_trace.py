@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from polyclone import trace
+from polyclone import structures, trace
 from polyclone.indicator import decide_nu
 from polyclone.relations import Relation, Structure
 from polyclone.structures import (
@@ -379,6 +379,30 @@ def test_conservativity_holds_only_for_the_structure_s_unary_relations():
         assert check_certificate(built, Structure(struct.domain, levels)).ok
     levels = {name: rel for name, rel in base.relations.items() if rel.arity > 1}
     assert decide_nu(Structure(base.domain, levels), 4).verdict == "unsat"
+
+
+def test_check_reads_unary_relations_only_when_the_derivation_needs_them(monkeypatch):
+    # conservativity only narrows facts: the builder's certificates empty
+    # the last fact without it, so their checks build no unary relation,
+    # and a derivation that leaves it nonempty is replayed with it
+    read = []
+    build = structures.unary_relation
+
+    def counting(domain_size, mask):
+        read.append(mask)
+        return build(domain_size, mask)
+
+    monkeypatch.setattr(structures, "unary_relation", counting)
+    for cert, struct in _both_families():
+        assert check_certificate(cert, struct).ok
+    assert read == []
+    cert, struct = _both_families()[0]
+    cut = replace(cert, steps=cert.steps[:-1] + (replace(cert.steps[-1], applications=()),))
+    assert check_certificate(cut, struct).faults == (
+        "the fact of the last schedule row is not empty",
+    )
+    # the support of every schedule row and of the base's premises
+    assert sorted(set(read)) == [0b0001, 0b0011, 0b0101, 0b0111, 0b1001]
 
 
 def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
