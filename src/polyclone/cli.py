@@ -12,7 +12,8 @@ exact scan, and in `--mode sampled` the trials times the relations, which
 is checked before any sample is drawn.  A negative budget, cap or node
 limit is a usage error, and so is a negative `witness --mode sampled --seed`:
 `random.Random` seeds with the absolute value, so seed -5 would draw the
-samples of seed 5 under another name.
+samples of seed 5 under another name.  `decide --pin nu --k` below 3 is a
+usage error too: no NU operation has arity below 3.
 """
 
 from __future__ import annotations

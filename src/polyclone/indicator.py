@@ -572,6 +572,8 @@ def decide_nu(
     "remark" (fix only the bottom-element deviations from the top element)."""
     if pin not in PIN_SETS:
         raise ValueError(f"unknown pin mode {pin!r}")
+    if pin == "nu" and k < 3:  # no near-unanimity operation of arity below 3
+        raise ValueError(f"near-unanimity needs arity at least 3, got {k}")
     if node_limit < 0:  # refused before the build, as solve() would refuse it
         raise ValueError(f"node limit must be nonnegative, got {node_limit}")
     pins = PIN_SETS[pin](structure.domain.size, k)

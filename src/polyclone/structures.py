@@ -101,9 +101,9 @@ def level_b(t: int) -> int:
 _LEVEL_CACHE_SIZE = 64
 
 # unary relations kept per process, keyed by (domain size, mask): a command
-# may read thousands (gen reads all 2^d - 1, a check that needs
-# conservativity one per ladder row), so only the last few hundred read are
-# kept, which covers every unary relation of a structure on up to 8 elements
+# may read thousands (gen reads all 2^d - 1), so only the last few hundred
+# read are kept, which covers every unary relation of a structure on up to
+# 8 elements
 _UNARY_CACHE_SIZE = 256
 
 

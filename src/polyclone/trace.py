@@ -4,13 +4,13 @@ For family A(n, m) the argument tracks count vectors v_0 .. v_{2^n - 1} of
 total m**(2**n): the near-unanimity identities force the first vector, each
 transition k -> k+1 feeds columns of the level relation at the pivot (the
 lowest zero bit of k) into the bookkeeping, and the last vector is supported
-on the bottom element alone, which no conservative operation can produce.  A
-certificate records, for the base derivation and for every transition, the
-column tuples and multiplicities, the exact arithmetic identities, and the
-congruence used for the case split.  Family B(n) runs the same ladder with
-m = 2 on the doubled bottom block {a1, a2}; each transition applies both
-level relations (one per removed pair) and carries the side condition that
-the doubled block fits below the pivot.
+on the bottom element alone, where the level relations leave an NU
+polymorphism no value.  A certificate records, for the base derivation and
+for every transition, the column tuples and multiplicities, the exact
+arithmetic identities, and the congruence used for the case split.  Family
+B(n) runs the same ladder with m = 2 on the doubled bottom block {a1, a2};
+each transition applies both level relations (one per removed pair) and
+carries the side condition that the doubled block fits below the pivot.
 
 One builder serves both families: a family enters only through its ladder
 shape (m and the number of bottom ids), the relations it applies at a level
@@ -26,21 +26,23 @@ so certificates store counts only.
 `check_certificate` replays a certificate as a derivation.  L is the checked
 arity m**(2**n), and a fact F(w), a subset of the domain, says that f(x) lies
 in F(w) for every NU polymorphism f of arity L and every x with count
-vector w.  Facts start from two axioms and narrow under one rule:
+vector w.  Facts start from one axiom and narrow under one rule:
 
-- conservativity: F(w) starts at support(w) where the structure holds that
-  support as a unary relation, and at the whole domain otherwise;
-- near unanimity: if w[e] >= L - 1, then F(w) lies in {e};
+- near unanimity: F(w) is the whole domain, cut to {e} where w[e] >= L - 1;
 - relation rule: for columns of a relation R of the structure whose rows
   tally to w_0 .. w_r, F(w_0) is narrowed to {t_0 : t in R, t_q in F(w_q)
   for every q >= 1}.  It is sound because the columns can be ordered so
   that row 0 reads any x with count vector w_0.
 
+A unary relation U narrows F(w) to U by the rule, with columns (x) for x
+in U tallying to w, so a certificate that needs f(x) in U states it as one
+more application in the step whose conclusion it narrows.  The base holds
+one application per bottom id, so it cannot state one for F(v_0).  The
+checker reads relations by name only: the level relations and each
+application's target.
+
 A certificate is accepted iff every local check passes and the fact of the
-last schedule row is empty.  Conservativity only narrows facts, so the
-checker derives them without it first and reads the structure's unary
-relations only if the last fact is then not empty; the builder's
-certificates never need it.  The local checks: the ladder has 2**n rows,
+last schedule row is empty.  The local checks: the ladder has 2**n rows,
 each a count vector of total L, and 2**n - 1 steps; `arity` is L and
 `terminal_support` the support of the last row; application `own` of the
 base has row 0 equal to the first schedule row and every other row equal to
@@ -128,10 +130,11 @@ class Schedule:
     vectors: tuple[CountVector, ...]
 
 
-def _build_schedule(spec: SpecA | SpecB) -> Schedule:
-    # one int object per distinct count: the counts recur down the ladder
-    # (A(12,2)'s 28,672 nonzero counts take 6,143 values)
-    seen: dict[int, int] = {}
+def _build_schedule(spec: SpecA | SpecB, seen: dict) -> Schedule:
+    """The ladder, with one int object per distinct count: the counts recur
+    down the ladder (A(12,2)'s 28,672 nonzero counts take 6,143 values).
+    `seen` maps each count to its one object, and a certificate interns its
+    other counts through it too."""
     vectors = tuple(
         CountVector([seen.setdefault(c, c) for c in _ladder_vector(spec, k).counts])
         for k in range(2**spec.n)
@@ -140,11 +143,11 @@ def _build_schedule(spec: SpecA | SpecB) -> Schedule:
 
 
 def build_schedule_a(n: int, m: int) -> Schedule:
-    return _build_schedule(SpecA(n, m))
+    return _build_schedule(SpecA(n, m), {})
 
 
 def build_schedule_b(n: int) -> Schedule:
-    return _build_schedule(SpecB(n))
+    return _build_schedule(SpecB(n), {})
 
 
 def least_zero_bit(k: int) -> int:
@@ -244,17 +247,19 @@ class TraceCertificate:
 # Builders
 # ---------------------------------------------------------------------------
 
-def _applications(spec: SpecA | SpecB, i: int, premises, conclusion):
+def _applications(spec: SpecA | SpecB, i: int, premises, conclusion, seen: dict):
     """The applications of level i's relations that turn premise rows into
     the `conclusion` row, one per bottom id (family B applies R_i^1 and R_i^2,
     one per excluded bottom element); `premises[own]` is the premise of the
     application that keeps bottom id `own`.  Levels under i are read off the
-    conclusion, levels above it off the premise."""
+    conclusion, levels above it off the premise; bottom-block counts are
+    interned through `seen`."""
     m, lo = _shape(spec)
     lv = lo + i
     apps = []
     for own, premise in enumerate(premises):
         bottom = sum(premise[:lo])
+        bottom = seen.setdefault(bottom, bottom)
         if isinstance(spec, SpecB):
             target, w = f"R{i}^{own + 1}", 1
             columns = [ColumnBlock((own, e), premise[e]) for e in range(lo) if premise[e]]
@@ -278,7 +283,7 @@ def _applications(spec: SpecA | SpecB, i: int, premises, conclusion):
     return tuple(apps)
 
 
-def _certify_base(spec: SpecA | SpecB, v_0: CountVector) -> BaseCertificate:
+def _certify_base(spec: SpecA | SpecB, v_0: CountVector, seen: dict) -> BaseCertificate:
     """The near-unanimity identities at the top level force v_0: each
     application's premise deviates once, at its own bottom id."""
     lo = _shape(spec)[1]
@@ -288,22 +293,24 @@ def _certify_base(spec: SpecA | SpecB, v_0: CountVector) -> BaseCertificate:
         premise[own] = 1
         premise[-1] = v_0.total - 1
         premises.append(premise)
-    return BaseCertificate(_applications(spec, spec.n, premises, v_0.counts))
+    return BaseCertificate(_applications(spec, spec.n, premises, v_0.counts, seen))
 
 
 def _certify_step(
-    spec: SpecA | SpecB, k: int, v_k: CountVector, v_k1: CountVector, levels: dict
+    spec: SpecA | SpecB, k: int, v_k: CountVector, v_k1: CountVector, levels: dict, seen: dict
 ) -> StepCertificate:
     """Certify the transition v_k -> v_{k+1} of either family.
 
     Every count comes from the two ladder vectors.  `levels` holds the
-    congruence blocks of each level met so far in one certificate.
+    congruence blocks of each level met so far in one certificate, and
+    `seen` the one int object of each count met so far.
     """
     lo = _shape(spec)[1]
     ident = _pivot_report(spec, k, v_k, v_k1)
     i = ident["pivot"]
+    below_succ, below_conc = ident["below_succ_premise"], ident["below_pivot_conclusion"]
     doubled = v_k.less(lo) if isinstance(spec, SpecB) else None
-    applications = _applications(spec, i, [v_k.counts] * lo, v_k1.counts)
+    applications = _applications(spec, i, [v_k.counts] * lo, v_k1.counts, seen)
     if i + 1 not in levels:
         congruence = congruence_b if isinstance(spec, SpecB) else congruence_a
         levels[i + 1] = blocks(congruence(spec, i + 1))
@@ -312,20 +319,21 @@ def _certify_step(
         pivot=i,
         applications=applications,
         pivot_count=ident["pivot_count"],
-        below_succ_premise=ident["below_succ_premise"],
-        below_pivot_conclusion=ident["below_pivot_conclusion"],
+        below_succ_premise=seen.setdefault(below_succ, below_succ),
+        below_pivot_conclusion=seen.setdefault(below_conc, below_conc),
         congruence_level=i + 1,
         congruence_blocks=levels[i + 1],
-        doubled=doubled,
+        doubled=doubled if doubled is None else seen.setdefault(doubled, doubled),
     )
 
 
 def _certify(spec: SpecA | SpecB) -> TraceCertificate:
     m, lo = _shape(spec)
-    ladder = _build_schedule(spec).vectors
+    seen: dict[int, int] = {}
+    ladder = _build_schedule(spec, seen).vectors
     levels: dict = {}
     steps = tuple(
-        _certify_step(spec, k, ladder[k], ladder[k + 1], levels)
+        _certify_step(spec, k, ladder[k], ladder[k + 1], levels, seen)
         for k in range(2**spec.n - 1)
     )
     return TraceCertificate(
@@ -334,7 +342,7 @@ def _certify(spec: SpecA | SpecB) -> TraceCertificate:
         m=m,
         arity=m ** (2**spec.n),
         schedule=tuple(v.counts for v in ladder),
-        base=_certify_base(spec, ladder[0]),
+        base=_certify_base(spec, ladder[0], seen),
         steps=steps,
         terminal_support=tuple(range(lo)),
     )
@@ -731,8 +739,8 @@ def _ck_structure_faults(family: str, n: int, m: int, structure: Structure) -> l
 def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> None:
     """Replay `cert` under the calculus of the module docstring, appending
     one fault per failed local check, and one if the fact of the last
-    schedule row is not empty.  The derivation runs after the local checks,
-    and an application whose own checks fail narrows nothing."""
+    schedule row is not empty.  Facts are bitmasks over the domain; an
+    application whose own checks fail narrows nothing."""
     n, m = cert.n, cert.m
     lo = 1 if cert.family == "A" else 2
     schedule, steps = cert.schedule, cert.steps
@@ -753,9 +761,18 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
         faults.append("terminal support is not the support of the last schedule row")
 
     size = structure.domain.size
-    # (conclusion, premise, premise-pattern pairs) of each application that
-    # passes its own checks, in certificate order
-    derivation = []
+    bits = [1 << e for e in range(size)]
+    facts: dict = {}  # count vector -> the values an NU operation may take on it
+
+    def fact(w) -> int:
+        f = facts.get(w)
+        if f is None:
+            f = (1 << size) - 1
+            for e, c in enumerate(w):
+                if c >= arity - 1:  # near unanimity
+                    f &= bits[e]
+            facts[w] = f
+        return f
 
     def apply(app: Application, conclusion, premise, where: str) -> None:
         target = app.target
@@ -779,7 +796,14 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
         if rows != [list(premise)] * len(rows):
             faults.append(f"{where}: a row of {target} does not tally to the premise")
             return
-        derivation.append((conclusion, premise, _ck_patterns(rel)))
+        # the relation rule: t[0] for every t of the relation whose later
+        # entries lie in the premise's fact
+        outside = ~fact(premise)
+        allowed = 0
+        for rest, firsts in _ck_patterns(rel):
+            if not rest & outside:
+                allowed |= firsts
+        facts[conclusion] = fact(conclusion) & allowed
 
     for own, app in enumerate(cert.base.applications):
         if own >= lo:
@@ -817,62 +841,8 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
         for app in step.applications:
             apply(app, v1, v, where)
 
-    # conservativity only narrows facts, so a derivation that empties the
-    # last fact without it empties it with it too: the unary relations are
-    # read only when the derivation needs them
-    last = schedule[-1]
-    if _ck_last_fact(derivation, last, arity, structure, conservative=False):
-        if _ck_last_fact(derivation, last, arity, structure, conservative=True):
-            faults.append("the fact of the last schedule row is not empty")
-
-
-def _ck_last_fact(derivation, last, arity: int, structure: Structure, conservative: bool) -> int:
-    """The fact of the schedule row `last` after the applications of
-    `derivation`, with or without the conservativity axiom.  Facts are
-    bitmasks over the domain."""
-    size = structure.domain.size
-    bits = [1 << e for e in range(size)]
-    unary = None  # the supports of all unary relations, read on the first miss
-    facts: dict = {}  # count vector -> the values an NU operation may take on it
-
-    def mask(rel: Relation) -> int:
-        return sum(bits[t[0]] for t in rel)
-
-    def holds(support: int) -> bool:
-        """Whether the structure has `support` as a unary relation; the
-        bundled name U<support> is tried before every relation is read."""
-        nonlocal unary
-        named = structure.relations.get(f"U{support}")
-        if named is not None and named.arity == 1 and mask(named) == support:
-            return True
-        if unary is None:
-            unary = {mask(r) for r in structure.relations.values() if r.arity == 1}
-        return support in unary
-
-    def fact(w) -> int:
-        f = facts.get(w)
-        if f is None:
-            f, support = (1 << size) - 1, 0
-            for e, c in enumerate(w):
-                if c:
-                    support |= bits[e]
-                    if c >= arity - 1:  # near unanimity
-                        f &= bits[e]
-            if conservative and holds(support):  # conservativity
-                f &= support
-            facts[w] = f
-        return f
-
-    for conclusion, premise, patterns in derivation:
-        # the relation rule: t[0] for every t of the relation whose later
-        # entries lie in the premise's fact
-        outside = ~fact(premise)
-        allowed = 0
-        for rest, firsts in patterns:
-            if not rest & outside:
-                allowed |= firsts
-        facts[conclusion] = fact(conclusion) & allowed
-    return fact(last)
+    if fact(schedule[-1]):
+        faults.append("the fact of the last schedule row is not empty")
 
 
 def check_certificate(cert: TraceCertificate, structure: Structure) -> CheckReport:

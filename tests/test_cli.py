@@ -134,6 +134,19 @@ def test_decide_exit_codes(capsys):
     }
 
 
+def test_decide_below_arity_3_is_a_usage_error(capsys):
+    # no NU operation has arity below 3, so the NU pins admit no verdict
+    for k in ("2", "1"):
+        code, out, err = run(capsys, "decide", "A", "--n", "0", "--m", "3", "--k", k)
+        assert code == 2 and out == ""
+        assert f"near-unanimity needs arity at least 3, got {k}" in err
+    # the remark pins fix no identity of the arity, and keep their verdict
+    code, out, _ = run(
+        capsys, "decide", "A", "--n", "0", "--m", "3", "--k", "2", "--pin", "remark"
+    )
+    assert code == 1 and json.loads(out)["verdict"] == "unsat"
+
+
 def test_decide_var_cap_is_a_budget_stop(capsys):
     # the variable count is named as a power, so a huge arity is not
     # formatted as a number past Python's int-to-str digit limit

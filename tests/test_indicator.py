@@ -162,6 +162,21 @@ def test_node_limit_gives_unknown(monkeypatch):
         decide_nu(sa, 5, node_limit=-1)
 
 
+def test_nu_pins_below_arity_3_are_refused(monkeypatch):
+    sa = structure_a(SpecA(0, 3))
+
+    def refuse(*args):
+        raise AssertionError("built an instance for an arity below 3")
+
+    monkeypatch.setattr(indicator, "build_indicator", refuse)
+    for k in (2, 1, 0):
+        with pytest.raises(ValueError, match="arity at least 3"):
+            decide_nu(sa, k)
+    monkeypatch.undo()
+    assert decide_nu(sa, 2, pin="remark").verdict == "unsat"
+    assert decide_nu(sa, 3).verdict == "unsat"
+
+
 def rand_structure(rng):
     d = 2
     names = Domain(["0", "1"])

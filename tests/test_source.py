@@ -133,6 +133,73 @@ def test_builder_use_scan_sees_names(tmp_path):
     ]
 
 
+# builtins that iterate their argument
+ITERATING_CALLS = {"all", "any", "dict", "enumerate", "filter", "frozenset", "iter", "list",
+                   "map", "max", "min", "set", "sorted", "sum", "tuple", "zip"}
+
+
+def checker_iterations_of_relations(paths: list[Path]) -> list[str]:
+    """The places, as "function:line", where `check_certificate*` or a
+    `_ck_*` function of `paths` iterates something named `relations`: a
+    call of its `values`, `items` or `keys`, a `for` or comprehension over
+    it, an iterating builtin applied to it, or an unpacking of it."""
+
+    def is_relations(node) -> bool:
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name == "relations"
+
+    found = set()
+    for path in paths:
+        for top in ast.parse(path.read_text()).body:
+            if not (isinstance(top, ast.FunctionDef)
+                    and top.name.startswith(("check_certificate", "_ck_"))):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, (ast.For, ast.comprehension)):
+                    iterated = [node.iter]
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    if isinstance(func, ast.Attribute) and func.attr in ("values", "items", "keys"):
+                        iterated = [func.value]
+                    elif isinstance(func, ast.Name) and func.id in ITERATING_CALLS:
+                        iterated = node.args
+                    else:
+                        iterated = []
+                elif isinstance(node, ast.Starred):
+                    iterated = [node.value]
+                elif isinstance(node, ast.Dict):
+                    iterated = [v for k, v in zip(node.keys, node.values) if k is None]
+                else:
+                    iterated = []
+                found.update((top.name, x.lineno) for x in iterated if is_relations(x))
+    return [f"{name}:{line}" for name, line in sorted(found, key=lambda f: f[1])]
+
+
+def test_checker_reads_relations_by_name_only():
+    # the checker reads the level relations and each application's target by
+    # name, so a check never builds the unary relations a family holds lazily
+    assert checker_iterations_of_relations([SRC / "trace.py"]) == []
+
+
+def test_relation_iteration_scan_sees_loops(tmp_path):
+    (tmp_path / "t.py").write_text(
+        "def _ck_values(s): return [r for r in s.relations.values()]\n"
+        "def _ck_loop(s):\n"
+        "    for name in s.relations:\n"
+        "        pass\n"
+        "def check_certificate(s): return sorted(s.relations.items())\n"
+        "def _ck_keys(relations): return {k for k in relations.keys()}\n"
+        "def _ck_by_name(s, t): return s.relations.get(t), s.relations['S0'], len(s.relations)\n"
+        "def _ck_comprehension(s): return {n: 1 for n in s.relations}\n"
+        "def _ck_unpacked(s): return [*s.relations], {**s.relations}, list(s.relations)\n"
+        "def builder(s): return list(s.relations.values())\n"
+    )
+    assert checker_iterations_of_relations([tmp_path / "t.py"]) == [
+        "_ck_values:1", "_ck_loop:3", "check_certificate:5", "_ck_keys:6",
+        "_ck_comprehension:8", "_ck_unpacked:9",
+    ]
+
+
 def unbounded_caches(src_dir: Path) -> list[str]:
     """The caches in the modules of src_dir that have no bound, as
     "file:line": a bare `lru_cache` or `cache` decorator, or a call of

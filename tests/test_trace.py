@@ -9,6 +9,7 @@ from polyclone.relations import Relation, Structure
 from polyclone.structures import (
     SpecA,
     SpecB,
+    UnaryRelations,
     chain_matches_congruence_a,
     gen_r,
     gen_r_b,
@@ -135,7 +136,7 @@ def test_least_zero_bit():
 
 def single_step(spec, k):
     # one transition recomputed from the closed form, outside any certificate
-    return _certify_step(spec, k, _ladder_vector(spec, k), _ladder_vector(spec, k + 1), {})
+    return _certify_step(spec, k, _ladder_vector(spec, k), _ladder_vector(spec, k + 1), {}, {})
 
 
 def test_step_zero_uses_pivot_zero():
@@ -168,7 +169,7 @@ def test_ladder_steps_match_single_step_builders():
 
 def test_base_uses_top_level():
     spec = SpecA(3, 3)
-    base = _certify_base(spec, _ladder_vector(spec, 0))
+    base = _certify_base(spec, _ladder_vector(spec, 0), {})
     app = base.applications[0]
     assert app.target == "S3"
     shift_columns = [b.column for b in app.columns[:3]]
@@ -340,51 +341,81 @@ def test_check_rejects_unsound_applications_and_ladders():
         assert not report.ok and report.faults[0].startswith("ladder has 3 rows and 2 steps")
 
 
-def test_conservativity_holds_only_for_the_structure_s_unary_relations():
-    # A(1,2) (L = 4) with one more relation Q of arity 5.  The base feeds Q
-    # rows 1..4 that tally to (1, 0, 3), whose fact is {1} by near
-    # unanimity, so (2, 0, 2) gets the fact {1}.  Only conservativity, f(x)
-    # in {a, 1}, empties it, so the certificate passes only where the
-    # structure has the unary relation {a, 1}
-    fed = [(0, 0, 2, 2, 2), (0, 2, 0, 2, 2), (2, 2, 2, 0, 2), (2, 2, 2, 2, 0)]
-    kept = [(0, 0, 0, 2, 2), (0, 2, 2, 0, 0), (2, 0, 2, 0, 2), (2, 2, 0, 2, 0)]
-    q = Relation(5, 3, fed + kept + [(1, 2, 2, 2, 2), (1, 1, 1, 1, 1)])
-    base = structure_a(SpecA(1, 2))
+# A(1,2) (L = 4) with one more relation Q of arity 5.  The base feeds Q
+# rows 1..4 that tally to (1, 0, 3), whose fact is {1} by near unanimity,
+# so (2, 0, 2) gets the fact {0}: Q holds (0, 1, 1, 1, 1).  Step 0 keeps
+# (2, 0, 2) at {0} through Q, and only the unary relation {a, 1} (U5)
+# applied to (2, 0, 2) empties it
+Q_FED = [(0, 0, 2, 2, 2), (0, 2, 0, 2, 2), (2, 2, 2, 0, 2), (2, 2, 2, 2, 0)]
+Q_KEPT = [(0, 0, 0, 2, 2), (0, 2, 2, 0, 0), (2, 0, 2, 0, 2), (2, 2, 0, 2, 0)]
+Q = Relation(5, 3, Q_FED + Q_KEPT + [(1, 2, 2, 2, 2), (1, 1, 1, 1, 1)])
+
+
+def _unary_application(target):
+    """`target` applied to (2, 0, 2): two columns (a) and two columns (1)."""
+    return Application(target, (ColumnBlock((0,), 2), ColumnBlock((2,), 2)))
+
+
+def _q_ladder(*extra):
+    """The Q ladder of A(1,2), with `extra` applications in step 0."""
     cert = certify_lower_bound_a(1, 2)
-    ladder = replace(
+    kept = Application("Q", tuple(ColumnBlock(t, 1) for t in Q_KEPT))
+    return replace(
         cert,
         schedule=((2, 0, 2), (2, 0, 2)),
-        base=BaseCertificate((Application("Q", tuple(ColumnBlock(t, 1) for t in fed)),)),
-        steps=(replace(cert.steps[0],
-                       applications=(Application("Q", tuple(ColumnBlock(t, 1) for t in kept)),),
+        base=BaseCertificate((Application("Q", tuple(ColumnBlock(t, 1) for t in Q_FED)),)),
+        steps=(replace(cert.steps[0], applications=(kept, *extra),
                        pivot_count=0, below_succ_premise=2, below_pivot_conclusion=2),),
         terminal_support=(0, 2),
     )
-    rels = {**base.relations, "Q": q}
-    assert check_certificate(ladder, Structure(base.domain, rels)).ok
-    # {a, 1} is held by its content, whatever its name
-    renamed = {("W" if name == "U5" else name): rel for name, rel in rels.items()}
-    assert check_certificate(ladder, Structure(base.domain, renamed)).ok
-    del renamed["W"]
-    assert not check_certificate(ladder, Structure(base.domain, renamed)).ok
-    bare = {name: rel for name, rel in rels.items() if rel.arity > 1}
-    assert check_certificate(ladder, Structure(base.domain, bare)).faults == (
+
+
+def _q_structure(*more, unary=True):
+    """A(1,2)'s level relations, Q and `more`, with the family's unary
+    relations built on first read if `unary`."""
+    spec = SpecA(1, 2)
+    rels = [("S0", gen_s(spec, 0)), ("S1", gen_s(spec, 1)), ("Q", Q), *more]
+    if unary:
+        return Structure(structure_a(spec).domain, rels, UnaryRelations(spec.domain_size))
+    return Structure(structure_a(spec).domain, rels)
+
+
+def test_unary_relations_narrow_facts_only_as_applications():
+    # no axiom reads a unary relation: the Q ladder fails where the
+    # structure holds {a, 1} until a step-0 application names it, by any name
+    assert check_certificate(_q_ladder(), _q_structure()).faults == (
         "the fact of the last schedule row is not empty",
     )
-    # the builder's certificates need no conservativity: the level relations
-    # alone empty the last fact, so they pass without the unary relations
-    # too, and a complete search agrees on A(1,2)
-    for built, struct in [(cert, base)] + _both_families():
+    assert check_certificate(_q_ladder(_unary_application("U5")), _q_structure()).ok
+    renamed = _q_structure(("W", structures.unary_relation(3, 0b101)), unary=False)
+    assert check_certificate(_q_ladder(_unary_application("W")), renamed).ok
+    assert check_certificate(
+        _q_ladder(_unary_application("U5")), _q_structure(unary=False)
+    ).faults == (
+        "step 0: structure has no relation 'U5'",
+        "the fact of the last schedule row is not empty",
+    )
+    # the builder's certificates name only level relations: those alone
+    # empty the last fact, and a complete search agrees on A(1,2)
+    base = structure_a(SpecA(1, 2))
+    for built, struct in [(certify_lower_bound_a(1, 2), base)] + _both_families():
         levels = {name: rel for name, rel in struct.relations.items() if rel.arity > 1}
         assert check_certificate(built, Structure(struct.domain, levels)).ok
     levels = {name: rel for name, rel in base.relations.items() if rel.arity > 1}
     assert decide_nu(Structure(base.domain, levels), 4).verdict == "unsat"
 
 
-def test_check_reads_unary_relations_only_when_the_derivation_needs_them(monkeypatch):
-    # conservativity only narrows facts: the builder's certificates empty
-    # the last fact without it, so their checks build no unary relation,
-    # and a derivation that leaves it nonempty is replayed with it
+def test_unary_application_outside_its_relation_is_a_membership_fault():
+    # U4 = {1} misses the value a of the columns (a)
+    assert check_certificate(_q_ladder(_unary_application("U4")), _q_structure()).faults == (
+        "step 0: column (0,) is not in U4",
+        "the fact of the last schedule row is not empty",
+    )
+
+
+def test_check_builds_only_the_unary_relations_its_applications_name(monkeypatch):
+    # the checker reads relations by name: a check builds the unary
+    # relations that its certificate's applications target, and no other
     read = []
     build = structures.unary_relation
 
@@ -401,8 +432,9 @@ def test_check_reads_unary_relations_only_when_the_derivation_needs_them(monkeyp
     assert check_certificate(cut, struct).faults == (
         "the fact of the last schedule row is not empty",
     )
-    # the support of every schedule row and of the base's premises
-    assert sorted(set(read)) == [0b0001, 0b0011, 0b0101, 0b0111, 0b1001]
+    assert read == []
+    assert check_certificate(_q_ladder(_unary_application("U5")), _q_structure()).ok
+    assert read == [0b101]
 
 
 def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
