@@ -3,17 +3,18 @@
 Subcommands: gen, ppcheck, witness, decide, trace, bounds.  All output is
 JSON on stdout; identical invocations (including seeds) produce identical
 bytes.  Exit codes: 0 ok / sat, 1 violation / unsat / failed identity,
-2 usage error, 3 budget exceeded or unknown verdict, 141 (128 + SIGPIPE)
-stdout closed by its reader before all output was written, with nothing on
-stderr.  The environment variable POLYCLONE_BUDGET sets the default of
-exactly two flags, `witness --budget` and `decide --matrix-budget`; an
-explicit flag wins over it.  `witness --budget` caps the multisets of an
-exact scan, and in `--mode sampled` the trials times the relations, which
-is checked before any sample is drawn.  A negative budget, cap or node
-limit is a usage error, and so is a negative `witness --mode sampled --seed`:
-`random.Random` seeds with the absolute value, so seed -5 would draw the
-samples of seed 5 under another name.  `decide --pin nu --k` below 3 is a
-usage error too: no NU operation has arity below 3.
+2 usage error, 3 budget exceeded (a bound of over 4,300 digits too) or
+unknown verdict, 141 (128 + SIGPIPE) stdout closed by its reader before
+all output was written, with nothing on stderr.  The environment variable
+POLYCLONE_BUDGET sets the default of exactly two flags, `witness --budget`
+and `decide --matrix-budget`; an explicit flag wins over it.
+`witness --budget` caps the multisets of an exact scan, and in `--mode
+sampled` the trials times the relations, which is checked before any
+sample is drawn.  A negative budget, cap or node limit is a usage error,
+and so is a negative `witness --mode sampled --seed`: `random.Random`
+seeds with the absolute value, so seed -5 would draw the samples of seed 5
+under another name.  `decide --pin nu --k` below 3 is a usage error too:
+no NU operation has arity below 3.
 """
 
 from __future__ import annotations
@@ -173,6 +174,10 @@ def cmd_trace(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    # by default the interpreter writes no int of more than 4,300 digits: a
+    # longer bound is told from its exponents and never computed
+    if not structures.bounds_fit(args.universe, args.max_arity, 4300):
+        raise BudgetExceededError("a bound has more than 4300 decimal digits")
     vals = structures.bounds(args.universe, args.max_arity)
     _emit(
         {
@@ -196,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_family(p, need_m):
         p.add_argument("family", choices=["A", "B"])
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, default=None, help="required for family A" if need_m else None)
+        if need_m:
+            p.add_argument("--m", type=int, default=None, help="required for family A")
 
     p = sub.add_parser("gen", help="emit a structure as JSON")
     add_family(p, True)

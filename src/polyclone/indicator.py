@@ -279,14 +279,15 @@ def build_indicator(
     full = (1 << d) - 1
     domains = [full] * nvars
 
-    # unary relations become per-variable domain restrictions
+    # one read of each relation: a unary one becomes a per-variable domain
+    # restriction, a nonempty wider one a block of constraints
     unary_masks = []
+    constrained = []
     for rel in structure.relations.values():
         if rel.arity == 1:
-            mask = 0
-            for (e,) in rel.tuples:
-                mask |= 1 << e
-            unary_masks.append(mask)
+            unary_masks.append(sum(1 << e for (e,) in rel.tuples))
+        elif len(rel):
+            constrained.append(rel)
     for code in range(nvars):
         coords = 0
         c = code
@@ -312,9 +313,7 @@ def build_indicator(
     groups = []
     con_group = array("i")
     scopes = array("l")
-    for rel in structure.relations.values():
-        if rel.arity < 2 or not len(rel):
-            continue
+    for rel in constrained:
         count = len(rel) ** k
         if count > matrix_budget:
             raise BudgetExceededError(

@@ -18,19 +18,20 @@ level relations define the congruence that merges everything below a level
 into one block; `chain_matches_congruence_*` verify those identities.
 
 The unary relations are named U<mask> by their characteristic bitmask and
-follow the level relations, ordered by mask.  They are built on first read:
-a structure holds them as a read-only mapping that builds U<mask> when that
-name is read, through one bounded cache keyed by (domain size, mask), so a
-structure on d elements holds its level relations and not 2^d - 1 unary
-ones.
+follow the level relations, ordered by mask.  They are built on read: a
+structure holds them as a read-only mapping that builds U<mask> each time
+that name is read, so a structure on d elements holds its level relations
+and not 2^d - 1 unary ones.  Nothing here is cached: every command reads
+each relation of its structure at most once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
 
 from .relations import (
     Domain,
@@ -94,20 +95,6 @@ def level_b(t: int) -> int:
     return t + 2
 
 
-# level relations kept per process, keyed by (spec, level): a structure
-# build reads its 2(n+1) or fewer level relations once each (family B has
-# the most), so the cache holds all of one structure's up to n = 31, far
-# past any ladder that can be certified (it has 2^n rows)
-_LEVEL_CACHE_SIZE = 64
-
-# unary relations kept per process, keyed by (domain size, mask): a command
-# may read thousands (gen reads all 2^d - 1), so only the last few hundred
-# read are kept, which covers every unary relation of a structure on up to
-# 8 elements
-_UNARY_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def gen_s(spec: SpecA, i: int) -> Relation:
     """The (m+1)-ary level relation S_i of family A."""
     if not 0 <= i <= spec.n:
@@ -121,7 +108,6 @@ def gen_s(spec: SpecA, i: int) -> Relation:
     return Relation(spec.m + 1, spec.domain_size, tuples)
 
 
-@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def gen_r(spec: SpecA, i: int) -> Relation:
     """The binary level relation R_i, also the 2-coordinate projection of S_i."""
     if not 0 <= i <= spec.n:
@@ -147,18 +133,13 @@ def chain_congruence_a(spec: SpecA, i: int) -> Relation:
     if not 1 <= i <= spec.n:
         raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
     rels = [gen_r(spec, t) for t in range(i)]
-    layers = [converse(r) for r in rels] + list(reversed(rels))
-    out = layers[0]
-    for layer in layers[1:]:
-        out = compose(out, layer)
-    return out
+    return reduce(compose, [converse(r) for r in rels] + rels[::-1])
 
 
 def chain_matches_congruence_a(spec: SpecA, i: int) -> bool:
     return chain_congruence_a(spec, i) == congruence_a(spec, i)
 
 
-@lru_cache(maxsize=_UNARY_CACHE_SIZE)
 def unary_relation(domain_size: int, mask: int) -> Relation:
     """The unary relation U<mask>: the elements whose bit is set in `mask`."""
     return Relation(1, domain_size, [(e,) for e in range(domain_size) if mask >> e & 1])
@@ -166,7 +147,7 @@ def unary_relation(domain_size: int, mask: int) -> Relation:
 
 class UnaryRelations(Mapping):
     """Every nonempty unary relation over 0..domain_size-1, named U<mask> and
-    ordered by mask; U<mask> is built when its name is read."""
+    ordered by mask; U<mask> is built each time its name is read."""
 
     __slots__ = ("domain_size", "_longest")
 
@@ -206,7 +187,6 @@ def structure_a(spec: SpecA) -> Structure:
     return Structure(domain_a(spec.n), rels, UnaryRelations(spec.domain_size))
 
 
-@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def gen_r_b(spec: SpecB, i: int, j: int) -> Relation:
     """The binary level relation R_i^j of family B.
 
@@ -252,10 +232,7 @@ def chain_congruence_b(spec: SpecB, i: int, j_pattern=None) -> Relation:
         raise ValueError(f"j pattern must have length {2 * i}")
     layers = [converse(gen_r_b(spec, t, j_pattern[t])) for t in range(i)]
     layers.extend(gen_r_b(spec, t, j_pattern[2 * i - 1 - t]) for t in reversed(range(i)))
-    out = layers[0]
-    for layer in layers[1:]:
-        out = compose(out, layer)
-    return out
+    return reduce(compose, layers)
 
 
 def chain_matches_congruence_b(spec: SpecB, i: int, j_pattern=None) -> bool:
@@ -274,31 +251,43 @@ def structure_b(spec: SpecB) -> Structure:
 # Arity bound formulas
 # ---------------------------------------------------------------------------
 
-def upper_bound(universe: int, max_arity: int) -> int:
-    """Largest arity that ever needs to be searched: (2m-2)^(3^n)/2 + 1."""
+def _upper_power(universe: int, max_arity: int) -> tuple[int, int, int]:
+    """(base, root, height) of the upper bound's power base**root**height."""
     if universe < 2:
         raise ValueError("upper bound requires universe size at least 2")
     if max_arity < 2:
         raise ValueError("upper bound requires maximum arity at least 2")
-    return (2 * max_arity - 2) ** (3**universe) // 2 + 1
+    return 2 * max_arity - 2, 3, universe
 
 
-def lower_bound(universe: int, max_arity: int) -> int:
-    """Arity below which the extremal structures admit no near-unanimity
-    polymorphism: (m-1)^(2^(n-2)) for m >= 3, 2^(2^(n-3)) for m = 2."""
+def _lower_power(universe: int, max_arity: int) -> tuple[int, int, int]:
+    """(base, root, height) of the lower bound, base**root**height."""
     if max_arity >= 3:
         if universe < 2:
             raise ValueError(
                 "lower bound with maximum arity >= 3 requires universe size at least 2"
             )
-        return (max_arity - 1) ** (2 ** (universe - 2))
+        return max_arity - 1, 2, universe - 2
     if max_arity == 2:
         if universe < 3:
             raise ValueError(
                 "lower bound with maximum arity 2 requires universe size at least 3"
             )
-        return 2 ** (2 ** (universe - 3))
+        return 2, 2, universe - 3
     raise ValueError("lower bound requires maximum arity at least 2")
+
+
+def upper_bound(universe: int, max_arity: int) -> int:
+    """Largest arity that ever needs to be searched: (2m-2)^(3^n)/2 + 1."""
+    base, root, height = _upper_power(universe, max_arity)
+    return base ** root**height // 2 + 1
+
+
+def lower_bound(universe: int, max_arity: int) -> int:
+    """Arity below which the extremal structures admit no near-unanimity
+    polymorphism: (m-1)^(2^(n-2)) for m >= 3, 2^(2^(n-3)) for m = 2."""
+    base, root, height = _lower_power(universe, max_arity)
+    return base ** root**height
 
 
 def bounds(universe: int, max_arity: int) -> dict:
@@ -306,3 +295,15 @@ def bounds(universe: int, max_arity: int) -> dict:
         "upper": upper_bound(universe, max_arity),
         "lower": lower_bound(universe, max_arity),
     }
+
+
+def bounds_fit(universe: int, max_arity: int, digits: int) -> bool:
+    """Whether both bounds have at most `digits` decimal digits, told from
+    the logarithm of each power (every base and root is at least 2), which
+    is computed only within one digit of the limit; raises as `bounds` does."""
+    powers = _upper_power(universe, max_arity), _lower_power(universe, max_arity)
+    for (base, root, height), bound in zip(powers, (upper_bound, lower_bound)):
+        log = root**height * math.log10(base) if height <= 64 else math.inf
+        if log > digits + 1 or (log > digits - 1 and bound(universe, max_arity) >= 10**digits):
+            return False
+    return True

@@ -39,7 +39,9 @@ in U tallying to w, so a certificate that needs f(x) in U states it as one
 more application in the step whose conclusion it narrows.  The base holds
 one application per bottom id, so it cannot state one for F(v_0).  The
 checker reads relations by name only: the level relations and each
-application's target.
+application's target.  It derives its own level relations, their premise
+patterns and congruence-chain blocks once per parameters (`_ck_levels`),
+and the patterns of any other target once per check.
 
 A certificate is accepted iff every local check passes and the fact of the
 last schedule row is empty.  The local checks: the ladder has 2**n rows,
@@ -74,7 +76,7 @@ import copy
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from json.encoder import encode_basestring_ascii as _quote
 
 from .relations import Relation, Structure, blocks, compose, converse, tally_rows
@@ -615,61 +617,11 @@ class CheckReport:
         return self.ok
 
 
-# parse references of JSON checks kept per process: each holds a whole
-# ladder, so only the last few parameter sets checked are kept
+# parse references and level data kept per process, keyed by (family, n,
+# m): a reference holds a whole ladder, so only the last few are kept
 _CK_CACHE_SIZE = 4
 
-# the checker's level relations, congruence blocks and premise-pattern
-# tables kept per process: one check needs at most 2(n+1) of each, and no
-# ladder past n = 30 can be built
-_CK_LEVEL_CACHE_SIZE = 64
 
-
-@lru_cache(maxsize=_CK_LEVEL_CACHE_SIZE)
-def _ck_rel_s(n: int, m: int, i: int) -> Relation:
-    lv = i + 1
-    tups = set()
-    for x in range(i + 1):
-        for rest in itertools.product((0, lv), repeat=m):
-            tups.add((x,) + rest)
-    tups.discard((0,) + (lv,) * m)
-    for u in range(i + 1, n + 1):
-        tups.add((u + 1,) * (m + 1))
-    return Relation(m + 1, n + 2, tups)
-
-
-@lru_cache(maxsize=_CK_LEVEL_CACHE_SIZE)
-def _ck_rel_b(n: int, i: int, j: int) -> Relation:
-    lv = i + 2
-    pairs = set()
-    for x in range(i + 2):
-        for y in (0, 1, lv):
-            pairs.add((x, y))
-    pairs.discard((j - 1, lv))
-    for u in range(i + 1, n + 1):
-        pairs.add((u + 2, u + 2))
-    return Relation(2, n + 3, pairs)
-
-
-@lru_cache(maxsize=_CK_LEVEL_CACHE_SIZE)
-def _ck_chain_blocks(family: str, n: int, level: int):
-    """Blocks of the composed converse/forward ladder up to `level`."""
-    if family == "A":
-        rails = []
-        for t in range(level):
-            pairs = {(x, y) for x in range(t + 1) for y in (0, t + 1)}
-            pairs.update((u + 1, u + 1) for u in range(t + 1, n + 1))
-            rails.append(Relation(2, n + 2, pairs))
-    else:
-        rails = [_ck_rel_b(n, t, 1) for t in range(level)]
-    layers = [converse(r) for r in rails] + rails[::-1]
-    out = layers[0]
-    for lay in layers[1:]:
-        out = compose(out, lay)
-    return blocks(out)
-
-
-@lru_cache(maxsize=_CK_LEVEL_CACHE_SIZE)
 def _ck_patterns(rel: Relation) -> tuple[tuple[int, int], ...]:
     """Pairs (the values of t[1:], the t[0] of those tuples t) over the
     tuples t of `rel`, both as bitmasks over the domain."""
@@ -680,6 +632,39 @@ def _ck_patterns(rel: Relation) -> tuple[tuple[int, int], ...]:
             rest |= 1 << x
         by_rest[rest] = by_rest.get(rest, 0) | 1 << t[0]
     return tuple(by_rest.items())
+
+
+@lru_cache(maxsize=_CK_CACHE_SIZE)
+def _ck_levels(family: str, n: int, m: int) -> tuple[dict, tuple]:
+    """The checker's own level data of in-range parameters: its level
+    relations by name, each paired with its premise patterns, and the
+    blocks of the composed converse/forward ladder up to level t at index
+    t - 1, for the levels 1..n."""
+    rels = {}
+    if family == "A":
+        for i in range(n + 1):
+            lv = i + 1
+            rests = list(itertools.product((0, lv), repeat=m))
+            tups = {(x,) + rest for x in range(lv) for rest in rests}
+            tups.discard((0,) + (lv,) * m)
+            tups.update((u + 1,) * (m + 1) for u in range(lv, n + 1))
+            rels[f"S{i}"] = Relation(m + 1, n + 2, tups)
+        # as m >= 2, the rail of level t is S_t on its first two coordinates
+        rails = [Relation(2, n + 2, {t[:2] for t in rels[f"S{t}"]}) for t in range(n)]
+    else:
+        for i in range(n + 1):
+            lv = i + 2
+            for j in (1, 2):
+                pairs = {(x, y) for x in range(lv) for y in (0, 1, lv)}
+                pairs.discard((j - 1, lv))
+                pairs.update((u + 2, u + 2) for u in range(i + 1, n + 1))
+                rels[f"R{i}^{j}"] = Relation(2, n + 3, pairs)
+        rails = [rels[f"R{t}^1"] for t in range(n)]
+    chain = tuple(
+        blocks(reduce(compose, [converse(r) for r in rails[:t]] + rails[t - 1 :: -1]))
+        for t in range(1, n + 1)
+    )
+    return {name: (rel, _ck_patterns(rel)) for name, rel in rels.items()}, chain
 
 
 def _ck_parameters(family: str, n: int, m: int) -> None:
@@ -714,25 +699,24 @@ def _ck_claim(family: str, n: int, m: int, structure: Structure) -> CheckReport 
 def _ck_structure_faults(family: str, n: int, m: int, structure: Structure) -> list[str]:
     """One fault per level relation of the structure that differs from the
     relation the (in-range, domain-matching) parameters define."""
-    faults = []
     if family == "A":
-        for i in range(n + 1):
-            rel = structure.relations.get(f"S{i}")
-            # the size test keeps a claimed m from building a relation
-            # of (i+1)*2**m tuples that the structure cannot match
-            if (
-                rel is None
-                or rel.arity != m + 1
-                or len(rel) != (i + 1) * 2**m - 1 + (n - i)
-                or rel != _ck_rel_s(n, m, i)
-            ):
-                faults.append(f"structure relation S{i} does not match the parameters")
+        # the size test keeps a claimed m from building relations of
+        # (i+1)*2**m tuples that the structure cannot match
+        shapes = {f"S{i}": (m + 1, (i + 1) * 2**m - 1 + (n - i)) for i in range(n + 1)}
     else:
-        for i in range(n + 1):
-            for j in (1, 2):
-                rel = structure.relations.get(f"R{i}^{j}")
-                if rel is None or rel.arity != 2 or rel != _ck_rel_b(n, i, j):
-                    faults.append(f"structure relation R{i}^{j} does not match the parameters")
+        shapes = {
+            f"R{i}^{j}": (2, 3 * (i + 2) - 1 + (n - i)) for i in range(n + 1) for j in (1, 2)
+        }
+    faults = []
+    for name, (arity, size) in shapes.items():
+        rel = structure.relations.get(name)
+        if (
+            rel is None
+            or rel.arity != arity
+            or len(rel) != size
+            or rel != _ck_levels(family, n, m)[0][name][0]
+        ):
+            faults.append(f"structure relation {name} does not match the parameters")
     return faults
 
 
@@ -763,6 +747,8 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
     size = structure.domain.size
     bits = [1 << e for e in range(size)]
     facts: dict = {}  # count vector -> the values an NU operation may take on it
+    levels, chain = _ck_levels(cert.family, n, m)
+    others: dict = {}  # a target that is no level relation -> (relation, patterns)
 
     def fact(w) -> int:
         f = facts.get(w)
@@ -776,10 +762,15 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
 
     def apply(app: Application, conclusion, premise, where: str) -> None:
         target = app.target
-        rel = structure.relations.get(target)
-        if rel is None:
-            faults.append(f"{where}: structure has no relation {target!r}")
-            return
+        # the structure's level relations equal the checker's own
+        read = levels.get(target) or others.get(target)
+        if read is None:
+            rel = structure.relations.get(target)
+            if rel is None:
+                faults.append(f"{where}: structure has no relation {target!r}")
+                return
+            read = others[target] = (rel, _ck_patterns(rel))
+        rel, patterns = read
         columns = [(b.column, b.count) for b in app.columns]
         before = len(faults)
         for column, count in columns:
@@ -800,7 +791,7 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
         # entries lie in the premise's fact
         outside = ~fact(premise)
         allowed = 0
-        for rest, firsts in _ck_patterns(rel):
+        for rest, firsts in patterns:
             if not rest & outside:
                 allowed |= firsts
         facts[conclusion] = fact(conclusion) & allowed
@@ -831,7 +822,7 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
             faults.append(f"{where}: conclusion prefix sum deviates from the schedule")
         if step.congruence_level != i + 1:
             faults.append(f"{where}: congruence level is not pivot + 1")
-        if step.congruence_blocks != _ck_chain_blocks(cert.family, n, i + 1):
+        if step.congruence_blocks != chain[i]:
             faults.append(f"{where}: congruence blocks deviate from the ladder")
         doubled = None if lo == 1 else sum(v[:lo])
         if step.doubled != doubled:

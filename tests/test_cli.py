@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import polyclone
-from polyclone import cli, compat, trace
+from polyclone import cli, compat, structures, trace
 from polyclone.cli import main
 from polyclone.relations import Relation
 from polyclone.structures import SpecA, SpecB, structure_a, structure_b
@@ -204,6 +204,69 @@ def test_bounds(capsys):
     assert obj["upper"] == str(6**9 // 2 + 1) and obj["lower"] == "3"
     code, _, err = run(capsys, "bounds", "2", "2")
     assert code == 2 and "universe" in err
+
+
+def test_bounds_past_the_digit_limit_exit_as_a_budget(capsys, monkeypatch):
+    # bounds 8 3 has a 3,950-digit upper bound and is written; bounds 9 3
+    # would have 11,850 digits, past what the interpreter converts to a string
+    code, out, _ = run(capsys, "bounds", "8", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "162ebd845e257679ae8fabc3776ff4e3ab154ce6711f727d9e7ca8b95e5e983c"
+    )
+    for argv in (["9", "3"], ["8", "5"], ["12", "2"]):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 3 and out == "" and err.count("\n") == 1 and "digits" in err
+    # at the limit: halving a power of 4,301 digits leaves 4,300, or not
+    code, out, _ = run(capsys, "bounds", "6", "396164")
+    assert code == 0 and len(json.loads(out)["upper"]) == 4300
+    code, out, _ = run(capsys, "bounds", "6", "396165")
+    assert code == 3 and out == ""
+
+    def refuse(*args):
+        raise AssertionError(f"a bound was computed for {args}")
+
+    # told from the exponents alone, before any power is computed
+    monkeypatch.setattr(structures, "upper_bound", refuse)
+    monkeypatch.setattr(structures, "lower_bound", refuse)
+    code, out, err = run(capsys, "bounds", "64", "3")
+    assert code == 3 and out == "" and "digits" in err
+    # a hypothesis error is still a usage error
+    code, _, err = run(capsys, "bounds", "1", "10" * 2000)
+    assert code == 2 and "universe" in err
+
+
+def test_ppcheck_takes_no_m(capsys):
+    # the congruence ladder does not depend on m, so ppcheck has no --m
+    with pytest.raises(SystemExit) as exc:
+        main(["ppcheck", "A", "--n", "3", "--m", "7", "--i", "2"])
+    assert exc.value.code == 2
+
+
+def test_commands_build_no_relation_twice(capsys, monkeypatch):
+    # no command reads a relation of its structure twice, so the
+    # generators need no cache
+    calls = {}
+    for name in ("gen_s", "gen_r_b", "unary_relation"):
+        def counting(*args, build=getattr(structures, name), name=name):
+            calls[(name, args)] = calls.get((name, args), 0) + 1
+            return build(*args)
+
+        monkeypatch.setattr(structures, name, counting)
+    commands = [
+        ["witness", "A", "--n", "1", "--m", "2"],
+        ["decide", "B", "--n", "1", "--k", "4"],
+        ["trace", "A", "--n", "3", "--m", "3"],
+        ["gen", "B", "--n", "1"],
+    ]
+    seen = set()
+    for argv in commands:
+        calls.clear()
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        assert calls and max(calls.values()) == 1, argv
+        seen.update(name for name, _ in calls)
+    assert seen == {"gen_s", "gen_r_b", "unary_relation"}
 
 
 def test_outputs_are_reproducible(capsys):

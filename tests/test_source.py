@@ -256,3 +256,56 @@ def test_unbounded_cache_scan_sees_caches(tmp_path):
     (tmp_path / "b.py").write_text("cache = {}\ndef f(x): return cache.get(x)\n")
     assert unbounded_caches(tmp_path) == ["a.py:3", "a.py:5", "a.py:7", "a.py:9", "a.py:15",
                                           "a.py:17"]
+
+
+def cached_functions(src_dir: Path) -> list[str]:
+    """Every cached function in the modules of src_dir, bounded or not, as
+    "file:name": one decorated with `lru_cache`, `cache` or `cached_property`,
+    bare or called, or a name bound to a function wrapped by one of them."""
+    found = []
+    caching = ("lru_cache", "cache", "cached_property")
+
+    def name(node) -> str | None:
+        if isinstance(node, ast.Call):
+            node = node.func
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    for path in sorted(src_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(name(d) in caching for d in node.decorator_list):
+                    found.append(f"{path.name}:{node.name}")
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                  and name(node.value.func) in caching):
+                found += [f"{path.name}:{t.id}" for t in node.targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+def test_only_the_checker_caches():
+    # every other build runs at most once per command, so a new cache must
+    # show traffic that repeats, and join this list
+    assert cached_functions(SRC) == ["trace.py:_ck_accepted", "trace.py:_ck_levels"]
+
+
+def test_cached_function_scan_sees_caches(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import functools\n"
+        "from functools import cache, cached_property, lru_cache\n"
+        "@lru_cache\n"
+        "def bare(): pass\n"
+        "@functools.cache\n"
+        "def whole(): pass\n"
+        "@lru_cache(maxsize=64)\n"
+        "def bounded(): pass\n"
+        "wrapped = lru_cache(maxsize=None)(len)\n"
+        "class Keeper:\n"
+        "    @functools.lru_cache(4)\n"
+        "    def method(self): pass\n"
+        "    @cached_property\n"
+        "    def kept(self): pass\n"
+        "def plain(): pass\n"
+        "cache = {}\n"
+        "held = cache.get(1)\n"
+    )
+    assert cached_functions(tmp_path) == ["a.py:bare", "a.py:bounded", "a.py:kept",
+                                          "a.py:method", "a.py:whole", "a.py:wrapped"]

@@ -298,9 +298,9 @@ def test_unary_relations_miss_as_a_dict_does(spec):
         lazy["U1"] = eager["U1"]
 
 
-def test_trace_builds_no_more_unary_relations_than_the_cache_keeps(capsys, monkeypatch):
+def test_trace_builds_no_unary_relation(capsys, monkeypatch):
     # A(10,3) has 4,095 unary relations; the structure builds one only when
-    # its name is read, and the trace reads few
+    # its name is read, and neither the builder nor the checker reads one
     built = []
     init = Relation.__init__
 
@@ -311,4 +311,4 @@ def test_trace_builds_no_more_unary_relations_than_the_cache_keeps(capsys, monke
     monkeypatch.setattr(Relation, "__init__", counting)
     assert main(["trace", "A", "--n", "10", "--m", "3"]) == 0
     assert '"checked": true' in capsys.readouterr().out
-    assert built.count(1) <= structures._UNARY_CACHE_SIZE
+    assert 1 not in built and built

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -10,9 +11,6 @@ from polyclone.structures import (
     SpecA,
     SpecB,
     UnaryRelations,
-    chain_matches_congruence_a,
-    gen_r,
-    gen_r_b,
     gen_s,
     structure_a,
     structure_b,
@@ -447,8 +445,7 @@ def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
         derived.append(args)
         raise AssertionError(f"derivation started for {args}")
 
-    monkeypatch.setattr(trace, "_ck_chain_blocks", refuse)
-    monkeypatch.setattr(trace, "_ck_rel_s", refuse)
+    monkeypatch.setattr(trace, "_ck_levels", refuse)
     cert = certify_lower_bound_a(1, 2)
     obj = certificate_to_json(cert)
     domain = structure_a(SpecA(1, 2)).domain
@@ -475,28 +472,51 @@ def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
     assert derived == []
 
 
+def test_check_rejects_level_relations_of_the_right_shape_that_differ():
+    # the replay reads a level target's premise patterns off the checker's
+    # own relation, which is sound only once the structure's relation equals it
+    for cert, struct in _both_families():
+        for name, rel in struct.relations.items():
+            if rel.arity == 1:
+                continue
+            outside = next(
+                t for t in itertools.product(range(rel.domain_size), repeat=rel.arity)
+                if t not in rel
+            )
+            swapped = Relation(rel.arity, rel.domain_size, rel.tuples[1:] + (outside,))
+            levels = {k: swapped if k == name else r
+                      for k, r in struct.relations.items() if r.arity > 1}
+            changed = Structure(struct.domain, levels, UnaryRelations(struct.domain.size))
+            assert check_certificate(cert, changed).faults == (
+                f"structure relation {name} does not match the parameters",
+            )
+
+
 def test_checker_caches_are_bounded():
-    assert trace._ck_accepted.cache_info().maxsize == trace._CK_CACHE_SIZE
+    # both caches are keyed by the parameters and bounded by one constant
+    caches = (trace._ck_accepted, trace._ck_levels)
     assert 0 < trace._CK_CACHE_SIZE <= 8
-    # the level caches are bounded too, yet hold every entry one structure
-    # build or one certificate check needs: up to 2(n+1) for B(n), and
-    # A(12,2) has 13 levels
-    level_caches = (
-        gen_s, gen_r, gen_r_b, trace._ck_rel_s, trace._ck_rel_b, trace._ck_chain_blocks
-    )
-    for cache in level_caches:
-        assert 2 * (12 + 1) <= cache.cache_info().maxsize <= 256
+    for cache in caches:
+        assert cache.cache_info().maxsize == trace._CK_CACHE_SIZE
         cache.cache_clear()
-    structure_a(SpecA(12, 2))
-    chain_matches_congruence_a(SpecA(12, 2), 12)
-    for cert, struct in [
+    cases = [
         (certify_lower_bound_b(10), structure_b(SpecB(10))),
         (certify_lower_bound_a(10, 3), structure_a(SpecA(10, 3))),
-    ]:
+    ]
+    for cert, struct in cases:
         assert check_certificate(cert, struct).ok
-    for cache in level_caches:
-        info = cache.cache_info()
-        assert info.misses == info.currsize > 0, cache  # nothing was evicted
+    assert trace._ck_levels.cache_info().misses == 2
+    # a repeat check of the same parameters reuses their level data
+    hits = trace._ck_levels.cache_info().hits
+    assert check_certificate(*cases[0]).ok
+    info = trace._ck_levels.cache_info()
+    assert info.misses == 2 and info.hits > hits and info.currsize == 2
+    cert, struct = cases[1]
+    obj = certificate_to_json(cert)
+    for _ in range(2):
+        assert check_certificate_json(obj, struct).ok
+    info = trace._ck_accepted.cache_info()
+    assert info.misses == 1 and info.hits == 1
 
 
 def _leaves(node, path=()):
