@@ -3,11 +3,10 @@
 Subcommands: gen, ppcheck, witness, decide, trace, bounds.  All output is
 JSON on stdout; identical invocations (including seeds) produce identical
 bytes.  Exit codes: 0 ok / sat, 1 violation / unsat / failed identity,
-2 usage error, 3 budget exceeded (a bound of over 4,300 digits too) or
-unknown verdict, 141 (128 + SIGPIPE) stdout closed by its reader before
-all output was written, with nothing on stderr.  The environment variable
-POLYCLONE_BUDGET sets the default of exactly two flags, `witness --budget`
-and `decide --matrix-budget`; an explicit flag wins over it.
+2 usage error, 3 budget exceeded (a bound, or a trace or witness arity, of
+over 4,300 digits too) or unknown verdict, 141 (128 + SIGPIPE) stdout closed
+by its reader before all output was written, with nothing on stderr.  Every
+budget is a flag; no environment variable is read.  Family B refuses `--m`.
 `witness --budget` caps the multisets of an exact scan, and in `--mode
 sampled` the trials times the relations, which is checked before any
 sample is drawn.  A negative budget, cap or node limit is a usage error,
@@ -33,24 +32,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader gone early
 
-
-def _budget(flag: int | None, default: int) -> int:
-    """The flag if given, else POLYCLONE_BUDGET if set, else `default`.  A
-    negative budget is a usage error; zero is a budget."""
-    if flag is not None:
-        if flag < 0:
-            raise ValueError(f"budget must be nonnegative, got {flag}")
-        return flag
-    raw = os.environ.get("POLYCLONE_BUDGET")
-    if raw is None:
-        return default
-    try:
-        budget = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"POLYCLONE_BUDGET must be an integer, got {raw!r}") from exc
-    if budget < 0:
-        raise ValueError(f"POLYCLONE_BUDGET must be nonnegative, got {raw!r}")
-    return budget
+# by default the interpreter writes no int of more than 4,300 digits: a
+# longer number is told from its exponents and never computed
+MAX_DIGITS = 4300
 
 
 def _emit(obj) -> None:
@@ -58,14 +42,29 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _family_spec(family: str, n: int, m: int | None):
+    if family == "B":
+        if m is not None:
+            raise ValueError("family B takes no m")
+        return structures.SpecB(n)
+    if m is None:
+        raise ValueError("family A needs m")
+    return structures.SpecA(n, m)
+
+
 def _family_structure(family: str, n: int, m: int | None):
-    if family == "A":
-        if m is None:
-            raise ValueError("family A needs m")
-        spec = structures.SpecA(n, m)
-        return spec, structures.structure_a(spec)
-    spec = structures.SpecB(n)
-    return spec, structures.structure_b(spec)
+    spec = _family_spec(family, n, m)
+    return structures.structure_a(spec) if family == "A" else structures.structure_b(spec)
+
+
+def _refuse_long_arity(family: str, n: int, m: int | None) -> None:
+    """Stop, before anything is built, a family whose arity trace or witness
+    could not write in decimal: witness's m**2**n + 1 (m = 2 for family B)
+    is at least trace's m**2**n."""
+    _family_spec(family, n, m)
+    base = m if family == "A" else 2
+    if not structures.power_fits(base, 2, n, lambda: base ** 2**n + 1, MAX_DIGITS):
+        raise BudgetExceededError(f"the arity {base}**2**{n} has more than {MAX_DIGITS} digits")
 
 
 def cmd_gen(args) -> int:
@@ -75,7 +74,7 @@ def cmd_gen(args) -> int:
             "warning: (n=0, m=2) carries no lower-bound claim (the excluded arity is below 3)",
             file=sys.stderr,
         )
-    _, struct = _family_structure(fam, args.n, args.m)
+    struct = _family_structure(fam, args.n, args.m)
     obj = {"family": fam, "n": args.n}
     if fam == "A":
         obj["m"] = args.m
@@ -94,10 +93,12 @@ def cmd_ppcheck(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    fam = args.family
-    _, struct = _family_structure(fam, args.n, args.m)
+    fam, budget = args.family, args.budget
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    _refuse_long_arity(fam, args.n, args.m)
+    struct = _family_structure(fam, args.n, args.m)
     op = witness.witness_a(args.n, args.m) if fam == "A" else witness.witness_b(args.n)
-    budget = _budget(args.budget, compat.DEFAULT_MULTISET_BUDGET)
     count = len(struct.relations)
     if args.mode == "sampled" and args.trials * count > budget:
         raise BudgetExceededError(
@@ -130,14 +131,13 @@ def cmd_witness(args) -> int:
 
 def cmd_decide(args) -> int:
     fam = args.family
-    _, struct = _family_structure(fam, args.n, args.m)
-    budget = _budget(args.matrix_budget, indicator.DEFAULT_MATRIX_BUDGET)
+    struct = _family_structure(fam, args.n, args.m)
     report = indicator.decide_nu(
         struct,
         args.k,
         pin=args.pin,
         var_cap=args.var_cap,
-        matrix_budget=budget,
+        matrix_budget=args.matrix_budget,
         node_limit=args.node_limit,
     )
     obj = {
@@ -158,7 +158,8 @@ def cmd_decide(args) -> int:
 
 def cmd_trace(args) -> int:
     fam = args.family
-    _, struct = _family_structure(fam, args.n, args.m)
+    _refuse_long_arity(fam, args.n, args.m)
+    struct = _family_structure(fam, args.n, args.m)
     if fam == "A":
         cert = trace.certify_lower_bound_a(args.n, args.m)
     else:
@@ -174,10 +175,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    # by default the interpreter writes no int of more than 4,300 digits: a
-    # longer bound is told from its exponents and never computed
-    if not structures.bounds_fit(args.universe, args.max_arity, 4300):
-        raise BudgetExceededError("a bound has more than 4300 decimal digits")
+    if not structures.bounds_fit(args.universe, args.max_arity, MAX_DIGITS):
+        raise BudgetExceededError(f"a bound has more than {MAX_DIGITS} decimal digits")
     vals = structures.bounds(args.universe, args.max_arity)
     _emit(
         {
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("family", choices=["A", "B"])
         p.add_argument("--n", type=int, required=True)
         if need_m:
-            p.add_argument("--m", type=int, default=None, help="required for family A")
+            p.add_argument("--m", type=int, default=None, help="family A only, and required there")
 
     p = sub.add_parser("gen", help="emit a structure as JSON")
     add_family(p, True)
@@ -218,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--trials", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=witness.DEFAULT_SEED)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=compat.DEFAULT_MULTISET_BUDGET,
+                   help="most multisets of an exact scan, or trials x relations (%(default)s)")
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("decide", help="search for a near-unanimity table of a given arity")
@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pin", choices=list(indicator.PIN_SETS), default="nu")
     p.add_argument("--node-limit", type=int, default=indicator.DEFAULT_NODE_LIMIT)
     p.add_argument("--var-cap", type=int, default=indicator.DEFAULT_VAR_CAP)
-    p.add_argument("--matrix-budget", type=int)
+    p.add_argument("--matrix-budget", type=int, default=indicator.DEFAULT_MATRIX_BUDGET,
+                   help="most column matrices of a relation (%(default)s)")
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("trace", help="build and re-check a lower-bound certificate")

@@ -52,7 +52,8 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import add
 
-from .relations import BudgetExceededError, OpTable, Relation, Structure, table_compatible
+from .relations import (DEFAULT_TABLE_BUDGET, BudgetExceededError, OpTable, Relation, Structure,
+                        table_compatible)
 
 DEFAULT_VAR_CAP = 2 * 10**4
 DEFAULT_MATRIX_BUDGET = 2 * 10**6
@@ -581,7 +582,7 @@ def decide_nu(
 
 
 def verify_witness_table(
-    table: OpTable, structure: Structure, budget: int = 10**7
+    table: OpTable, structure: Structure, budget: int = DEFAULT_TABLE_BUDGET
 ) -> bool:
     """Re-validate a search result using only the core relational machinery:
     the near-unanimity identities hold and every relation is preserved."""

@@ -297,13 +297,20 @@ def bounds(universe: int, max_arity: int) -> dict:
     }
 
 
+def power_fits(base: int, root: int, height: int, value, digits: int) -> bool:
+    """Whether value(), a number within a factor of ten of base**root**height
+    (base and root at least 2), has at most `digits` decimal digits: told
+    from the logarithm of the power, and value() is called only within one
+    digit of the limit."""
+    log = root**height * math.log10(base) if height <= 64 else math.inf
+    return log <= digits - 1 or (log <= digits + 1 and value() < 10**digits)
+
+
 def bounds_fit(universe: int, max_arity: int, digits: int) -> bool:
-    """Whether both bounds have at most `digits` decimal digits, told from
-    the logarithm of each power (every base and root is at least 2), which
-    is computed only within one digit of the limit; raises as `bounds` does."""
+    """Whether both bounds have at most `digits` decimal digits, told as
+    `power_fits` tells it; raises as `bounds` does."""
     powers = _upper_power(universe, max_arity), _lower_power(universe, max_arity)
-    for (base, root, height), bound in zip(powers, (upper_bound, lower_bound)):
-        log = root**height * math.log10(base) if height <= 64 else math.inf
-        if log > digits + 1 or (log > digits - 1 and bound(universe, max_arity) >= 10**digits):
-            return False
-    return True
+    return all(
+        power_fits(*power, lambda bound=bound: bound(universe, max_arity), digits)
+        for power, bound in zip(powers, (upper_bound, lower_bound))
+    )

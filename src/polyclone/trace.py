@@ -110,19 +110,19 @@ def schedule_count(n: int, m: int, k: int, level) -> int:
     return m ** (prefix + step) * (m**step - 1)
 
 
-def _ladder_vector(spec: SpecA | SpecB, k: int) -> CountVector:
+def _ladder_row(spec: SpecA | SpecB, k: int) -> tuple[int, ...]:
     """The k-th count vector of a family's ladder: m**(k+1) split evenly over
     the bottom ids, then levels 0..n."""
     m, lo = _shape(spec)
     n = spec.n
     counts = [schedule_count(n, m, k, "a") // lo] * lo
     counts += [schedule_count(n, m, k, level) for level in range(n)]
-    return CountVector(counts + [0])
+    return (*counts, 0)
 
 
 def schedule_vector(n: int, m: int, k: int) -> CountVector:
     """The k-th count vector of family A's ladder, over {a, 0..n}."""
-    return _ladder_vector(SpecA(n, m), k)
+    return CountVector(_ladder_row(SpecA(n, m), k))
 
 
 @dataclass(frozen=True)
@@ -132,24 +132,22 @@ class Schedule:
     vectors: tuple[CountVector, ...]
 
 
-def _build_schedule(spec: SpecA | SpecB, seen: dict) -> Schedule:
-    """The ladder, with one int object per distinct count: the counts recur
-    down the ladder (A(12,2)'s 28,672 nonzero counts take 6,143 values).
-    `seen` maps each count to its one object, and a certificate interns its
-    other counts through it too."""
-    vectors = tuple(
-        CountVector([seen.setdefault(c, c) for c in _ladder_vector(spec, k).counts])
-        for k in range(2**spec.n)
+def _build_schedule(spec: SpecA | SpecB, seen: dict) -> tuple[tuple[int, ...], ...]:
+    """The ladder's rows, with one int object per distinct count: the counts
+    recur down the ladder (A(12,2)'s 28,672 nonzero counts take 6,143
+    values).  `seen` maps each count to its one object, and a certificate
+    interns its other counts through it too."""
+    return tuple(
+        tuple(seen.setdefault(c, c) for c in _ladder_row(spec, k)) for k in range(2**spec.n)
     )
-    return Schedule(spec.n, _shape(spec)[0], vectors)
 
 
 def build_schedule_a(n: int, m: int) -> Schedule:
-    return _build_schedule(SpecA(n, m), {})
+    return Schedule(n, m, tuple(map(CountVector, _build_schedule(SpecA(n, m), {}))))
 
 
 def build_schedule_b(n: int) -> Schedule:
-    return _build_schedule(SpecB(n), {})
+    return Schedule(n, 2, tuple(map(CountVector, _build_schedule(SpecB(n), {}))))
 
 
 def least_zero_bit(k: int) -> int:
@@ -157,31 +155,6 @@ def least_zero_bit(k: int) -> int:
     while (k >> i) & 1:
         i += 1
     return i
-
-
-def _pivot_report(spec: SpecA | SpecB, k: int, v_k: CountVector, v_k1: CountVector) -> dict:
-    """Pivot arithmetic of the transition k -> k+1 read off its two ladder
-    vectors, whose first `lo` entries form the bottom block and whose entry
-    lo + t counts level t."""
-    m, lo = _shape(spec)
-    i = least_zero_bit(k)
-    p = lo + i
-    power = m ** (k + 1 + 2**i)
-    pivot_count = v_k.counts[p]
-    below_succ = v_k.less(p + 1)
-    below_conc = v_k1.less(p)
-    report = {
-        "pivot": i,
-        "pivot_count": pivot_count,
-        "below_succ_premise": below_succ,
-        "below_pivot_conclusion": below_conc,
-        "a": not any(v_k.counts[lo:p]),
-        "b": pivot_count == m ** (k + 1) * (m ** (2**i) - 1) and below_succ == power,
-        "c": v_k1.counts[p] == 0 and v_k1.counts[p + 1 :] == v_k.counts[p + 1 :],
-        "d": below_conc == power,
-    }
-    report["ok"] = report["a"] and report["b"] and report["c"] and report["d"]
-    return report
 
 
 def pivot_identities(n: int, m: int, k: int) -> dict:
@@ -195,8 +168,25 @@ def pivot_identities(n: int, m: int, k: int) -> dict:
         raise ValueError(
             f"step {k} has no pivot (valid transitions are 0..{2 ** n - 2})"
         )
-    spec = SpecA(n, m)
-    return _pivot_report(spec, k, _ladder_vector(spec, k), _ladder_vector(spec, k + 1))
+    v_k, v_k1 = schedule_vector(n, m, k), schedule_vector(n, m, k + 1)
+    i = least_zero_bit(k)
+    p = 1 + i  # entry p counts level i, after the bottom element a
+    power = m ** (k + 1 + 2**i)
+    pivot_count = v_k.counts[p]
+    below_succ = v_k.less(p + 1)
+    below_conc = v_k1.less(p)
+    report = {
+        "pivot": i,
+        "pivot_count": pivot_count,
+        "below_succ_premise": below_succ,
+        "below_pivot_conclusion": below_conc,
+        "a": not any(v_k.counts[1:p]),
+        "b": pivot_count == m ** (k + 1) * (m ** (2**i) - 1) and below_succ == power,
+        "c": v_k1.counts[p] == 0 and v_k1.counts[p + 1 :] == v_k.counts[p + 1 :],
+        "d": below_conc == power,
+    }
+    report["ok"] = report["a"] and report["b"] and report["c"] and report["d"]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -285,34 +275,34 @@ def _applications(spec: SpecA | SpecB, i: int, premises, conclusion, seen: dict)
     return tuple(apps)
 
 
-def _certify_base(spec: SpecA | SpecB, v_0: CountVector, seen: dict) -> BaseCertificate:
-    """The near-unanimity identities at the top level force v_0: each
-    application's premise deviates once, at its own bottom id."""
+def _certify_base(spec: SpecA | SpecB, row: tuple[int, ...], seen: dict) -> BaseCertificate:
+    """The near-unanimity identities at the top level force ladder row 0:
+    each application's premise deviates once, at its own bottom id."""
     lo = _shape(spec)[1]
     premises = []
     for own in range(lo):
-        premise = [0] * len(v_0.counts)
+        premise = [0] * len(row)
         premise[own] = 1
-        premise[-1] = v_0.total - 1
+        premise[-1] = sum(row) - 1
         premises.append(premise)
-    return BaseCertificate(_applications(spec, spec.n, premises, v_0.counts, seen))
+    return BaseCertificate(_applications(spec, spec.n, premises, row, seen))
 
 
 def _certify_step(
-    spec: SpecA | SpecB, k: int, v_k: CountVector, v_k1: CountVector, levels: dict, seen: dict
+    spec: SpecA | SpecB, k: int, row: tuple, succ: tuple, levels: dict, seen: dict
 ) -> StepCertificate:
-    """Certify the transition v_k -> v_{k+1} of either family.
+    """Certify the transition from ladder row k to row k+1 of either family.
 
-    Every count comes from the two ladder vectors.  `levels` holds the
+    Every count is read off the two rows, whose first `lo` entries form the
+    bottom block and whose entry lo + t counts level t.  `levels` holds the
     congruence blocks of each level met so far in one certificate, and
     `seen` the one int object of each count met so far.
     """
     lo = _shape(spec)[1]
-    ident = _pivot_report(spec, k, v_k, v_k1)
-    i = ident["pivot"]
-    below_succ, below_conc = ident["below_succ_premise"], ident["below_pivot_conclusion"]
-    doubled = v_k.less(lo) if isinstance(spec, SpecB) else None
-    applications = _applications(spec, i, [v_k.counts] * lo, v_k1.counts, seen)
+    i = least_zero_bit(k)
+    below_succ, below_conc = sum(row[: lo + i + 1]), sum(succ[: lo + i])
+    doubled = sum(row[:lo]) if isinstance(spec, SpecB) else None
+    applications = _applications(spec, i, [row] * lo, succ, seen)
     if i + 1 not in levels:
         congruence = congruence_b if isinstance(spec, SpecB) else congruence_a
         levels[i + 1] = blocks(congruence(spec, i + 1))
@@ -320,7 +310,7 @@ def _certify_step(
         k=k,
         pivot=i,
         applications=applications,
-        pivot_count=ident["pivot_count"],
+        pivot_count=row[lo + i],
         below_succ_premise=seen.setdefault(below_succ, below_succ),
         below_pivot_conclusion=seen.setdefault(below_conc, below_conc),
         congruence_level=i + 1,
@@ -332,7 +322,7 @@ def _certify_step(
 def _certify(spec: SpecA | SpecB) -> TraceCertificate:
     m, lo = _shape(spec)
     seen: dict[int, int] = {}
-    ladder = _build_schedule(spec, seen).vectors
+    ladder = _build_schedule(spec, seen)
     levels: dict = {}
     steps = tuple(
         _certify_step(spec, k, ladder[k], ladder[k + 1], levels, seen)
@@ -343,7 +333,7 @@ def _certify(spec: SpecA | SpecB) -> TraceCertificate:
         n=spec.n,
         m=m,
         arity=m ** (2**spec.n),
-        schedule=tuple(v.counts for v in ladder),
+        schedule=ladder,
         base=_certify_base(spec, ladder[0], seen),
         steps=steps,
         terminal_support=tuple(range(lo)),

@@ -8,11 +8,10 @@ from pathlib import Path
 import pytest
 
 import polyclone
-from polyclone import cli, compat, structures, trace
+from polyclone import cli, compat, indicator, structures, trace, witness
 from polyclone.cli import main
 from polyclone.relations import Relation
 from polyclone.structures import SpecA, SpecB, structure_a, structure_b
-from polyclone.witness import CountVector
 
 
 def run(capsys, *argv):
@@ -243,6 +242,50 @@ def test_ppcheck_takes_no_m(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decide", "B", "--n", "0", "--m", "7", "--k", "3"),
+        ("trace", "B", "--n", "1", "--m", "40"),
+        ("gen", "B", "--n", "0", "--m", "9"),
+        ("witness", "B", "--n", "0", "--m", "5"),
+    ],
+)
+def test_family_b_takes_no_m(capsys, argv):
+    # family B has m = 2 built in: a given --m would be ignored, so it is refused
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "family B takes no m" in err
+
+
+class Built(Exception):
+    pass
+
+
+def test_arity_past_the_digit_limit_exits_as_a_budget(capsys, monkeypatch):
+    # trace and witness write the arity in decimal; one of more than 4,300
+    # digits is told from the exponent and stopped before anything is built
+    def refuse(*args):
+        raise Built(args)
+
+    for module, name in ((trace, "certify_lower_bound_a"), (trace, "certify_lower_bound_b"),
+                         (structures, "structure_a"), (structures, "structure_b"),
+                         (witness, "witness_a")):
+        monkeypatch.setattr(module, name, refuse)
+    edge = 10**4300 - 2  # witness A(0, edge) has arity 10**4300 - 1, of 4,300 digits
+    for command in ("trace", "witness"):
+        for family in (("A", "--n", "12", "--m", "12"), ("A", "--n", "33", "--m", "2"),
+                       ("B", "--n", "14")):
+            code, out, err = run(capsys, command, *family)
+            assert code == 3 and out == "" and err.count("\n") == 1 and "digits" in err
+        # A(13,3) has 3,909 digits: it gets as far as the builders
+        for family in (("A", "--n", "13", "--m", "2"), ("A", "--n", "13", "--m", "3"),
+                       ("B", "--n", "13"), ("A", "--n", "0", "--m", str(edge))):
+            with pytest.raises(Built):
+                main([command, *family])
+    code, out, err = run(capsys, "witness", "A", "--n", "0", "--m", str(edge + 1))
+    assert code == 3 and out == "" and "digits" in err
+
+
 def test_commands_build_no_relation_twice(capsys, monkeypatch):
     # no command reads a relation of its structure twice, so the
     # generators need no cache
@@ -388,13 +431,13 @@ def test_trace_reports_faults(capsys, monkeypatch):
 def test_trace_faulty_ladder_reaches_the_checker(capsys, monkeypatch):
     # the builder checks nothing: a wrong ladder is built, printed and
     # refused by the checker, not raised
-    real = trace._ladder_vector
+    real = trace._ladder_row
 
     def bumped(spec, k):
-        v = real(spec, k)
-        return CountVector((v.counts[0] + 1,) + v.counts[1:]) if k == 1 else v
+        row = real(spec, k)
+        return (row[0] + 1,) + row[1:] if k == 1 else row
 
-    monkeypatch.setattr(trace, "_ladder_vector", bumped)
+    monkeypatch.setattr(trace, "_ladder_row", bumped)
     code, out, err = run(capsys, "trace", "B", "--n", "2")
     assert code == 1 and err == ""
     obj = json.loads(out)
@@ -425,8 +468,8 @@ def test_decide_output_is_pinned(capsys, argv, digest):
 
 
 def test_sampled_witness_budget(capsys, monkeypatch):
-    # trials times relations (4 for A(0,3)) is checked against the budget,
-    # from the flag or the environment, before any sample is drawn
+    # trials times relations (4 for A(0,3)) is checked against the budget
+    # before any sample is drawn
     argv = ("witness", "A", "--n", "0", "--m", "3", "--mode", "sampled")
     code, out, _ = run(capsys, *argv, "--trials", "5", "--budget", "20")
     assert code == 0 and json.loads(out)["ok"] is True
@@ -442,14 +485,6 @@ def test_sampled_witness_budget(capsys, monkeypatch):
     # the default budget is 10**8
     code, out, err = run(capsys, *argv, "--trials", "25000001")
     assert code == 3 and out == "" and "exceed budget 100000000" in err
-    monkeypatch.setenv("POLYCLONE_BUDGET", "19")
-    code, out, err = run(capsys, *argv, "--trials", "5")
-    assert code == 3 and out == "" and "exceed budget 19" in err
-    # an explicit flag wins over the environment
-    monkeypatch.undo()
-    monkeypatch.setenv("POLYCLONE_BUDGET", "19")
-    code, out, _ = run(capsys, *argv, "--trials", "5", "--budget", "20")
-    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_unknown_subcommand_exits_two():
@@ -458,33 +493,26 @@ def test_unknown_subcommand_exits_two():
     assert exc.value.code == 2
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("POLYCLONE_BUDGET", "1")
-    code, _, err = run(capsys, "witness", "A", "--n", "0", "--m", "3", "--mode", "exact")
-    assert code == 3 and "budget" in err.lower()
-    # an explicit flag wins over the environment
-    code, _, _ = run(
-        capsys, "witness", "A", "--n", "0", "--m", "3", "--mode", "exact",
-        "--budget", "100000000",
-    )
+def test_budget_flags(capsys, monkeypatch):
+    # each budget is a flag whose default is the library's; zero is a budget
+    # that stops the scan, a negative one a usage error
+    witness_argv = ("witness", "A", "--n", "0", "--m", "3")
+    decide_argv = ("decide", "A", "--n", "0", "--m", "3", "--k", "3")
+    code, out, err = run(capsys, *witness_argv, "--budget", "1")
+    assert code == 3 and out == "" and "exceed budget 1;" in err
+    code, _, _ = run(capsys, *witness_argv, "--budget", "100000000")
     assert code == 0
-    # the variable also sets the default of decide --matrix-budget
-    monkeypatch.setenv("POLYCLONE_BUDGET", "10")
-    code, _, err = run(capsys, "decide", "A", "--n", "0", "--m", "3", "--k", "3")
-    assert code == 3 and "budget" in err.lower()
-    monkeypatch.setenv("POLYCLONE_BUDGET", "not-a-number")
-    code, _, err = run(capsys, "witness", "A", "--n", "0", "--m", "3")
-    assert code == 2
-    # a negative budget is a usage error, from the environment or a flag;
-    # zero is a budget that stops the scan
-    monkeypatch.setenv("POLYCLONE_BUDGET", "-1")
-    code, out, err = run(capsys, "witness", "A", "--n", "0", "--m", "3")
-    assert code == 2 and out == "" and "POLYCLONE_BUDGET must be nonnegative" in err
-    code, out, err = run(capsys, "decide", "A", "--n", "0", "--m", "3", "--k", "3")
-    assert code == 2 and out == "" and "POLYCLONE_BUDGET must be nonnegative" in err
-    monkeypatch.setenv("POLYCLONE_BUDGET", "0")
-    code, _, err = run(capsys, "witness", "A", "--n", "0", "--m", "3")
+    code, out, err = run(capsys, *decide_argv, "--matrix-budget", "10")
+    assert code == 3 and out == "" and "exceed budget 10" in err
+    code, _, err = run(capsys, *witness_argv, "--budget", "0")
     assert code == 3 and "budget 0" in err
-    monkeypatch.delenv("POLYCLONE_BUDGET")
-    code, out, err = run(capsys, "witness", "A", "--n", "0", "--m", "3", "--budget", "-1")
+    code, out, err = run(capsys, *witness_argv, "--budget", "-1")
     assert code == 2 and out == "" and "budget must be nonnegative" in err
+    args = cli.build_parser().parse_args(witness_argv)
+    assert args.budget == compat.DEFAULT_MULTISET_BUDGET
+    args = cli.build_parser().parse_args(decide_argv)
+    assert args.matrix_budget == indicator.DEFAULT_MATRIX_BUDGET
+    # no environment variable moves a default
+    monkeypatch.setenv("POLYCLONE_BUDGET", "1")
+    assert run(capsys, *witness_argv)[0] == 0
+    assert run(capsys, *decide_argv)[0] == 1

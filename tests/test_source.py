@@ -94,7 +94,7 @@ def test_foreign_import_scan_sees_imports(tmp_path):
 # prefixes of the builder's functions, which the certificate checker must
 # not name: it re-derives what it trusts, so a builder bug cannot vouch for
 # itself
-BUILDER_PREFIXES = ("_certify", "_applications", "_ladder_vector", "_pivot_report",
+BUILDER_PREFIXES = ("_certify", "_applications", "_ladder", "pivot_identities",
                     "schedule_count", "gen_", "congruence_", "chain_congruence_")
 
 
@@ -309,3 +309,43 @@ def test_cached_function_scan_sees_caches(tmp_path):
     )
     assert cached_functions(tmp_path) == ["a.py:bare", "a.py:bounded", "a.py:kept",
                                           "a.py:method", "a.py:whole", "a.py:wrapped"]
+
+
+ENVIRONMENT_NAMES = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(src_dir: Path) -> list[str]:
+    """The places, as "file:line", where a module of src_dir reads the
+    environment: an attribute named `environ` or `getenv` (as in
+    `os.environ`), or one of them imported from `os`."""
+    found = []
+    for path in sorted(src_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr in ENVIRONMENT_NAMES
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                hit = any(alias.name in ENVIRONMENT_NAMES for alias in node.names)
+            else:
+                hit = False
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_package_reads_no_environment_variable():
+    # every input is an argument: the same command gives the same output
+    # and exit code in every shell
+    assert environment_reads(SRC) == []
+
+
+def test_environment_scan_sees_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\n"
+        "from os import getenv, path\n"
+        "from os import environ as env\n"
+        "a = os.environ['X']\n"
+        "b = os.getenv('Y')\n"
+        "c = os.environ.get('Z')\n"
+        "d = os.path.join(os.devnull, 'e')\n"
+    )
+    assert environment_reads(tmp_path) == ["a.py:2", "a.py:3", "a.py:4", "a.py:5", "a.py:6"]

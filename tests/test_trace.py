@@ -21,7 +21,7 @@ from polyclone.trace import (
     ColumnBlock,
     _certify_base,
     _certify_step,
-    _ladder_vector,
+    _ladder_row,
     build_schedule_a,
     build_schedule_b,
     certificate_from_json,
@@ -90,11 +90,11 @@ def test_schedule_totals_and_growth():
 def test_schedule_b_matches_doubling():
     for n in range(5):
         for k in range(2**n):
-            w = _ladder_vector(SpecB(n), k)
+            w = _ladder_row(SpecB(n), k)
             v = schedule_vector(n, 2, k)
-            assert w.counts[0] == w.counts[1] == 2**k
-            assert w.counts[0] + w.counts[1] == v.counts[0]
-            assert w.counts[2:] == v.counts[1:]
+            assert w[0] == w[1] == 2**k
+            assert w[0] + w[1] == v.counts[0]
+            assert w[2:] == v.counts[1:]
 
 
 def test_build_schedules():
@@ -134,7 +134,7 @@ def test_least_zero_bit():
 
 def single_step(spec, k):
     # one transition recomputed from the closed form, outside any certificate
-    return _certify_step(spec, k, _ladder_vector(spec, k), _ladder_vector(spec, k + 1), {}, {})
+    return _certify_step(spec, k, _ladder_row(spec, k), _ladder_row(spec, k + 1), {}, {})
 
 
 def test_step_zero_uses_pivot_zero():
@@ -167,7 +167,7 @@ def test_ladder_steps_match_single_step_builders():
 
 def test_base_uses_top_level():
     spec = SpecA(3, 3)
-    base = _certify_base(spec, _ladder_vector(spec, 0), {})
+    base = _certify_base(spec, _ladder_row(spec, 0), {})
     app = base.applications[0]
     assert app.target == "S3"
     shift_columns = [b.column for b in app.columns[:3]]
