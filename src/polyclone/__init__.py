@@ -40,6 +40,7 @@ from .witness import (
     SymmetricOp,
     compositions,
     is_nu_symmetric,
+    random_composition,
     witness_a,
     witness_b,
 )

@@ -2,18 +2,19 @@
 
 Subcommands: gen, ppcheck, witness, decide, trace, bounds.  All output is
 JSON on stdout; identical invocations (including seeds) produce identical
-bytes.  Exit codes: 0 ok / sat, 1 violation / unsat / failed identity,
-2 usage error, 3 budget exceeded (a bound, or a trace or witness arity, of
-over 4,300 digits too) or unknown verdict, 141 (128 + SIGPIPE) stdout closed
-by its reader before all output was written, with nothing on stderr.  Every
-budget is a flag; no environment variable is read.  Family B refuses `--m`.
-`witness --budget` caps the multisets of an exact scan, and in `--mode
-sampled` the trials times the relations, which is checked before any
-sample is drawn.  A negative budget, cap or node limit is a usage error,
-and so is a negative `witness --mode sampled --seed`: `random.Random`
-seeds with the absolute value, so seed -5 would draw the samples of seed 5
-under another name.  `decide --pin nu --k` below 3 is a usage error too:
-no NU operation has arity below 3.
+bytes.  Exit codes: 0 ok / sat, 1 violation / unsat / failed identity, 2
+usage error, 3 budget exceeded (a bound, or a trace or witness arity, of
+over 4,300 digits too, and a structure of over 2**18 level tuples) or
+unknown verdict, 141 (128 + SIGPIPE) stdout closed by its reader before all
+output was written, with nothing on stderr.  Every budget is a flag; no
+environment variable is read.  Family B refuses `--m`.  `witness --budget`
+caps the multisets of an exact scan, and in `--mode sampled` the trials
+times the relations, which is checked before any sample is drawn.  A
+negative budget, cap or node limit is a usage error, and so is a negative
+`witness --mode sampled --seed`: `random.Random` seeds with the absolute
+value, so seed -5 would draw the samples of seed 5 under another name.
+`decide --pin nu --k` below 3 is a usage error too: no NU operation has
+arity below 3.
 """
 
 from __future__ import annotations

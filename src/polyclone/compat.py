@@ -8,10 +8,13 @@ dynamic program over the relation's tuples) instead of every column multiset
 or the exponentially larger space of matrices.  Verdicts count the
 column multisets they cover, and a violation is a concrete multiset.
 
-The sampled check draws random column multisets instead, and evaluates
-them through the same packed row tallies, with one cached value per
-distinct row for the length of a call.  Its draws are those of
-`random.Random(seed).randrange`, so a seed names its compositions.
+The sampled check draws random column multisets instead, as the sorted
+bar positions (cuts) of Floyd's subset sampling.  A sample's packed row
+tally is linear in its cuts, so it is read off them with one dot product,
+and the multiset itself is built only for a violation.  Rows are evaluated
+as in the exact scan, with one cached value per distinct row for the length
+of a call.  Its draws are those of `random.Random(seed).randrange`, so a
+seed names its compositions.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .witness import (
     DEFAULT_SEED,
     CountVector,
     SymmetricOp,
-    random_composition,
+    composition_at,
+    floyd_cuts,
 )
 
 DEFAULT_MULTISET_BUDGET = 10**8
@@ -137,6 +141,15 @@ def _tally_image(op, rel: Relation, base: int):
         return tuple(out)
 
     return steps, image
+
+
+def _cut_tally(steps: list[int], total: int) -> tuple[int, list[int]]:
+    """`(const, diffs)` such that the composition of `total` with bars at the
+    sorted cuts c has the tally `const + sum(map(mul, diffs, c))`, for two
+    or more steps.  Its count i is c[i] - c[i-1] - 1, with c[-1] = -1 and
+    c[T-1] = total + T - 1 for T steps, so the tally is linear in the cuts."""
+    const = steps[-1] * (total + len(steps) - 2) - sum(steps[1:-1])
+    return const, [a - b for a, b in zip(steps, steps[1:])]
 
 
 def _violating_tally(op, rel: Relation, base: int):
@@ -252,10 +265,13 @@ def check_compat_sampled(
     """One-sided randomized check: a found violation is definitive, an ok
     verdict is evidence only and is labeled as sampled.
 
-    Each trial draws a uniformly random multiset of `op.arity` columns with
-    `random.Random(seed)` and evaluates its packed row tally as the exact
-    scan does.  A negative seed is refused: `Random` seeds with its absolute
-    value, so it would repeat the samples of the positive seed.
+    Each trial draws a uniformly random multiset of `op.arity` columns as
+    the sorted cuts of `floyd_cuts`, with `random.Random(seed)`, reads its
+    packed row tally off the cuts and evaluates it as the exact scan does;
+    the multiset's counts are built only for a violation.  A relation with
+    one tuple has one multiset, evaluated once.  A negative seed is refused:
+    `Random` seeds with its absolute value, so it would repeat the samples
+    of the positive seed.
     """
     if op.domain.size != rel.domain_size:
         raise ValueError("operation and relation must share a domain")
@@ -265,12 +281,18 @@ def check_compat_sampled(
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if not len(rel):
         return Verdict(True, "sampled", 0, None, seed)
-    rng = random.Random(seed)
     steps, image = _tally_image(op, rel, op.arity + 1)
-    T = len(steps)
     members = rel._members
-    for trial in range(trials):
-        counts = random_composition(rng, op.arity, T)
-        if image(sum(map(mul, steps, counts))) not in members:
+    l, T = op.arity, len(steps)
+    if T == 1:
+        # one multiset, whose draw takes nothing from the generator
+        if image(l * steps[0]) in members:
+            return Verdict(True, "sampled", trials, None, seed)
+        return Verdict(False, "sampled", 1, ColumnMultiset(rel, (l,)), seed)
+    const, diffs = _cut_tally(steps, l)
+    samples = floyd_cuts(random.Random(seed), l + T - 1, T - 1)
+    for trial, cuts in zip(range(trials), samples):
+        if image(const + sum(map(mul, diffs, cuts))) not in members:
+            counts = composition_at(cuts, l)
             return Verdict(False, "sampled", trial + 1, ColumnMultiset(rel, counts), seed)
     return Verdict(True, "sampled", trials, None, seed)

@@ -22,7 +22,9 @@ follow the level relations, ordered by mask.  They are built on read: a
 structure holds them as a read-only mapping that builds U<mask> each time
 that name is read, so a structure on d elements holds its level relations
 and not 2^d - 1 unary ones.  Nothing here is cached: every command reads
-each relation of its structure at most once.
+each relation of its structure at most once.  A structure whose level
+relations would hold more than `MAX_LEVEL_TUPLES` tuples is refused with
+`BudgetExceededError` before any of them is built.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .relations import (
+    BudgetExceededError,
     Domain,
     Relation,
     Structure,
@@ -182,9 +185,24 @@ class UnaryRelations(Mapping):
         return (1 << self.domain_size) - 1
 
 
+# most tuples the level relations of a structure may hold: 64 times those of
+# A(0,12), the largest structure that the tests and the benchmark build
+MAX_LEVEL_TUPLES = 2**18
+
+
 def structure_a(spec: SpecA) -> Structure:
-    rels = [(f"S{i}", gen_s(spec, i)) for i in range(spec.n + 1)]
-    return Structure(domain_a(spec.n), rels, UnaryRelations(spec.domain_size))
+    n, m = spec.n, spec.m
+    # S_i holds (i+1)*2**m - 1 + n - i tuples, (n+1)*((n+2)*2**m + n - 2)/2
+    # in all; past the bound's bit length S_0 alone is over it, so 2**m is
+    # computed only for small m
+    if m > MAX_LEVEL_TUPLES.bit_length() or (
+        (n + 1) * ((n + 2 << m) + n - 2) // 2 > MAX_LEVEL_TUPLES
+    ):
+        raise BudgetExceededError(
+            f"the level relations of A({n},{m}) exceed {MAX_LEVEL_TUPLES} tuples"
+        )
+    rels = [(f"S{i}", gen_s(spec, i)) for i in range(n + 1)]
+    return Structure(domain_a(n), rels, UnaryRelations(spec.domain_size))
 
 
 def gen_r_b(spec: SpecB, i: int, j: int) -> Relation:
@@ -240,11 +258,15 @@ def chain_matches_congruence_b(spec: SpecB, i: int, j_pattern=None) -> bool:
 
 
 def structure_b(spec: SpecB) -> Structure:
+    n = spec.n
+    # R_i^j holds 3*(i+2) - 1 + n - i tuples, 2*(n+1)*(2n+5) in all
+    if 2 * (n + 1) * (2 * n + 5) > MAX_LEVEL_TUPLES:
+        raise BudgetExceededError(f"the level relations of B({n}) exceed {MAX_LEVEL_TUPLES} tuples")
     rels = []
-    for i in range(spec.n + 1):
+    for i in range(n + 1):
         rels.append((f"R{i}^1", gen_r_b(spec, i, 1)))
         rels.append((f"R{i}^2", gen_r_b(spec, i, 2)))
-    return Structure(domain_b(spec.n), rels, UnaryRelations(spec.domain_size))
+    return Structure(domain_b(n), rels, UnaryRelations(spec.domain_size))
 
 
 # ---------------------------------------------------------------------------

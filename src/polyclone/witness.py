@@ -11,6 +11,7 @@ hold.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from .structures import domain_a, domain_b
 
@@ -105,12 +106,7 @@ class SymmetricOp:
         """Cascade evaluation on a raw count sequence; returns an element id."""
         n, base = self.n, self.base
         # prefix[t] = number of arguments with id < t
-        prefix = [0] * (len(counts) + 1)
-        acc = 0
-        for e, c in enumerate(counts):
-            prefix[e] = acc
-            acc += c
-        prefix[len(counts)] = acc
+        prefix = [0, *accumulate(counts)]
         # below level r means id < base + r
         if self.arity > self._thr[n] * prefix[base + n]:
             return base + n
@@ -179,31 +175,43 @@ def compositions(total: int, parts: int):
             yield (c,) + rest
 
 
-def sample_distinct(rng: random.Random, n: int, k: int):
-    """Floyd's uniform k-subset of range(n); works for arbitrarily large n."""
+def floyd_cuts(rng: random.Random, n: int, k: int):
+    """Endless stream of Floyd's uniform k-subsets of range(n), each sorted;
+    works for arbitrarily large n.  Every random draw of the package goes
+    through here, so a seed names the same samples for every caller."""
     getrandbits = rng.getrandbits
+    draws = [(j, (j + 1).bit_length()) for j in range(n - k, n)]
     chosen = set()
-    for j in range(n - k, n):
-        # rng.randrange(j + 1), drawn as Random draws it: the bits of j + 1,
-        # redrawn until at most j, so a seed keeps its samples
-        bits = (j + 1).bit_length()
-        t = getrandbits(bits)
-        while t > j:
+    while True:
+        chosen.clear()
+        for j, bits in draws:
+            # rng.randrange(j + 1), drawn as Random draws it: the bits of
+            # j + 1, redrawn until at most j, so a seed keeps its samples
             t = getrandbits(bits)
-        chosen.add(t if t not in chosen else j)
-    return sorted(chosen)
+            while t > j:
+                t = getrandbits(bits)
+            chosen.add(t if t not in chosen else j)
+        yield sorted(chosen)
 
 
-def random_composition(rng: random.Random, total: int, parts: int):
-    """Uniformly random composition of `total` into `parts` nonnegative
-    integers, via a uniform placement of bars among stars."""
-    if parts == 1:
-        return (total,)
-    cuts = sample_distinct(rng, total + parts - 1, parts - 1)
+def sample_distinct(rng: random.Random, n: int, k: int):
+    """Floyd's uniform k-subset of range(n), sorted."""
+    return next(floyd_cuts(rng, n, k))
+
+
+def composition_at(cuts, total: int) -> tuple:
+    """The composition of `total` into len(cuts) + 1 nonnegative integers
+    whose bars stand at the sorted `cuts` of range(total + len(cuts))."""
     out = []
     prev = -1
     for c in cuts:
         out.append(c - prev - 1)
         prev = c
-    out.append(total + parts - 2 - prev)
+    out.append(total + len(cuts) - 1 - prev)
     return tuple(out)
+
+
+def random_composition(rng: random.Random, total: int, parts: int):
+    """Uniformly random composition of `total` into `parts` nonnegative
+    integers, via a uniform placement of bars among stars."""
+    return composition_at(sample_distinct(rng, total + parts - 1, parts - 1), total)

@@ -257,6 +257,14 @@ def test_family_b_takes_no_m(capsys, argv):
     assert code == 2 and out == "" and "family B takes no m" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "decide", "trace", "witness"])
+def test_oversized_family_exits_as_a_budget(capsys, command):
+    # A(0,40)'s S0 would hold 2**40 - 1 tuples: refused before one is built
+    argv = [command, "A", "--n", "0", "--m", "40"] + (["--k", "3"] if command == "decide" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.count("\n") == 1 and "tuples" in err
+
+
 class Built(Exception):
     pass
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from polyclone.compat import (
     ColumnMultiset,
     Verdict,
+    _cut_tally,
     check_compat_sampled,
     check_compat_symmetric,
     multiset_count,
@@ -18,7 +20,9 @@ from polyclone.structures import SpecA, SpecB, gen_r_b, gen_s, structure_a, stru
 from polyclone.witness import (
     DEFAULT_SEED,
     CountVector,
+    composition_at,
     compositions,
+    sample_distinct,
     witness_a,
     witness_b,
 )
@@ -450,3 +454,34 @@ def test_sampled_check_evaluates_each_distinct_row_once():
     # one evaluation per distinct row the samples meet
     assert fast.rows == full.rows
     assert fast.calls == len(full.rows) < 5000
+
+
+def test_one_tuple_relations_are_evaluated_once():
+    # a one-tuple relation has one multiset, which draws nothing: its rows
+    # are evaluated once, and a violation is found at trial 1
+    struct = structure_b(SpecB(2))
+    rels = [rel for rel in struct.relations.values() if len(rel) == 1]
+    assert len(rels) == 5
+    zero = SimpleNamespace(arity=5, domain=SimpleNamespace(size=3), value_counts=lambda counts: 0)
+    cases = [(witness_b(2), rel) for rel in rels]
+    cases += [(zero, Relation(2, 3, [(0, 0)])), (zero, Relation(2, 3, [(0, 2)]))]
+    oks = []
+    for op, rel in cases:
+        fast, full = CountingOp(op), CountingOp(op)
+        verdict = check_compat_sampled(fast, rel, 1000, 7)
+        assert verdict == sampled_in_full(full, rel, 1000, 7)
+        assert fast.rows == full.rows and fast.calls == len(full.rows)
+        oks.append(verdict.ok)
+    assert oks == [True] * 6 + [False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.sampled_from([1, 2, 17, 257, 2**64 + 1]), st.integers(2, 12))
+def test_cut_tally_is_the_dot_product_with_the_composition(seed, total, parts):
+    rng = random.Random(seed)
+    steps = [rng.randrange(2**80) for _ in range(parts)]
+    const, diffs = _cut_tally(steps, total)
+    for _ in range(5):
+        cuts = sample_distinct(rng, total + parts - 1, parts - 1)
+        counts = composition_at(cuts, total)
+        assert const + sum(map(mul, diffs, cuts)) == sum(map(mul, steps, counts))

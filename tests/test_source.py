@@ -349,3 +349,56 @@ def test_environment_scan_sees_reads(tmp_path):
         "d = os.path.join(os.devnull, 'e')\n"
     )
     assert environment_reads(tmp_path) == ["a.py:2", "a.py:3", "a.py:4", "a.py:5", "a.py:6"]
+
+
+# methods of random.Random that draw from the generator
+DRAWS = {"getrandbits", "randrange", "randint", "randbytes", "random", "choice", "choices",
+         "sample", "shuffle", "uniform"}
+
+
+def drawing_functions(src_dir: Path) -> list[str]:
+    """The functions of the modules in src_dir that draw from a random
+    generator, as "file:function" (methods as "file:Class.method"): those
+    that read an attribute named after a draw method of `random.Random`,
+    or call a name so named."""
+    found = []
+    for path in sorted(src_dir.glob("*.py")):
+        funcs = []
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                funcs.append((top.name, top))
+            elif isinstance(top, ast.ClassDef):
+                funcs += [(f"{top.name}.{f.name}", f) for f in top.body
+                          if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for name, func in funcs:
+            if any(isinstance(node, ast.Attribute) and node.attr in DRAWS
+                   or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in DRAWS
+                   for node in ast.walk(func)):
+                found.append(f"{path.name}:{name}")
+    return found
+
+
+def test_one_function_draws():
+    # a seed names its samples only while every draw goes through one
+    # routine, as every row tally goes through one
+    assert drawing_functions(SRC) == ["witness.py:floyd_cuts"]
+
+
+def test_drawing_function_scan_sees_draws(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import random\n"
+        "from random import shuffle\n"
+        "def bound(rng):\n"
+        "    bits = rng.getrandbits\n"
+        "    return bits(3)\n"
+        "def direct(rng): return rng.randrange(5)\n"
+        "def imported(xs): shuffle(xs)\n"
+        "def seeded(seed): return random.Random(seed)\n"
+        "class Sampler:\n"
+        "    def pick(self, xs): return self.rng.choice(xs)\n"
+        "    def size(self): return len(self.xs)\n"
+        "def keyword(p): p.add_argument('x', choices=[1, 2])\n"
+    )
+    assert drawing_functions(tmp_path) == ["a.py:bound", "a.py:direct", "a.py:imported",
+                                           "a.py:Sampler.pick"]

@@ -5,6 +5,7 @@ import pytest
 from polyclone import structures
 from polyclone.cli import main
 from polyclone.relations import (
+    BudgetExceededError,
     Relation,
     Structure,
     blocks,
@@ -131,6 +132,33 @@ def test_structure_a_contents():
     assert len(s) == 2 + 7
     assert s.domain.names == ("a", "0", "1")
     assert all(len(rel) > 0 for rel in s.relations.values())
+
+
+def test_level_tuples_are_bounded_before_any_is_built(monkeypatch):
+    # the bound is told from n and m: a structure at the bound builds, one
+    # tuple fewer refuses it before gen_s or gen_r_b runs
+    sizes = [(structure_a, SpecA(n, m), lambda spec, i: [gen_s(spec, i)])
+             for n in range(4) for m in range(2, 6)]
+    sizes += [(structure_b, SpecB(n), lambda spec, i: [gen_r_b(spec, i, 1), gen_r_b(spec, i, 2)])
+              for n in range(6)]
+    for build, spec, levels in sizes:
+        tuples = sum(len(rel) for i in range(spec.n + 1) for rel in levels(spec, i))
+        monkeypatch.setattr(structures, "MAX_LEVEL_TUPLES", tuples)
+        assert len(build(spec)) > 0
+        monkeypatch.setattr(structures, "MAX_LEVEL_TUPLES", tuples - 1)
+        for name in ("gen_s", "gen_r_b"):
+            monkeypatch.setattr(structures, name, None)
+        with pytest.raises(BudgetExceededError, match=f"exceed {tuples - 1} tuples"):
+            build(spec)
+        monkeypatch.undo()
+    # A(0,12) is the largest structure built anywhere else; 2**m is never
+    # computed past the bound
+    assert structures.MAX_LEVEL_TUPLES >= 64 * len(gen_s(SpecA(0, 12), 0))
+    for spec in (SpecA(0, 19), SpecA(0, 10**100), SpecA(10**6, 2)):
+        with pytest.raises(BudgetExceededError):
+            structure_a(spec)
+    with pytest.raises(BudgetExceededError):
+        structure_b(SpecB(255))
 
 
 def test_gen_r_b_level_two_picture():

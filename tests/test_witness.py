@@ -8,7 +8,9 @@ from polyclone.relations import BudgetExceededError
 from polyclone.witness import (
     TOP,
     CountVector,
+    composition_at,
     compositions,
+    floyd_cuts,
     is_nu_symmetric,
     random_composition,
     sample_distinct,
@@ -204,6 +206,13 @@ def test_draws_match_randrange(total, parts, seed):
         assert fast.getstate() == slow.getstate()
         n = total + parts - 1
         assert sample_distinct(fast, n, parts) == randrange_sample_distinct(slow, n, parts)
+        assert fast.getstate() == slow.getstate()
+    # the stream draws, sample after sample, what the wrappers draw one at a
+    # time: a sampled check and its oracle see the same compositions
+    stream = floyd_cuts(fast, total + parts - 1, parts - 1)
+    for _ in range(3):
+        cuts = next(stream)
+        assert composition_at(cuts, total) == randrange_composition(slow, total, parts)
         assert fast.getstate() == slow.getstate()
 
 
