@@ -68,6 +68,20 @@ its input that equal those of the last certificate it accepted for the same
 parameters from that certificate's parse, and parses the rest; it keeps a
 private copy of the accepted JSON object for the comparison, copied only
 when an accepted object parses to another certificate, and renders nothing.
+
+The replay then re-checks only the members that are not the very objects
+of that parse.  A schedule row that is the reference's skips its
+count-vector check; the base or a step that is the reference's and reads
+only such rows skips its annotation, membership and row-tally checks, and
+its applications on level relations only narrow their facts.  This is
+sound: each local check is a pure function of the member, the rows it
+reads, the parameters and the checker's own level relations; the reference
+was accepted, so each of its local checks passed; and its parse is private
+and immutable (tuples of ints and frozen dataclasses).  Facts and the last
+emptiness test are recomputed on every check, and an application on any
+other target is checked in full, since the structure may differ from the
+one the reference was accepted against.  A certificate built outside that
+parse shares no object with it and is replayed in full.
 """
 
 from __future__ import annotations
@@ -136,10 +150,26 @@ def _build_schedule(spec: SpecA | SpecB, seen: dict) -> tuple[tuple[int, ...], .
     """The ladder's rows, with one int object per distinct count: the counts
     recur down the ladder (A(12,2)'s 28,672 nonzero counts take 6,143
     values).  `seen` maps each count to its one object, and a certificate
-    interns its other counts through it too."""
-    return tuple(
-        tuple(seen.setdefault(c, c) for c in _ladder_row(spec, k)) for k in range(2**spec.n)
-    )
+    interns its other counts through it too.
+
+    Row 0 comes from the closed form and each later row from its
+    predecessor: from row k to row k+1 the pivot i (the least zero bit of
+    k) empties, each level t < i refills to m**(k+1+2**t) * (m**2**t - 1),
+    the bottom block grows to m**(k+2) in all, and the levels above i keep
+    their counts."""
+    m, lo = _shape(spec)
+    row = [seen.setdefault(c, c) for c in _ladder_row(spec, 0)]
+    rows = [tuple(row)]
+    for k in range(2**spec.n - 1):
+        i = least_zero_bit(k)
+        row[lo + i] = seen.setdefault(0, 0)
+        for t in range(i):
+            c = m ** (k + 1 + 2**t) * (m ** (2**t) - 1)
+            row[lo + t] = seen.setdefault(c, c)
+        c = m ** (k + 2) // lo
+        row[:lo] = [seen.setdefault(c, c)] * lo
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def build_schedule_a(n: int, m: int) -> Schedule:
@@ -710,11 +740,25 @@ def _ck_structure_faults(family: str, n: int, m: int, structure: Structure) -> l
     return faults
 
 
+def _ck_kept(members: tuple, ref_members: tuple) -> list[bool]:
+    """For each of `members`, whether it is the very object at its index in
+    `ref_members`."""
+    return [p < len(ref_members) and x is ref_members[p] for p, x in enumerate(members)]
+
+
 def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> None:
     """Replay `cert` under the calculus of the module docstring, appending
     one fault per failed local check, and one if the fact of the last
     schedule row is not empty.  Facts are bitmasks over the domain; an
-    application whose own checks fail narrows nothing."""
+    application whose own checks fail narrows nothing.
+
+    A member that is the very object of the accepted reference parse for
+    these parameters (`_ck_accepted`), with the schedule rows it reads, is
+    kept: its local checks passed when the reference was accepted and would
+    pass again, so only its applications on level relations are replayed,
+    by narrowing alone.  Applications on any other target are checked in
+    full, since `structure` need not be the one the reference was accepted
+    against."""
     n, m = cert.n, cert.m
     lo = 1 if cert.family == "A" else 2
     schedule, steps = cert.schedule, cert.steps
@@ -724,11 +768,16 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
             f"not {2**n} and {2**n - 1}"
         )
         return
+    _, ref = _ck_accepted(cert.family, n, m).get("reference", (None, None))
+    rows_kept = _ck_kept(schedule, getattr(ref, "schedule", ()))
+    steps_kept = _ck_kept(steps, getattr(ref, "steps", ()))
     # a ladder of 2**n rows bounds the size of m**2**n
     arity = m ** (2**n)
     if cert.arity != arity:
         faults.append(f"arity {cert.arity} is not m**2**n = {arity}")
     for k, row in enumerate(schedule):
+        if rows_kept[k]:
+            continue
         if sum(row) != arity or not all(isinstance(c, int) and c >= 0 for c in row):
             faults.append(f"schedule row {k} is not a count vector of total m**2**n")
     if cert.terminal_support != tuple(e for e, c in enumerate(schedule[-1]) if c):
@@ -750,7 +799,7 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
             facts[w] = f
         return f
 
-    def apply(app: Application, conclusion, premise, where: str) -> None:
+    def apply(app: Application, conclusion, premise, where: str, kept: bool) -> None:
         target = app.target
         # the structure's level relations equal the checker's own
         read = levels.get(target) or others.get(target)
@@ -761,22 +810,25 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
                 return
             read = others[target] = (rel, _ck_patterns(rel))
         rel, patterns = read
-        columns = [(b.column, b.count) for b in app.columns]
-        before = len(faults)
-        for column, count in columns:
-            if column not in rel:
-                faults.append(f"{where}: column {column} is not in {target}")
-            elif not isinstance(count, int) or count <= 0:
-                faults.append(f"{where}: column {column} has count {count!r}")
-        if len(faults) > before:
-            return
-        row0, *rows = tally_rows(rel.arity, size, columns)
-        if row0 != list(conclusion):
-            faults.append(f"{where}: row 0 of {target} does not tally to the conclusion")
-            return
-        if rows != [list(premise)] * len(rows):
-            faults.append(f"{where}: a row of {target} does not tally to the premise")
-            return
+        # a kept application on a level relation passed these checks when
+        # the reference was accepted
+        if not kept or target not in levels:
+            columns = [(b.column, b.count) for b in app.columns]
+            before = len(faults)
+            for column, count in columns:
+                if column not in rel:
+                    faults.append(f"{where}: column {column} is not in {target}")
+                elif not isinstance(count, int) or count <= 0:
+                    faults.append(f"{where}: column {column} has count {count!r}")
+            if len(faults) > before:
+                return
+            row0, *rows = tally_rows(rel.arity, size, columns)
+            if row0 != list(conclusion):
+                faults.append(f"{where}: row 0 of {target} does not tally to the conclusion")
+                return
+            if rows != [list(premise)] * len(rows):
+                faults.append(f"{where}: a row of {target} does not tally to the premise")
+                return
         # the relation rule: t[0] for every t of the relation whose later
         # entries lie in the premise's fact
         outside = ~fact(premise)
@@ -786,6 +838,7 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
                 allowed |= firsts
         facts[conclusion] = fact(conclusion) & allowed
 
+    kept = rows_kept[0] and cert.base is ref.base
     for own, app in enumerate(cert.base.applications):
         if own >= lo:
             faults.append(f"base: application {own} has no bottom id to deviate at")
@@ -793,34 +846,36 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
         premise = [0] * size
         premise[own] = 1
         premise[-1] = arity - 1
-        apply(app, schedule[0], tuple(premise), "base")
+        apply(app, schedule[0], tuple(premise), "base", kept)
 
     for k, step in enumerate(steps):
         where = f"step {k}"
         v, v1 = schedule[k], schedule[k + 1]
-        i = (~k & (k + 1)).bit_length() - 1  # the least zero bit of k
-        p = lo + i
-        if step.k != k:
-            faults.append(f"{where}: records k={step.k}")
-        if step.pivot != i:
-            faults.append(f"{where}: pivot {step.pivot} is not the least zero bit of k, {i}")
-        if step.pivot_count != v[p]:
-            faults.append(f"{where}: pivot count is not the premise's count at the pivot")
-        if step.below_succ_premise != sum(v[: p + 1]):
-            faults.append(f"{where}: premise prefix sum deviates from the schedule")
-        if step.below_pivot_conclusion != sum(v1[:p]):
-            faults.append(f"{where}: conclusion prefix sum deviates from the schedule")
-        if step.congruence_level != i + 1:
-            faults.append(f"{where}: congruence level is not pivot + 1")
-        if step.congruence_blocks != chain[i]:
-            faults.append(f"{where}: congruence blocks deviate from the ladder")
-        doubled = None if lo == 1 else sum(v[:lo])
-        if step.doubled != doubled:
-            faults.append(f"{where}: doubled is not the bottom block's count")
-        elif doubled is not None and doubled > step.pivot_count:
-            faults.append(f"{where}: doubled bottom block exceeds the pivot count")
+        kept = steps_kept[k] and rows_kept[k] and rows_kept[k + 1]
+        if not kept:
+            i = (~k & (k + 1)).bit_length() - 1  # the least zero bit of k
+            p = lo + i
+            if step.k != k:
+                faults.append(f"{where}: records k={step.k}")
+            if step.pivot != i:
+                faults.append(f"{where}: pivot {step.pivot} is not the least zero bit of k, {i}")
+            if step.pivot_count != v[p]:
+                faults.append(f"{where}: pivot count is not the premise's count at the pivot")
+            if step.below_succ_premise != sum(v[: p + 1]):
+                faults.append(f"{where}: premise prefix sum deviates from the schedule")
+            if step.below_pivot_conclusion != sum(v1[:p]):
+                faults.append(f"{where}: conclusion prefix sum deviates from the schedule")
+            if step.congruence_level != i + 1:
+                faults.append(f"{where}: congruence level is not pivot + 1")
+            if step.congruence_blocks != chain[i]:
+                faults.append(f"{where}: congruence blocks deviate from the ladder")
+            doubled = None if lo == 1 else sum(v[:lo])
+            if step.doubled != doubled:
+                faults.append(f"{where}: doubled is not the bottom block's count")
+            elif doubled is not None and doubled > step.pivot_count:
+                faults.append(f"{where}: doubled bottom block exceeds the pivot count")
         for app in step.applications:
-            apply(app, v1, v, where)
+            apply(app, v1, v, where, kept)
 
     if fact(schedule[-1]):
         faults.append("the fact of the last schedule row is not empty")
@@ -866,10 +921,10 @@ def check_certificate_json(obj: dict, structure: Structure) -> CheckReport:
 
     Members of `obj` equal to those of the last certificate accepted for
     its parameters are taken from that certificate's parse, so a check
-    parses about as much as deviates from it.  The reference is a copy of
-    the accepted object, so changing that object in place changes nothing
-    the next check trusts; an accepted object that parses to the
-    reference's certificate leaves the reference as it is.
+    parses, and `_ck_replay` re-checks, about as much as deviates from it.
+    The reference is a copy of the accepted object, so changing that object
+    in place changes nothing the next check trusts; an accepted object that
+    parses to the reference's certificate leaves the reference as it is.
     """
     # the claimed n is held against the structure before the names of a
     # domain of that size are built to parse the certificate

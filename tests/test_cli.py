@@ -176,17 +176,21 @@ def test_trace_rejects_trivial_instance(capsys):
     assert code == 2 and "error" in err
 
 
+def _source_env() -> dict:
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(polyclone.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_closed_stdout_exits_141_quietly():
     # the output (about 590 kB) overfills the pipe, so writing goes on after
     # the reader has read one line and closed its end
-    src = str(Path(polyclone.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.Popen(
         [sys.executable, "-m", "polyclone.cli", "trace", "A", "--n", "8", "--m", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_source_env(),
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
@@ -194,6 +198,19 @@ def test_closed_stdout_exits_141_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+def test_python_m_polyclone_runs_the_command_line(capsys):
+    # `python -m polyclone` works without the installed console script
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyclone", "bounds", "4", "3"],
+        capture_output=True,
+        env=_source_env(),
+        timeout=120,
+    )
+    code, out, _ = run(capsys, "bounds", "4", "3")
+    assert (proc.returncode, proc.stdout.decode()) == (code, out)
+    assert code == 0 and proc.stderr == b""
 
 
 def test_bounds(capsys):
@@ -439,13 +456,13 @@ def test_trace_reports_faults(capsys, monkeypatch):
 def test_trace_faulty_ladder_reaches_the_checker(capsys, monkeypatch):
     # the builder checks nothing: a wrong ladder is built, printed and
     # refused by the checker, not raised
-    real = trace._ladder_row
+    real = trace._build_schedule
 
-    def bumped(spec, k):
-        row = real(spec, k)
-        return (row[0] + 1,) + row[1:] if k == 1 else row
+    def bumped(spec, seen):
+        rows = real(spec, seen)
+        return rows[:1] + ((rows[1][0] + 1,) + rows[1][1:],) + rows[2:]
 
-    monkeypatch.setattr(trace, "_ladder_row", bumped)
+    monkeypatch.setattr(trace, "_build_schedule", bumped)
     code, out, err = run(capsys, "trace", "B", "--n", "2")
     assert code == 1 and err == ""
     obj = json.loads(out)

@@ -106,6 +106,19 @@ def test_build_schedules():
         build_schedule_a(2, 1)
 
 
+def test_ladder_walk_matches_the_closed_form():
+    # each row is walked from its predecessor; the closed form recomputes it
+    specs = [SpecA(n, m) for n in range(8) for m in range(2, 7)]
+    specs += [SpecB(n) for n in range(10)]
+    specs += [SpecA(12, 2), SpecA(10, 3), SpecB(10)]
+    for spec in specs:
+        closed = tuple(_ladder_row(spec, k) for k in range(2**spec.n))
+        assert trace._build_schedule(spec, {}) == closed, spec
+    # one int object per distinct count
+    counts = [c for row in trace._build_schedule(SpecA(12, 2), {}) for c in row]
+    assert len({id(c) for c in counts}) == len(set(counts))
+
+
 def test_pivot_identities_worked_example():
     rep = pivot_identities(3, 3, 0)
     assert rep["pivot"] == 0 and rep["ok"]
@@ -515,8 +528,11 @@ def test_checker_caches_are_bounded():
     obj = certificate_to_json(cert)
     for _ in range(2):
         assert check_certificate_json(obj, struct).ok
+    # every replay reads the reference of its parameters: the three library
+    # checks above miss, miss and hit; each JSON check hits twice, once to
+    # parse and once to replay
     info = trace._ck_accepted.cache_info()
-    assert info.misses == 1 and info.hits == 1
+    assert info.misses == 2 and info.hits == 5
 
 
 def _leaves(node, path=()):
@@ -708,6 +724,103 @@ def test_json_check_copies_only_a_new_reference(monkeypatch):
             assert check_certificate_json(variant, struct).ok
             assert len(copies) == copied
             assert trace._ck_accepted("B", 2, 2)["reference"][0] == variant
+    finally:
+        trace._ck_accepted.cache_clear()
+
+
+def _tallies(monkeypatch) -> list:
+    """The columns of each `tally_rows` call the checker makes from here on."""
+    calls = []
+    real = trace.tally_rows
+
+    def counted(arity, size, columns):
+        calls.append(columns)
+        return real(arity, size, columns)
+
+    monkeypatch.setattr(trace, "tally_rows", counted)
+    return calls
+
+
+def test_json_check_retallies_only_members_that_differ(monkeypatch):
+    # members that are the accepted reference's own objects passed their
+    # local checks when it was accepted: a mutant re-tallies only the
+    # applications of the steps (and base) whose member or rows it changes
+    cert, struct = certify_lower_bound_b(3), structure_b(SpecB(3))
+    obj = certificate_to_json(cert)
+    trace._ck_accepted.cache_clear()
+    calls = _tallies(monkeypatch)
+    try:
+        assert check_certificate_json(obj, struct).ok
+        assert len(calls) == 2 * (1 + len(cert.steps))  # two applications each
+        for k, step in enumerate(cert.steps):
+            path = ("steps", k, "applications", 0, "columns", 0, "count")
+            mutant = _with_leaf(obj, path, str(step.applications[0].columns[0].count + 1))
+            calls.clear()
+            report = check_certificate_json(mutant, struct)
+            assert len(calls) == 2, k  # step k's two applications
+            assert not report.ok and report == check_json_in_full(mutant, struct)
+        for k, row in enumerate(cert.schedule):
+            mutant = _with_leaf(obj, ("schedule", k, "a1"), str(row[0] + 1))
+            calls.clear()
+            report = check_certificate_json(mutant, struct)
+            # the base or step k-1 concludes row k, and step k reads it
+            assert len(calls) == 2 * (2 if k < len(cert.steps) else 1), k
+            assert not report.ok and report == check_json_in_full(mutant, struct)
+        calls.clear()
+        assert check_certificate_json(obj, struct).ok
+        assert calls == []
+    finally:
+        trace._ck_accepted.cache_clear()
+
+
+def test_kept_steps_recheck_applications_on_other_relations():
+    # a kept step still checks its applications on relations other than the
+    # level relations in full, against the structure of this check
+    cert, struct = certify_lower_bound_a(2, 2), structure_a(SpecA(2, 2))
+    conclusion = cert.schedule[2]
+    support = [e for e, c in enumerate(conclusion) if c]
+    name = f"U{sum(1 << e for e in support)}"
+    unary = Application(name, tuple(ColumnBlock((e,), conclusion[e]) for e in support))
+    step = cert.steps[1]
+    steps = list(cert.steps)
+    steps[1] = replace(step, applications=step.applications + (unary,))
+    obj = certificate_to_json(replace(cert, steps=tuple(steps)))
+    # the same level relations, and under that name a relation without the
+    # bottom element a, which the conclusion's columns hold
+    levels = {key: rel for key, rel in struct.relations.items() if rel.arity > 1}
+    other = Structure(
+        struct.domain, {**levels, name: structures.unary_relation(struct.domain.size, 0b10)}
+    )
+    trace._ck_accepted.cache_clear()
+    try:
+        assert check_certificate_json(obj, struct).ok
+        report = check_certificate_json(obj, other)
+        assert report.faults == (f"step 1: column (0,) is not in {name}",)
+        assert report == check_json_in_full(obj, other)
+        assert check_certificate_json(obj, struct).ok
+    finally:
+        trace._ck_accepted.cache_clear()
+
+
+def test_library_certificates_are_replayed_in_full(monkeypatch):
+    # a certificate built outside the JSON parse shares no member with the
+    # accepted reference, so each of its applications is tallied
+    cert, struct = certify_lower_bound_a(3, 2), structure_a(SpecA(3, 2))
+    step = cert.steps[2]
+    steps = list(cert.steps)
+    steps[2] = replace(step, pivot_count=step.pivot_count + 1)
+    mutant = replace(cert, steps=tuple(steps))
+    trace._ck_accepted.cache_clear()
+    calls = _tallies(monkeypatch)
+    try:
+        cold = check_certificate(mutant, struct)
+        assert not cold.ok and len(calls) == 1 + len(cert.steps)
+        assert check_certificate_json(certificate_to_json(cert), struct).ok
+        for checked in (mutant, cert):
+            calls.clear()
+            assert check_certificate(checked, struct).ok == (checked is cert)
+            assert len(calls) == 1 + len(cert.steps)
+        assert check_certificate(mutant, struct) == cold
     finally:
         trace._ck_accepted.cache_clear()
 
