@@ -4,7 +4,8 @@ Subcommands: gen, ppcheck, witness, decide, trace, bounds.  All output is
 JSON on stdout; identical invocations (including seeds) produce identical
 bytes.  Exit codes: 0 ok / sat, 1 violation / unsat / failed identity, 2
 usage error, 3 budget exceeded (a bound, or a trace or witness arity, of
-over 4,300 digits too, and a structure of over 2**18 level tuples) or
+over 4,300 digits too, a structure of over 2**18 level tuples and a
+ppcheck ladder whose congruence holds over 2**18 pairs) or
 unknown verdict, 141 (128 + SIGPIPE) stdout closed by its reader before all
 output was written, with nothing on stderr.  Every budget is a flag; no
 environment variable is read.  Family B refuses `--m`.  `witness --budget`

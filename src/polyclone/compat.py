@@ -3,10 +3,11 @@
 A matrix whose columns are tuples of a relation is, for an operation that
 only sees argument counts, fully described by how many times each tuple of
 the relation occurs as a column, and even by its row tally: the count vector
-of every row.  The exact check therefore walks the reachable row tallies (a
-dynamic program over the relation's tuples) instead of every column multiset
-or the exponentially larger space of matrices.  Verdicts count the
-column multisets they cover, and a violation is a concrete multiset.
+of every row.  The exact check therefore walks the reachable row tallies
+(`_layers`, a dynamic program over the relation's tuples) instead of every
+column multiset or the exponentially larger space of matrices.  Verdicts
+count the column multisets they cover, and a violation is a concrete
+multiset, read back through the tuple index each layer stored for it.
 
 The sampled check draws random column multisets instead, as the sorted
 bar positions (cuts) of Floyd's subset sampling.  A sample's packed row
@@ -152,21 +153,16 @@ def _cut_tally(steps: list[int], total: int) -> tuple[int, list[int]]:
     return const, [a - b for a, b in zip(steps, steps[1:])]
 
 
-def _violating_tally(op, rel: Relation, base: int):
-    """First reachable row tally of `op.arity` columns whose image lies
-    outside `rel`, or None when every tally maps into `rel`.
-
-    Layer k maps each tally of k columns to the smallest tuple index that
-    reaches it.  Extending a tally only by indices at least that large still
-    reaches every tally of k+1 columns, since a multiset sorted by tuple
-    index extends a prefix whose stored index is at most its last one.
-    Only two layers are alive at a time; the last one is evaluated as it is
-    generated.
-    """
-    steps, image = _tally_image(op, rel, base)
+def _layers(steps: list[int], arity: int):
+    """Yield layers 1..arity-1 of the reachable row tallies: layer k maps
+    each tally of k columns to the smallest tuple index that reaches it.
+    Extending a tally only by indices at least that large reaches every
+    tally of k+1 columns, since a multiset sorted by tuple index extends a
+    prefix whose stored index is at most its last one.  Two layers are
+    alive at a time."""
     T = len(steps)
     layer = {0: 0}
-    for _ in range(op.arity - 1):
+    for _ in range(arity - 1):
         nxt = {}
         get = nxt.get
         for tally, lo in layer.items():
@@ -175,48 +171,39 @@ def _violating_tally(op, rel: Relation, base: int):
                 if get(key, T) > t:
                     nxt[key] = t
         layer = nxt
-    members = rel._members
-    for tally, lo in layer.items():
-        for t in range(lo, T):
-            key = tally + steps[t]
-            if image(key) not in members:
-                return key
-    return None
+        yield layer
 
 
-def _decompose(rel: Relation, tally: int, base: int) -> list[int]:
-    """Tuple counts whose row tally is `tally`, by depth-first search over
-    tuple indices; failed (index, remainder) pairs are memoized."""
-    tuples = rel.tuples
-    d = rel.domain_size
-    digits = []
-    for _ in range(rel.arity * d):
-        tally, c = divmod(tally, base)
-        digits.append(c)
-    cells = [[p * d + x for p, x in enumerate(t)] for t in tuples]
-    counts = [0] * len(tuples)
-    dead = set()
-
-    def search(start: int, rem: tuple) -> bool:
-        if not any(rem):
-            return True
-        if (start, rem) in dead:
-            return False
-        for idx in range(start, len(tuples)):
-            for c in range(min(rem[i] for i in cells[idx]), 0, -1):
-                nxt = list(rem)
-                for i in cells[idx]:
-                    nxt[i] -= c
-                counts[idx] = c
-                if search(idx + 1, tuple(nxt)):
-                    return True
-            counts[idx] = 0
-        dead.add((start, rem))
-        return False
-
-    if not search(0, tuple(digits)):
-        raise RuntimeError("violating tally has no column multiset")
+def _read_back(layers: list[dict], steps: list[int], tally: int) -> list[int]:
+    """Tuple counts of a multiset whose row tally is `tally`, a key of the
+    last of `layers` (0 when there are none), read back through the index
+    each layer stored for it: every index was stored from a tally of the
+    layer before."""
+    counts = [0] * len(steps)
+    for layer in reversed(layers):
+        t = layer[tally]
+        counts[t] += 1
+        tally -= steps[t]
     return counts
+
+
+def _violation(op, rel: Relation) -> list[int] | None:
+    """Tuple counts of the first reachable multiset of `op.arity` columns
+    whose image lies outside `rel`, or None.  The last layer is evaluated
+    as it is generated; only a violation keeps every layer, to read back."""
+    steps, image = _tally_image(op, rel, op.arity + 1)
+    T = len(steps)
+    last = {0: 0}
+    for last in _layers(steps, op.arity):
+        pass
+    members = rel._members
+    for tally, lo in last.items():
+        for t in range(lo, T):
+            if image(tally + steps[t]) not in members:
+                counts = _read_back(list(_layers(steps, op.arity)), steps, tally)
+                counts[t] += 1
+                return counts
+    return None
 
 
 def check_compat_symmetric(
@@ -228,10 +215,11 @@ def check_compat_symmetric(
 
     The verdict is ok iff for every multiset of `op.arity` columns from
     `rel`, applying the operation to the rows lands back in `rel`.  The
-    scan walks the reachable row tallies instead of the multisets; `checked`
-    is the number of multisets the verdict covers, C(l+T-1, T-1) for arity
-    l and T tuples.  A violation is a concrete multiset that re-checks with
-    `row_counts`.
+    scan walks the reachable row tallies of `_layers` instead of the
+    multisets; `checked` is the number of multisets the verdict covers,
+    C(l+T-1, T-1) for arity l and T tuples.  A violation is the multiset
+    read back through the layers that found it, and it must re-check with
+    `row_counts`, independently of the tallies.
     """
     if op.domain.size != rel.domain_size:
         raise ValueError("operation and relation must share a domain")
@@ -246,11 +234,10 @@ def check_compat_symmetric(
         raise BudgetExceededError(
             f"{total} column multisets exceed budget {budget}; use sampled mode"
         )
-    base = op.arity + 1
-    tally = _violating_tally(op, rel, base)
-    if tally is None:
+    counts = _violation(op, rel)
+    if counts is None:
         return Verdict(True, "exact", total)
-    cm = ColumnMultiset(rel, _decompose(rel, tally, base))
+    cm = ColumnMultiset(rel, counts)
     if tuple(op.value_counts(row.counts) for row in row_counts(cm)) in rel:
         raise RuntimeError("reconstructed violation re-checks as compatible")
     return Verdict(False, "exact", total, cm)

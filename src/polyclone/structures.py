@@ -24,7 +24,8 @@ that name is read, so a structure on d elements holds its level relations
 and not 2^d - 1 unary ones.  Nothing here is cached: every command reads
 each relation of its structure at most once.  A structure whose level
 relations would hold more than `MAX_LEVEL_TUPLES` tuples is refused with
-`BudgetExceededError` before any of them is built.
+`BudgetExceededError` before any of them is built, and so is a ladder whose
+congruence would hold more pairs.
 """
 
 from __future__ import annotations
@@ -135,6 +136,10 @@ def chain_congruence_a(spec: SpecA, i: int) -> Relation:
     """Compose the converse/forward ladder of R_0..R_{i-1}, left to right."""
     if not 1 <= i <= spec.n:
         raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
+    # the congruence's pairs bound those of every relation on the ladder,
+    # which stay within (i+2)**2 + n + 2
+    if (i + 1) ** 2 + spec.n - i + 1 > MAX_LEVEL_TUPLES:
+        raise BudgetExceededError(f"the level-{i} congruence exceeds {MAX_LEVEL_TUPLES} pairs")
     rels = [gen_r(spec, t) for t in range(i)]
     return reduce(compose, [converse(r) for r in rels] + rels[::-1])
 
@@ -243,6 +248,8 @@ def chain_congruence_b(spec: SpecB, i: int, j_pattern=None) -> Relation:
     """
     if not 1 <= i <= spec.n:
         raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
+    if (i + 2) ** 2 + spec.n - i + 1 > MAX_LEVEL_TUPLES:
+        raise BudgetExceededError(f"the level-{i} congruence exceeds {MAX_LEVEL_TUPLES} pairs")
     if j_pattern is None:
         j_pattern = (1,) * (2 * i)
     j_pattern = tuple(j_pattern)

@@ -720,20 +720,21 @@ def _ck_structure_faults(family: str, n: int, m: int, structure: Structure) -> l
     """One fault per level relation of the structure that differs from the
     relation the (in-range, domain-matching) parameters define."""
     if family == "A":
-        # the size test keeps a claimed m from building relations of
-        # (i+1)*2**m tuples that the structure cannot match
-        shapes = {f"S{i}": (m + 1, (i + 1) * 2**m - 1 + (n - i)) for i in range(n + 1)}
+        # S_i holds (i+1)*2**m - 1 + n - i tuples, at least 2**m - 1: a size
+        # below 2**(m-1) is refused before 2**m or the relations are formed
+        shapes = {f"S{i}": (m + 1, i + 1, m, n - i) for i in range(n + 1)}
     else:
         shapes = {
-            f"R{i}^{j}": (2, 3 * (i + 2) - 1 + (n - i)) for i in range(n + 1) for j in (1, 2)
+            f"R{i}^{j}": (2, 3 * (i + 2), 0, n - i) for i in range(n + 1) for j in (1, 2)
         }
     faults = []
-    for name, (arity, size) in shapes.items():
+    for name, (arity, lead, bits, rest) in shapes.items():
         rel = structure.relations.get(name)
         if (
             rel is None
             or rel.arity != arity
-            or len(rel) != size
+            or bits > len(rel).bit_length()
+            or len(rel) != (lead << bits) - 1 + rest
             or rel != _ck_levels(family, n, m)[0][name][0]
         ):
             faults.append(f"structure relation {name} does not match the parameters")

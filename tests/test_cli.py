@@ -252,6 +252,21 @@ def test_bounds_past_the_digit_limit_exit_as_a_budget(capsys, monkeypatch):
     assert code == 2 and "universe" in err
 
 
+def test_ppcheck_refuses_a_large_congruence_before_building(capsys, monkeypatch):
+    # ppcheck builds no structure, so its congruence is bounded on its own
+    calls = []
+    for name in ("gen_r", "gen_r_b", "congruence_a", "congruence_b"):
+        monkeypatch.setattr(structures, name, lambda *a, name=name: calls.append(name))
+    for fam in ("A", "B"):
+        code, out, err = run(capsys, "ppcheck", fam, "--n", "1000000", "--i", "1")
+        assert (code, out) == (3, "") and len(err.splitlines()) == 1
+        # an i outside 1..n is a usage error first
+        for i in ("0", "1000001"):
+            code, out, err = run(capsys, "ppcheck", fam, "--n", "1000000", "--i", i)
+            assert (code, out) == (2, "") and "out of range" in err
+    assert calls == []
+
+
 def test_ppcheck_takes_no_m(capsys):
     # the congruence ladder does not depend on m, so ppcheck has no --m
     with pytest.raises(SystemExit) as exc:

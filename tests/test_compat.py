@@ -10,6 +10,9 @@ from polyclone.compat import (
     ColumnMultiset,
     Verdict,
     _cut_tally,
+    _layers,
+    _read_back,
+    _tally_image,
     check_compat_sampled,
     check_compat_symmetric,
     multiset_count,
@@ -294,9 +297,9 @@ def test_tally_scan_matches_multiset_oracle():
 BUNDLED_OPS = [witness_a(0, 2), witness_a(0, 3), witness_a(0, 4), witness_a(1, 2), witness_b(0)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10**9), st.booleans())
-def test_tally_scan_matches_oracle_on_random_relations(seed, bundled):
+def random_case(seed, bundled):
+    """A bundled or random symmetric operation and a random small relation
+    over its domain, drawn from `seed`."""
     rng = random.Random(seed)
     if bundled:
         op = rng.choice(BUNDLED_OPS)
@@ -306,8 +309,35 @@ def test_tally_scan_matches_oracle_on_random_relations(seed, bundled):
         op = CountTableOp(rng, d, rng.randint(1, 4))
     arity = rng.randint(1, 3)
     universe = list(itertools.product(range(d), repeat=arity))
-    rel = Relation(arity, d, rng.sample(universe, rng.randint(1, min(8, len(universe)))))
-    assert_scan_matches_oracle(op, rel)
+    return op, Relation(arity, d, rng.sample(universe, rng.randint(1, min(8, len(universe)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_tally_scan_matches_oracle_on_random_relations(seed, bundled):
+    assert_scan_matches_oracle(*random_case(seed, bundled))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_layers_match_brute_force(seed, bundled):
+    # layer k maps exactly the packed tallies of the multisets of k columns,
+    # each to the least last tuple index of a multiset with that tally, and
+    # reading any of them back gives a multiset with that tally
+    op, rel = random_case(seed, bundled)
+    steps, _ = _tally_image(op, rel, op.arity + 1)
+    layers = list(_layers(steps, op.arity))
+    assert len(layers) == op.arity - 1
+    for k, layer in enumerate(layers, 1):
+        least = {}
+        for c in compositions(k, len(steps)):
+            tally = sum(map(mul, c, steps))
+            last = max(t for t, ct in enumerate(c) if ct)
+            least[tally] = min(least.get(tally, last), last)
+        assert layer == least
+        for tally in layer:
+            counts = _read_back(layers[:k], steps, tally)
+            assert sum(counts) == k and sum(map(mul, counts, steps)) == tally
 
 
 def test_unary_compatibility_via_multisets():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -483,6 +484,33 @@ def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
         for _ in range(3):
             assert check_certificate_json({**obj, **change}, struct).faults == faults
     assert derived == []
+
+
+def test_check_refuses_a_huge_claimed_m_before_any_power_of_it():
+    # the level sizes hold 2**m, a number of m bits: a claimed m is compared
+    # with the structure's arities and sizes before any such power is formed
+    cert = certify_lower_bound_a(1, 2)
+    obj = certificate_to_json(cert)
+    m = 10**8
+    empty = Structure(structure_a(SpecA(1, 2)).domain,
+                      [(f"S{i}", Relation(m + 1, 3, [])) for i in (0, 1)])
+    faults = (
+        "structure relation S0 does not match the parameters",
+        "structure relation S1 does not match the parameters",
+    )
+    for struct in (structure_a(SpecA(1, 2)), empty):
+        for check in (
+            lambda: check_certificate(replace(cert, m=m), struct),
+            lambda: check_certificate_json({**obj, "m": m}, struct),
+        ):
+            tracemalloc.start()
+            try:
+                report = check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.faults == faults
+            assert peak < 2**20
 
 
 def test_check_rejects_level_relations_of_the_right_shape_that_differ():
