@@ -5,7 +5,7 @@ JSON on stdout; identical invocations (including seeds) produce identical
 bytes.  Exit codes: 0 ok / sat, 1 violation / unsat / failed identity, 2
 usage error, 3 budget exceeded (a bound, or a trace or witness arity, of
 over 4,300 digits too, a structure of over 2**18 level tuples and a
-ppcheck ladder whose congruence holds over 2**18 pairs) or
+ppcheck ladder whose relations may hold over 2**19 pairs in all) or
 unknown verdict, 141 (128 + SIGPIPE) stdout closed by its reader before all
 output was written, with nothing on stderr.  Every budget is a flag; no
 environment variable is read.  Family B refuses `--m`.  `witness --budget`

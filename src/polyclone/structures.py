@@ -25,7 +25,8 @@ and not 2^d - 1 unary ones.  Nothing here is cached: every command reads
 each relation of its structure at most once.  A structure whose level
 relations would hold more than `MAX_LEVEL_TUPLES` tuples is refused with
 `BudgetExceededError` before any of them is built, and so is a ladder whose
-congruence would hold more pairs.
+relations may hold more than `MAX_LADDER_PAIRS` pairs in all, which bounds
+the time its compositions take as well as their size.
 """
 
 from __future__ import annotations
@@ -136,10 +137,7 @@ def chain_congruence_a(spec: SpecA, i: int) -> Relation:
     """Compose the converse/forward ladder of R_0..R_{i-1}, left to right."""
     if not 1 <= i <= spec.n:
         raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
-    # the congruence's pairs bound those of every relation on the ladder,
-    # which stay within (i+2)**2 + n + 2
-    if (i + 1) ** 2 + spec.n - i + 1 > MAX_LEVEL_TUPLES:
-        raise BudgetExceededError(f"the level-{i} congruence exceeds {MAX_LEVEL_TUPLES} pairs")
+    _bound_ladder(spec.n, i)
     rels = [gen_r(spec, t) for t in range(i)]
     return reduce(compose, [converse(r) for r in rels] + rels[::-1])
 
@@ -193,6 +191,21 @@ class UnaryRelations(Mapping):
 # most tuples the level relations of a structure may hold: 64 times those of
 # A(0,12), the largest structure that the tests and the benchmark build
 MAX_LEVEL_TUPLES = 2**18
+# most pairs that the 2i relations of a level-i ladder may hold in all, a
+# bound on the work of composing them: 2-3 s at i = 1, n = 262,133 and
+# 0.3 s at i = n = 62 on a 2-core machine
+MAX_LADDER_PAIRS = 2 * MAX_LEVEL_TUPLES
+
+
+def _bound_ladder(n: int, i: int) -> None:
+    """Refuse a level-i ladder over family A(n, ·) or B(n) before any of its
+    relations is built.  Each of its 2i relations, and so the congruence,
+    holds at most (i+2)**2 + n + 2 pairs; under the bound the congruence
+    holds at most MAX_LEVEL_TUPLES."""
+    if 2 * i * ((i + 2) ** 2 + n + 2) > MAX_LADDER_PAIRS:
+        raise BudgetExceededError(
+            f"the level-{i} ladder's {2 * i} relations may exceed {MAX_LADDER_PAIRS} pairs"
+        )
 
 
 def structure_a(spec: SpecA) -> Structure:
@@ -248,8 +261,7 @@ def chain_congruence_b(spec: SpecB, i: int, j_pattern=None) -> Relation:
     """
     if not 1 <= i <= spec.n:
         raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
-    if (i + 2) ** 2 + spec.n - i + 1 > MAX_LEVEL_TUPLES:
-        raise BudgetExceededError(f"the level-{i} congruence exceeds {MAX_LEVEL_TUPLES} pairs")
+    _bound_ladder(spec.n, i)
     if j_pattern is None:
         j_pattern = (1,) * (2 * i)
     j_pattern = tuple(j_pattern)

@@ -267,6 +267,18 @@ def test_ppcheck_refuses_a_large_congruence_before_building(capsys, monkeypatch)
     assert calls == []
 
 
+def test_ppcheck_refuses_a_long_ladder_before_building(capsys, monkeypatch):
+    # a congruence of 302**2 pairs is small, but its ladder composes 600
+    # relations of that size; the bound caps that work, not only the size
+    calls = []
+    for name in ("gen_r", "gen_r_b"):
+        monkeypatch.setattr(structures, name, lambda *a, name=name: calls.append(name))
+    for fam in ("A", "B"):
+        code, out, err = run(capsys, "ppcheck", fam, "--n", "300", "--i", "300")
+        assert (code, out) == (3, "") and len(err.splitlines()) == 1
+    assert calls == []
+
+
 def test_ppcheck_takes_no_m(capsys):
     # the congruence ladder does not depend on m, so ppcheck has no --m
     with pytest.raises(SystemExit) as exc:

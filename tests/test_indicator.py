@@ -21,7 +21,7 @@ from polyclone.relations import (
     Structure,
     table_compatible,
 )
-from polyclone.structures import SpecA, SpecB, structure_a, structure_b
+from polyclone.structures import SpecA, SpecB, UnaryRelations, structure_a, structure_b
 from polyclone.witness import witness_a
 
 from oracles import as_table, full_instance, repeat_patterns, scope_of
@@ -282,14 +282,25 @@ def rand_small_structure(rng, d):
     return Structure(Domain([str(x) for x in range(d)]), rels)
 
 
-@settings(max_examples=120, deadline=None)
+def conservative(struct):
+    """struct plus every nonempty unary relation over its domain."""
+    d = struct.domain.size
+    return Structure(struct.domain, struct.relations, UnaryRelations(d))
+
+
+@settings(max_examples=160, deadline=None)
 @given(
     st.sampled_from([(2, 3, "nu"), (2, 4, "nu"), (3, 3, "nu"), (2, 3, "remark")]),
     st.integers(0, 10**6),
+    st.booleans(),
 )
-def test_decide_matches_brute_force_for_each_pin(case, seed):
+def test_decide_matches_brute_force_for_each_pin(case, seed, with_unaries):
+    # with every nonempty unary relation, each domain lies inside its
+    # entries, and the root queues only what the pins may break
     d, k, pin = case
     struct = rand_small_structure(random.Random(seed), d)
+    if with_unaries:
+        struct = conservative(struct)
     pins = list(PIN_SETS[pin](d, k))
     exists, _ = oracle_exists(struct, k, pins)
     report = decide_nu(struct, k, pin=pin)
@@ -315,7 +326,12 @@ def test_orbit_reduced_counts_and_nodes():
     assert decide_nu(b1, 5).nodes == 440
     inst = build_indicator(b1, 6, nu_pins(4, 6))
     assert inst.n_constraints == 617600
-    assert solve(inst).nodes == 2360
+    report = solve(inst)
+    assert report.nodes == 2360
+    # the root queues only the constraints that the pins may leave short of
+    # GAC, not all 617,600 (707,060 root revisions while it queued them all)
+    assert solve(inst, node_limit=0).revisions == 158390
+    assert report.revisions == 313580
 
 
 def never_skip(*args):
@@ -329,11 +345,12 @@ def test_skipped_revisions_are_counted(monkeypatch):
     # stays out of the JSON, so decide's output does not change
     b1 = structure_b(SpecB(1))
     report = decide_nu(b1, 5)
-    assert report.revisions == 109940
+    assert report.revisions == 45010
     assert "revisions" not in report.to_json()
     monkeypatch.setattr(indicator, "_stays_gac", never_skip)
     every = decide_nu(b1, 5)
-    assert every.revisions == 232667
+    assert every.revisions == 227739
+    assert 2 * report.revisions < every.revisions
     assert (every.verdict, every.nodes, every.table) == (report.verdict, report.nodes, report.table)
 
 
@@ -430,6 +447,74 @@ def test_skipping_revisions_changes_no_search(case, seed):
     assert skipping.verdict == every.verdict
     assert skipping.nodes == every.nodes
     assert skipping.table == every.table
+
+
+def entries_mask(row):
+    mask = 0
+    for x in row:
+        mask |= 1 << x
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_constraints_are_gac_when_domains_are_entries(data):
+    # the root's lemma: with each scope variable's domain the entries of
+    # its row, a revision narrows nothing, whatever the columns of R
+    r = data.draw(st.integers(2, 4), label="arity")
+    d = data.draw(st.integers(2, 4), label="domain size")
+    seed = data.draw(st.integers(0, 10**6), label="seed")
+    rng = random.Random(seed)
+    if data.draw(st.booleans(), label="symmetric"):
+        rel = rand_symmetric_relation(rng, d, r, 8)
+    else:
+        universe = list(itertools.product(range(d), repeat=r))
+        rel = Relation(r, d, rng.sample(universe, rng.randint(1, min(8, len(universe)))))
+    k = data.draw(st.integers(1, 4), label="k")
+    cols = data.draw(st.lists(st.sampled_from(sorted(rel.tuples)), min_size=k, max_size=k))
+    rows = list(zip(*cols))
+    pattern = tuple(rows.index(row) for row in rows)
+    doms = [entries_mask(row) for row in rows]
+    assert revise(rel, pattern, doms) == doms
+
+
+def no_entries(d, k):
+    # no domain lies inside these entries, so the root queues every constraint
+    return [0] * d**k
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            (2, 3, "nu", 2),
+            (2, 4, "nu", 2),
+            (3, 3, "nu", 3),
+            (3, 4, "nu", 3),
+            (2, 3, "remark", 2),
+            (3, 3, "remark", 3),
+            (2, 3, "nu", 9),
+            (3, 3, "remark", 9),
+        ]
+    ),
+    st.integers(0, 10**6),
+)
+def test_entries_root_matches_a_root_that_queues_everything(case, seed):
+    # a root that knew no entries would queue every constraint, as the root
+    # did before it read them; GAC has one fixpoint, so every node agrees.
+    # Padded to 9 elements, domains are a list, and the variables that
+    # mention a new element, whose domains hold values outside their
+    # entries, queue every constraint over them
+    d, k, pin, size = case
+    struct = conservative(rand_small_structure(random.Random(seed), d))
+    if size > d:
+        struct = padded(struct, size)
+    inst = build_indicator(struct, k, PIN_SETS[pin](d, k))
+    tight = solve(inst)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(indicator, "_entry_masks", no_entries)
+        every = solve(inst)
+    assert (tight.verdict, tight.nodes, tight.table) == (every.verdict, every.nodes, every.table)
 
 
 def rand_symmetric_relation(rng, d, arity, cap):
