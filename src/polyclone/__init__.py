@@ -11,10 +11,7 @@ from .relations import (
     compose,
     converse,
     equivalence_from_blocks,
-    full_relation,
-    identity_relation,
     is_equivalence,
-    project,
     table_compatible,
 )
 from .structures import (
@@ -36,9 +33,7 @@ from .structures import (
     upper_bound,
 )
 from .witness import (
-    CountVector,
     SymmetricOp,
-    compositions,
     is_nu_symmetric,
     random_composition,
     witness_a,
@@ -61,17 +56,12 @@ from .indicator import (
 from .trace import (
     CheckReport,
     TraceCertificate,
-    build_schedule_a,
-    build_schedule_b,
     certificate_from_json,
     certificate_to_json,
     certify_lower_bound_a,
     certify_lower_bound_b,
     check_certificate,
     check_certificate_json,
-    pivot_identities,
-    schedule_count,
-    schedule_vector,
     write_certificate_json,
 )
 

@@ -28,7 +28,6 @@ from operator import mul
 from .relations import BudgetExceededError, Domain, Relation, tally_rows
 from .witness import (
     DEFAULT_SEED,
-    CountVector,
     SymmetricOp,
     composition_at,
     floyd_cuts,
@@ -77,12 +76,11 @@ class ColumnMultiset:
         }
 
 
-def row_counts(cm: ColumnMultiset) -> list[CountVector]:
+def row_counts(cm: ColumnMultiset) -> list[list[int]]:
     """Per-row count vectors of the represented matrix; every row total
     equals the multiset total."""
     rel = cm.rel
-    rows = tally_rows(rel.arity, rel.domain_size, zip(rel.tuples, cm.counts))
-    return [CountVector(row) for row in rows]
+    return tally_rows(rel.arity, rel.domain_size, zip(rel.tuples, cm.counts))
 
 
 def multiset_count(arity: int, tuples: int) -> int:
@@ -238,7 +236,7 @@ def check_compat_symmetric(
     if counts is None:
         return Verdict(True, "exact", total)
     cm = ColumnMultiset(rel, counts)
-    if tuple(op.value_counts(row.counts) for row in row_counts(cm)) in rel:
+    if tuple(map(op.value_counts, row_counts(cm))) in rel:
         raise RuntimeError("reconstructed violation re-checks as compatible")
     return Verdict(False, "exact", total, cm)
 

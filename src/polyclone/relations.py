@@ -144,14 +144,6 @@ class OpTable:
         return hash((self.arity, self.domain_size, self.values))
 
 
-def identity_relation(domain_size: int) -> Relation:
-    return Relation(2, domain_size, [(x, x) for x in range(domain_size)])
-
-
-def full_relation(domain_size: int) -> Relation:
-    return Relation(2, domain_size, itertools.product(range(domain_size), repeat=2))
-
-
 def compose(p: Relation, q: Relation) -> Relation:
     """Path composition: (x,z) is in the result iff some y has (x,y) in p and (y,z) in q."""
     if p.arity != 2 or q.arity != 2:
@@ -172,17 +164,6 @@ def converse(r: Relation) -> Relation:
     if r.arity != 2:
         raise ValueError("converse needs a binary relation")
     return Relation(2, r.domain_size, [(y, x) for x, y in r.tuples])
-
-
-def project(r: Relation, coords) -> Relation:
-    """Image of restricting every tuple to the given coordinate list."""
-    coords = list(coords)
-    if not coords:
-        raise ValueError("projection needs at least one coordinate")
-    for c in coords:
-        if not 0 <= c < r.arity:
-            raise ValueError(f"coordinate {c} out of range for arity {r.arity}")
-    return Relation(len(coords), r.domain_size, {tuple(t[c] for c in coords) for t in r.tuples})
 
 
 def is_equivalence(r: Relation) -> bool:

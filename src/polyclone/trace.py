@@ -17,7 +17,11 @@ shape (m and the number of bottom ids), the relations it applies at a level
 and the low-corner columns that feed them.  The base derivation is a step
 at the top level whose premise is a row deviating once at a bottom id.
 The builder only builds: it reads every field off the ladder and checks
-nothing, and `check_certificate` alone vouches for what it builds.
+nothing, and `check_certificate` alone vouches for what it builds.  The
+ladder is walked row by row from row 0 (`_build_schedule`), and a built
+certificate's `schedule` is the package's one ladder; the closed form of
+its counts and the pivot identities are test references, in
+`tests/oracles.py`.
 
 Position permutations are absorbed by the count representation: a symmetric
 bookkeeping step constrains an operation under every argument order at once,
@@ -95,7 +99,6 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .relations import Relation, Structure, blocks, compose, converse, tally_rows
 from .structures import SpecA, SpecB, congruence_a, congruence_b, domain_a, domain_b
-from .witness import CountVector
 
 
 # ---------------------------------------------------------------------------
@@ -108,57 +111,21 @@ def _shape(spec: SpecA | SpecB) -> tuple[int, int]:
     return (2, 2) if isinstance(spec, SpecB) else (spec.m, 1)
 
 
-def schedule_count(n: int, m: int, k: int, level) -> int:
-    """Multiplicity of `level` ("a" or 0..n-1) in the k-th schedule vector."""
-    if not 0 <= k < 2**n:
-        raise ValueError(f"step {k} out of range 0..{2 ** n - 1}")
-    if level == "a":
-        return m ** (k + 1)
-    if not 0 <= level <= n - 1:
-        raise ValueError(f"level {level} out of range")
-    if (k >> level) & 1:
-        return 0
-    step = 1 << level
-    # the bits of k above `level`, kept in place
-    prefix = (k >> (level + 1)) << (level + 1)
-    return m ** (prefix + step) * (m**step - 1)
-
-
-def _ladder_row(spec: SpecA | SpecB, k: int) -> tuple[int, ...]:
-    """The k-th count vector of a family's ladder: m**(k+1) split evenly over
-    the bottom ids, then levels 0..n."""
-    m, lo = _shape(spec)
-    n = spec.n
-    counts = [schedule_count(n, m, k, "a") // lo] * lo
-    counts += [schedule_count(n, m, k, level) for level in range(n)]
-    return (*counts, 0)
-
-
-def schedule_vector(n: int, m: int, k: int) -> CountVector:
-    """The k-th count vector of family A's ladder, over {a, 0..n}."""
-    return CountVector(_ladder_row(SpecA(n, m), k))
-
-
-@dataclass(frozen=True)
-class Schedule:
-    n: int
-    m: int
-    vectors: tuple[CountVector, ...]
-
-
 def _build_schedule(spec: SpecA | SpecB, seen: dict) -> tuple[tuple[int, ...], ...]:
     """The ladder's rows, with one int object per distinct count: the counts
     recur down the ladder (A(12,2)'s 28,672 nonzero counts take 6,143
     values).  `seen` maps each count to its one object, and a certificate
     interns its other counts through it too.
 
-    Row 0 comes from the closed form and each later row from its
+    Row 0 holds m split evenly over the bottom ids, m**2**t * (m**2**t - 1)
+    at each level t < n and 0 at level n.  Each later row comes from its
     predecessor: from row k to row k+1 the pivot i (the least zero bit of
     k) empties, each level t < i refills to m**(k+1+2**t) * (m**2**t - 1),
     the bottom block grows to m**(k+2) in all, and the levels above i keep
     their counts."""
     m, lo = _shape(spec)
-    row = [seen.setdefault(c, c) for c in _ladder_row(spec, 0)]
+    row0 = [m // lo] * lo + [m**2**t * (m**2**t - 1) for t in range(spec.n)] + [0]
+    row = [seen.setdefault(c, c) for c in row0]
     rows = [tuple(row)]
     for k in range(2**spec.n - 1):
         i = least_zero_bit(k)
@@ -172,51 +139,11 @@ def _build_schedule(spec: SpecA | SpecB, seen: dict) -> tuple[tuple[int, ...], .
     return tuple(rows)
 
 
-def build_schedule_a(n: int, m: int) -> Schedule:
-    return Schedule(n, m, tuple(map(CountVector, _build_schedule(SpecA(n, m), {}))))
-
-
-def build_schedule_b(n: int) -> Schedule:
-    return Schedule(n, 2, tuple(map(CountVector, _build_schedule(SpecB(n), {}))))
-
-
 def least_zero_bit(k: int) -> int:
     i = 0
     while (k >> i) & 1:
         i += 1
     return i
-
-
-def pivot_identities(n: int, m: int, k: int) -> dict:
-    """Exact arithmetic at the pivot of the transition k -> k+1.
-
-    Verifies that levels below the pivot are empty at step k, the pivot count
-    and the below-pivot prefix sums hit their closed forms, higher levels are
-    unchanged at step k+1, and the pivot empties at step k+1.
-    """
-    if not 0 <= k <= 2**n - 2:
-        raise ValueError(
-            f"step {k} has no pivot (valid transitions are 0..{2 ** n - 2})"
-        )
-    v_k, v_k1 = schedule_vector(n, m, k), schedule_vector(n, m, k + 1)
-    i = least_zero_bit(k)
-    p = 1 + i  # entry p counts level i, after the bottom element a
-    power = m ** (k + 1 + 2**i)
-    pivot_count = v_k.counts[p]
-    below_succ = v_k.less(p + 1)
-    below_conc = v_k1.less(p)
-    report = {
-        "pivot": i,
-        "pivot_count": pivot_count,
-        "below_succ_premise": below_succ,
-        "below_pivot_conclusion": below_conc,
-        "a": not any(v_k.counts[1:p]),
-        "b": pivot_count == m ** (k + 1) * (m ** (2**i) - 1) and below_succ == power,
-        "c": v_k1.counts[p] == 0 and v_k1.counts[p + 1 :] == v_k.counts[p + 1 :],
-        "d": below_conc == power,
-    }
-    report["ok"] = report["a"] and report["b"] and report["c"] and report["d"]
-    return report
 
 
 # ---------------------------------------------------------------------------

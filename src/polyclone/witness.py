@@ -15,51 +15,7 @@ from itertools import accumulate
 
 from .structures import domain_a, domain_b
 
-TOP = None  # sentinel: count everything (the cut above the largest element)
-
 DEFAULT_SEED = 1729
-
-
-class CountVector:
-    """Multiset over 0..d-1 with arbitrary-precision counts."""
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts):
-        self.counts = tuple(int(c) for c in counts)
-        if not self.counts:
-            raise ValueError("empty count vector")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
-        self.total = sum(self.counts)
-
-    def less(self, r) -> int:
-        """Number of occurrences of elements strictly below r (TOP: all)."""
-        if r is TOP:
-            return self.total
-        return sum(self.counts[:r])
-
-    def count(self, e: int) -> int:
-        return self.counts[e]
-
-    def support(self):
-        return tuple(e for e, c in enumerate(self.counts) if c > 0)
-
-    @classmethod
-    def from_args(cls, domain_size: int, args) -> "CountVector":
-        counts = [0] * domain_size
-        for x in args:
-            counts[x] += 1
-        return cls(counts)
-
-    def __eq__(self, other):
-        return isinstance(other, CountVector) and self.counts == other.counts
-
-    def __hash__(self):
-        return hash(self.counts)
-
-    def __repr__(self):
-        return f"CountVector({list(self.counts)})"
 
 
 class SymmetricOp:
@@ -96,11 +52,6 @@ class SymmetricOp:
     def base(self) -> int:
         # ids of the bottom block: family A has one low element, B has two
         return 1 if self.family == "A" else 2
-
-    def value(self, x: CountVector) -> int:
-        if len(x.counts) != self.domain.size:
-            raise ValueError("count vector does not match the operation domain")
-        return self.value_counts(x.counts)
 
     def value_counts(self, counts) -> int:
         """Cascade evaluation on a raw count sequence; returns an element id."""
@@ -162,23 +113,13 @@ def is_nu_symmetric(op: SymmetricOp) -> bool:
     return True
 
 
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers with the given sum, first
-    coordinate descending."""
-    if parts < 1:
-        raise ValueError("parts must be positive")
-    if parts == 1:
-        yield (total,)
-        return
-    for c in range(total, -1, -1):
-        for rest in compositions(total - c, parts - 1):
-            yield (c,) + rest
-
-
 def floyd_cuts(rng: random.Random, n: int, k: int):
     """Endless stream of Floyd's uniform k-subsets of range(n), each sorted;
     works for arbitrarily large n.  Every random draw of the package goes
     through here, so a seed names the same samples for every caller."""
+    if not 0 <= k <= n:
+        # past n, the draw for j = -1 would take 0 bits and redraw forever
+        raise ValueError(f"cannot choose {k} of {n} elements")
     getrandbits = rng.getrandbits
     draws = [(j, (j + 1).bit_length()) for j in range(n - k, n)]
     chosen = set()
@@ -213,5 +154,7 @@ def composition_at(cuts, total: int) -> tuple:
 
 def random_composition(rng: random.Random, total: int, parts: int):
     """Uniformly random composition of `total` into `parts` nonnegative
-    integers, via a uniform placement of bars among stars."""
+    integers, via a uniform placement of bars among stars.  Parts < 1 asks
+    for a negative number of bars and total < 0 for fewer places than bars,
+    and `floyd_cuts` refuses both with ValueError."""
     return composition_at(sample_distinct(rng, total + parts - 1, parts - 1), total)

@@ -8,7 +8,7 @@ from polyclone import trace
 from polyclone.compat import ColumnMultiset, Verdict
 from polyclone.indicator import IndicatorInstance
 from polyclone.relations import BudgetExceededError, OpTable, Relation, Structure, tally_rows
-from polyclone.structures import SpecA, domain_a, domain_b, gen_r_b, gen_s
+from polyclone.structures import SpecA, SpecB, domain_a, domain_b, gen_r_b, gen_s
 from polyclone.trace import (
     Application,
     BaseCertificate,
@@ -18,26 +18,47 @@ from polyclone.trace import (
     TraceCertificate,
     check_certificate,
 )
-from polyclone.witness import DEFAULT_SEED, CountVector, SymmetricOp
+from polyclone.witness import DEFAULT_SEED, SymmetricOp
 
 
-def value_by_max_rule(op: SymmetricOp, x: CountVector) -> int:
+def value_by_max_rule(op: SymmetricOp, counts) -> int:
     """Family-A evaluation by collecting every firing level and taking the
     largest, rather than scanning the cascade top-down.  Kept as a separate
     code path so the two formulations can be checked against each other.
     """
     if op.family != "A":
         raise ValueError("max-rule form is defined for family A")
-    if len(x.counts) != op.domain.size:
+    if len(counts) != op.domain.size:
         raise ValueError("count vector does not match the operation domain")
     fired = []
     for r in range(op.n + 1):
-        left = op.arity if r == op.n else x.less(r + 2)
-        if left > op._thr[r] * x.less(r + 1):
+        left = op.arity if r == op.n else sum(counts[: r + 2])
+        if left > op._thr[r] * sum(counts[: r + 1]):
             fired.append(r)
     if fired:
         return max(fired) + 1
     return 0
+
+
+def counts_of(domain_size: int, args) -> tuple[int, ...]:
+    """The count vector of an argument tuple."""
+    counts = [0] * domain_size
+    for x in args:
+        counts[x] += 1
+    return tuple(counts)
+
+
+def compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers with the given sum, first
+    coordinate descending."""
+    if parts < 1:
+        raise ValueError("parts must be positive")
+    if parts == 1:
+        yield (total,)
+        return
+    for c in range(total, -1, -1):
+        for rest in compositions(total - c, parts - 1):
+            yield (c,) + rest
 
 
 def as_table(op: SymmetricOp, budget: int = 10**7) -> OpTable:
@@ -48,13 +69,87 @@ def as_table(op: SymmetricOp, budget: int = 10**7) -> OpTable:
             f"{d}**{op.arity} table entries exceed budget {budget}"
         )
 
-    def fn(args):
-        counts = [0] * d
-        for x in args:
-            counts[x] += 1
-        return op.value_counts(counts)
+    return OpTable.from_function(op.arity, d, lambda args: op.value_counts(counts_of(d, args)))
 
-    return OpTable.from_function(op.arity, d, fn)
+
+def identity_relation(domain_size: int) -> Relation:
+    return Relation(2, domain_size, [(x, x) for x in range(domain_size)])
+
+
+def full_relation(domain_size: int) -> Relation:
+    return Relation(2, domain_size, itertools.product(range(domain_size), repeat=2))
+
+
+def project(r: Relation, coords) -> Relation:
+    """Image of restricting every tuple to the given coordinate list."""
+    coords = list(coords)
+    if not coords:
+        raise ValueError("projection needs at least one coordinate")
+    for c in coords:
+        if not 0 <= c < r.arity:
+            raise ValueError(f"coordinate {c} out of range for arity {r.arity}")
+    return Relation(len(coords), r.domain_size, {tuple(t[c] for c in coords) for t in r.tuples})
+
+
+def schedule_count(n: int, m: int, k: int, level) -> int:
+    """Multiplicity of `level` ("a" or 0..n-1) in the k-th vector of family
+    A's ladder, in closed form."""
+    if not 0 <= k < 2**n:
+        raise ValueError(f"step {k} out of range 0..{2 ** n - 1}")
+    if level == "a":
+        return m ** (k + 1)
+    if not 0 <= level <= n - 1:
+        raise ValueError(f"level {level} out of range")
+    if (k >> level) & 1:
+        return 0
+    step = 1 << level
+    # the bits of k above `level`, kept in place
+    prefix = (k >> (level + 1)) << (level + 1)
+    return m ** (prefix + step) * (m**step - 1)
+
+
+def ladder_row(spec, k: int) -> tuple[int, ...]:
+    """The k-th count vector of a family's ladder, in closed form: m**(k+1)
+    split evenly over the bottom ids, then levels 0..n.  Family B runs the
+    m = 2 ladder with its bottom element doubled."""
+    m, lo = (2, 2) if isinstance(spec, SpecB) else (spec.m, 1)
+    n = spec.n
+    counts = [schedule_count(n, m, k, "a") // lo] * lo
+    counts += [schedule_count(n, m, k, level) for level in range(n)]
+    return (*counts, 0)
+
+
+def pivot_identities(n: int, m: int, k: int) -> dict:
+    """Exact arithmetic at the pivot of family A's transition k -> k+1, on
+    the closed-form ladder.
+
+    Verifies that levels below the pivot are empty at step k, the pivot count
+    and the below-pivot prefix sums hit their closed forms, higher levels are
+    unchanged at step k+1, and the pivot empties at step k+1.
+    """
+    if not 0 <= k <= 2**n - 2:
+        raise ValueError(
+            f"step {k} has no pivot (valid transitions are 0..{2 ** n - 2})"
+        )
+    v_k, v_k1 = ladder_row(SpecA(n, m), k), ladder_row(SpecA(n, m), k + 1)
+    i = (~k & (k + 1)).bit_length() - 1  # the least zero bit of k
+    p = 1 + i  # entry p counts level i, after the bottom element a
+    power = m ** (k + 1 + 2**i)
+    pivot_count = v_k[p]
+    below_succ = sum(v_k[: p + 1])
+    below_conc = sum(v_k1[:p])
+    report = {
+        "pivot": i,
+        "pivot_count": pivot_count,
+        "below_succ_premise": below_succ,
+        "below_pivot_conclusion": below_conc,
+        "a": not any(v_k[1:p]),
+        "b": pivot_count == m ** (k + 1) * (m ** (2**i) - 1) and below_succ == power,
+        "c": v_k1[p] == 0 and v_k1[p + 1 :] == v_k[p + 1 :],
+        "d": below_conc == power,
+    }
+    report["ok"] = report["a"] and report["b"] and report["c"] and report["d"]
+    return report
 
 
 def eager_structure(spec) -> Structure:

@@ -22,15 +22,13 @@ from polyclone.relations import BudgetExceededError, Relation
 from polyclone.structures import SpecA, SpecB, gen_r_b, gen_s, structure_a, structure_b
 from polyclone.witness import (
     DEFAULT_SEED,
-    CountVector,
     composition_at,
-    compositions,
     sample_distinct,
     witness_a,
     witness_b,
 )
 
-from oracles import as_table, sampled_in_full
+from oracles import as_table, compositions, sampled_in_full
 
 
 def multiset_scan(op, rel):
@@ -91,7 +89,7 @@ def assert_scan_matches_oracle(op, rel):
     if not verdict.ok:
         cm = verdict.violation
         assert cm.total == op.arity
-        assert tuple(op.value_counts(row.counts) for row in row_counts(cm)) not in rel
+        assert tuple(map(op.value_counts, row_counts(cm))) not in rel
         assert cm.counts in violations
     return verdict
 
@@ -99,7 +97,7 @@ def assert_scan_matches_oracle(op, rel):
 def test_row_counts_constant_columns():
     rel = Relation(3, 2, [(1, 1, 1)])
     cm = ColumnMultiset(rel, [7])
-    assert row_counts(cm) == [CountVector([0, 7])] * 3
+    assert row_counts(cm) == [[0, 7]] * 3
 
 
 def test_row_counts_hand_tally():
@@ -108,9 +106,9 @@ def test_row_counts_hand_tally():
     assert rel.tuples == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (2, 2, 2))
     cm = ColumnMultiset(rel, [1, 0, 2, 2])
     rows = row_counts(cm)
-    assert rows[0] == CountVector([3, 0, 2])
-    assert rows[1] == CountVector([1, 2, 2])
-    assert rows[2] == CountVector([3, 0, 2])
+    assert rows[0] == [3, 0, 2]
+    assert rows[1] == [1, 2, 2]
+    assert rows[2] == [3, 0, 2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,7 +120,7 @@ def test_row_counts_conserve_total(seed):
     counts = [rng.randint(0, 4) for _ in rel.tuples]
     cm = ColumnMultiset(rel, counts)
     for row in row_counts(cm):
-        assert row.total == cm.total
+        assert sum(row) == cm.total
 
 
 def test_column_multiset_validation():
@@ -174,7 +172,7 @@ def test_exact_check_finds_violation_on_corrupted_relation():
     assert not verdict.ok
     cm = verdict.violation
     # the violation is reproducible: its rows really map outside the relation
-    image = tuple(op.value(row) for row in row_counts(cm))
+    image = tuple(map(op.value_counts, row_counts(cm)))
     assert image not in bad
     again = check_compat_symmetric(op, bad)
     assert again.violation == cm and again.checked == verdict.checked
@@ -186,7 +184,7 @@ def test_sampled_check_finds_violation_with_default_seed():
     verdict = check_compat_sampled(op, bad, 10**4, seed=DEFAULT_SEED)
     assert not verdict.ok and verdict.mode == "sampled"
     assert verdict.checked <= 10**4
-    image = tuple(op.value(row) for row in row_counts(verdict.violation))
+    image = tuple(map(op.value_counts, row_counts(verdict.violation)))
     assert image not in bad
 
 

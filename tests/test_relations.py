@@ -14,15 +14,14 @@ from polyclone.relations import (
     compose,
     converse,
     equivalence_from_blocks,
-    full_relation,
-    identity_relation,
     is_equivalence,
-    project,
     relation_to_json,
     structure_to_json,
     table_compatible,
 )
 from polyclone.structures import SpecA, chain_congruence_a, congruence_a, gen_r, gen_s
+
+from oracles import full_relation, identity_relation, project
 
 
 def rand_relation(rng, arity, domain_size, max_tuples=8):

@@ -2,7 +2,8 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "polyclone"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "polyclone"
 
 
 def uncalled_helpers(src_dir: Path) -> list[str]:
@@ -54,6 +55,63 @@ def test_uncalled_helper_scan_sees_references(tmp_path):
     assert uncalled_helpers(tmp_path) == ["a.py:Orphan", "a.py:recursive"]
 
 
+def exports_without_a_user(src_dir: Path, user_dirs: list[Path]) -> list[str]:
+    """The names that the package `__init__` in src_dir exports and that no
+    other module of the package, outside the name's own definition, and no
+    module under `user_dirs` reads: as a name, as an attribute, or in a
+    `from <package>... import`."""
+    package = src_dir.name
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse((src_dir / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    paths = [p for p in sorted(src_dir.glob("*.py")) if p.name != "__init__.py"]
+    paths += [p for d in user_dirs for p in sorted(d.rglob("*.py"))]
+    read = set()
+    for path in paths:
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)  # a recursive call is no user
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                      and node.module.partition(".")[0] == package):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                read.update(name for name in names if name != own)
+    return sorted(exported - read)
+
+
+def test_every_export_has_a_user():
+    # the package holds what its commands and the benchmark call; a name
+    # only tests read is a test reference, and belongs in tests/oracles.py
+    assert exports_without_a_user(SRC, [ROOT / "perfbench"]) == []
+
+
+def test_unused_export_scan_sees_users(tmp_path):
+    pkg, bench = tmp_path / "pkg", tmp_path / "bench"
+    pkg.mkdir()
+    bench.mkdir()
+    (pkg / "__init__.py").write_text(
+        "from .a import by_module, by_attribute, by_import, recursive, orphan as alias\n"
+    )
+    (pkg / "a.py").write_text(
+        "def by_module(): return 1\n"
+        "def by_attribute(): pass\n"
+        "def by_import(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def orphan(): pass\n"
+    )
+    (pkg / "b.py").write_text("from . import a\nX = a.by_attribute()\nY = by_module\n")
+    (bench / "run.py").write_text("from pkg.a import by_import\nfrom other import alias\n")
+    assert exports_without_a_user(pkg, [bench]) == ["alias", "recursive"]
+
+
 def foreign_imports(src_dir: Path) -> list[str]:
     """Absolute imports of the modules in src_dir whose top-level package is
     not in the standard library."""
@@ -94,8 +152,8 @@ def test_foreign_import_scan_sees_imports(tmp_path):
 # prefixes of the builder's functions, which the certificate checker must
 # not name: it re-derives what it trusts, so a builder bug cannot vouch for
 # itself
-BUILDER_PREFIXES = ("_certify", "_applications", "_ladder", "pivot_identities",
-                    "schedule_count", "gen_", "congruence_", "chain_congruence_")
+BUILDER_PREFIXES = ("_certify", "_applications", "_ladder", "_build_schedule", "least_zero_bit",
+                    "gen_", "congruence_", "chain_congruence_")
 
 
 def checker_uses_of_builder(paths: list[Path]) -> list[str]:

@@ -11,7 +11,6 @@ from polyclone.relations import (
     blocks,
     compose,
     converse,
-    project,
     structure_to_json,
 )
 from polyclone.structures import (
@@ -34,7 +33,7 @@ from polyclone.structures import (
     upper_bound,
 )
 
-from oracles import eager_structure
+from oracles import eager_structure, project
 
 
 def test_spec_validation():

@@ -22,9 +22,6 @@ from polyclone.trace import (
     ColumnBlock,
     _certify_base,
     _certify_step,
-    _ladder_row,
-    build_schedule_a,
-    build_schedule_b,
     certificate_from_json,
     certificate_to_json,
     certify_lower_bound_a,
@@ -32,13 +29,10 @@ from polyclone.trace import (
     check_certificate,
     check_certificate_json,
     least_zero_bit,
-    pivot_identities,
-    schedule_count,
-    schedule_vector,
     write_certificate_json,
 )
 
-from oracles import check_json_in_full
+from oracles import check_json_in_full, ladder_row, pivot_identities, schedule_count
 
 
 def test_schedule_count_worked_example():
@@ -68,43 +62,37 @@ def test_schedule_count_range_errors():
 
 
 def test_schedule_vectors_worked_example():
-    v7 = schedule_vector(3, 3, 7)
-    assert v7.counts == (6561, 0, 0, 0, 0)
-    v4 = schedule_vector(3, 3, 4)
-    assert v4.counts == (243, 486, 5832, 0, 0)
+    ladder = certify_lower_bound_a(3, 3).schedule
+    assert ladder[7] == ladder_row(SpecA(3, 3), 7) == (6561, 0, 0, 0, 0)
+    assert ladder[4] == ladder_row(SpecA(3, 3), 4) == (243, 486, 5832, 0, 0)
 
 
 def test_schedule_totals_and_growth():
     for n in range(5):
         for m in (2, 3, 5):
-            total = m ** (2**n)
-            prev = None
-            for k in range(2**n):
-                v = schedule_vector(n, m, k)
-                assert v.total == total
-                if prev is not None:
-                    assert v.counts[0] == m * prev.counts[0]
-                prev = v
-            assert schedule_vector(n, m, 2**n - 1).support() == (0,)
+            ladder = trace._build_schedule(SpecA(n, m), {})
+            assert len(ladder) == 2**n
+            for prev, row in zip(ladder, ladder[1:]):
+                assert row[0] == m * prev[0]
+            assert all(sum(row) == m ** (2**n) for row in ladder)
+            assert ladder[-1][1:] == (0,) * (n + 1)
 
 
 def test_schedule_b_matches_doubling():
     for n in range(5):
-        for k in range(2**n):
-            w = _ladder_row(SpecB(n), k)
-            v = schedule_vector(n, 2, k)
+        ladder_a = trace._build_schedule(SpecA(n, 2), {})
+        ladder_b = trace._build_schedule(SpecB(n), {})
+        for k, (v, w) in enumerate(zip(ladder_a, ladder_b, strict=True)):
             assert w[0] == w[1] == 2**k
-            assert w[0] + w[1] == v.counts[0]
-            assert w[2:] == v.counts[1:]
+            assert w[0] + w[1] == v[0]
+            assert w[2:] == v[1:]
 
 
 def test_build_schedules():
-    sched = build_schedule_a(3, 3)
-    assert len(sched.vectors) == 8
-    sb = build_schedule_b(3)
-    assert sb.vectors[-1].counts == (128, 128, 0, 0, 0, 0)
+    assert len(certify_lower_bound_a(3, 3).schedule) == 8
+    assert certify_lower_bound_b(3).schedule[-1] == (128, 128, 0, 0, 0, 0)
     with pytest.raises(ValueError):
-        build_schedule_a(2, 1)
+        certify_lower_bound_a(2, 1)
 
 
 def test_ladder_walk_matches_the_closed_form():
@@ -113,7 +101,7 @@ def test_ladder_walk_matches_the_closed_form():
     specs += [SpecB(n) for n in range(10)]
     specs += [SpecA(12, 2), SpecA(10, 3), SpecB(10)]
     for spec in specs:
-        closed = tuple(_ladder_row(spec, k) for k in range(2**spec.n))
+        closed = tuple(ladder_row(spec, k) for k in range(2**spec.n))
         assert trace._build_schedule(spec, {}) == closed, spec
     # one int object per distinct count
     counts = [c for row in trace._build_schedule(SpecA(12, 2), {}) for c in row]
@@ -148,7 +136,7 @@ def test_least_zero_bit():
 
 def single_step(spec, k):
     # one transition recomputed from the closed form, outside any certificate
-    return _certify_step(spec, k, _ladder_row(spec, k), _ladder_row(spec, k + 1), {}, {})
+    return _certify_step(spec, k, ladder_row(spec, k), ladder_row(spec, k + 1), {}, {})
 
 
 def test_step_zero_uses_pivot_zero():
@@ -181,7 +169,7 @@ def test_ladder_steps_match_single_step_builders():
 
 def test_base_uses_top_level():
     spec = SpecA(3, 3)
-    base = _certify_base(spec, _ladder_row(spec, 0), {})
+    base = _certify_base(spec, ladder_row(spec, 0), {})
     app = base.applications[0]
     assert app.target == "S3"
     shift_columns = [b.column for b in app.columns[:3]]

@@ -6,10 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyclone.relations import BudgetExceededError
 from polyclone.witness import (
-    TOP,
-    CountVector,
     composition_at,
-    compositions,
     floyd_cuts,
     is_nu_symmetric,
     random_composition,
@@ -20,32 +17,12 @@ from polyclone.witness import (
 
 from oracles import (
     as_table,
+    compositions,
+    counts_of,
     randrange_composition,
     randrange_sample_distinct,
     value_by_max_rule,
 )
-
-
-def cv(*counts):
-    return CountVector(counts)
-
-
-def test_count_vector_basics():
-    x = cv(2, 1, 2)
-    assert x.total == 5
-    assert x.support() == (0, 1, 2)
-    with pytest.raises(ValueError):
-        CountVector([])
-    with pytest.raises(ValueError):
-        CountVector([1, -1])
-
-
-def test_less_count():
-    # domain a < 0 < 1; "strictly below 1" counts the a's and 0's
-    x = cv(2, 1, 2)
-    assert x.less(2) == 3
-    assert x.less(0) == 0
-    assert x.less(TOP) == 5
 
 
 def test_witness_a_all_equal_and_one_deviation():
@@ -69,30 +46,28 @@ def test_witness_a_all_equal_and_one_deviation():
 def test_witness_a_falls_through_to_bottom():
     # counts (a:2, 0:1, 1:2): neither threshold fires, so the bottom wins
     op = witness_a(1, 2)
-    assert op.value(cv(2, 1, 2)) == 0
+    assert op.value_counts((2, 1, 2)) == 0
 
 
 def test_witness_a_matches_max_rule():
     op = witness_a(1, 2)
     for total in range(1, 8):
         for counts in compositions(total, 3):
-            x = CountVector(counts)
-            assert op.value(x) == value_by_max_rule(op, x), counts
+            assert op.value_counts(counts) == value_by_max_rule(op, counts), counts
     op = witness_a(2, 2)
     for counts in compositions(op.arity, 4):
-        x = CountVector(counts)
-        assert op.value(x) == value_by_max_rule(op, x)
+        assert op.value_counts(counts) == value_by_max_rule(op, counts)
 
 
 def test_witness_b_trivial_and_tie():
     op = witness_b(0)
     assert op.arity == 3
-    assert op.value(cv(3, 0, 0)) == 0
-    assert op.value(cv(0, 3, 0)) == 1
+    assert op.value_counts((3, 0, 0)) == 0
+    assert op.value_counts((0, 3, 0)) == 1
     # no threshold fires and the two bottom counts tie: the first bottom
     # element wins
-    assert op.value(cv(1, 1, 1)) == 0
-    assert op.value(cv(1, 2, 0)) == 1
+    assert op.value_counts((1, 1, 1)) == 0
+    assert op.value_counts((1, 2, 0)) == 1
 
 
 def test_witness_b_one_deviation():
@@ -146,7 +121,7 @@ def test_as_table_matches_direct_evaluation():
         import itertools
 
         for args in itertools.product(range(d), repeat=op.arity):
-            assert table.apply(args) == op.value(CountVector.from_args(d, args))
+            assert table.apply(args) == op.value_counts(counts_of(d, args))
 
 
 def test_as_table_budget():
@@ -181,6 +156,44 @@ def test_random_composition_covers_space():
     rng = random.Random(9)
     seen = {random_composition(rng, 3, 2) for _ in range(200)}
     assert seen == {(0, 3), (1, 2), (2, 1), (3, 0)}
+
+
+class BoundedRandom(random.Random):
+    """A generator that fails a test, instead of hanging it, once a call
+    draws more than `limit` times."""
+
+    def __init__(self, seed, limit=1000):
+        super().__init__(seed)
+        self.left = limit
+
+    def getrandbits(self, k):
+        self.left -= 1
+        assert self.left >= 0, "drew past the limit"
+        return super().getrandbits(k)
+
+
+def test_floyd_cuts_refuses_impossible_subsets_before_drawing():
+    # past n, the draw for j = -1 asks for 0 bits and would redraw forever
+    for n, k in [(2, 3), (0, 1), (5, -1), (-1, 0)]:
+        rng = BoundedRandom(1, limit=0)
+        with pytest.raises(ValueError):
+            next(floyd_cuts(rng, n, k))
+        with pytest.raises(ValueError):
+            sample_distinct(rng, n, k)
+    # the bounds themselves are valid subsets
+    rng = BoundedRandom(1)
+    assert sample_distinct(rng, 3, 3) == [0, 1, 2]
+    assert sample_distinct(rng, 3, 0) == [] and sample_distinct(rng, 0, 0) == []
+
+
+def test_random_composition_refuses_empty_shapes():
+    # as the enumeration oracle does: no part, or a negative total, has no
+    # composition
+    with pytest.raises(ValueError):
+        list(compositions(5, 0))
+    for total, parts in [(5, 0), (0, 0), (-1, 3), (-1, 1), (3, -2)]:
+        with pytest.raises(ValueError):
+            random_composition(BoundedRandom(1, limit=0), total, parts)
 
 
 @settings(max_examples=50, deadline=None)
@@ -226,6 +239,4 @@ def test_symmetric_op_validation():
     with pytest.raises(ValueError):
         witness_a(1, 1)
     with pytest.raises(ValueError):
-        value_by_max_rule(witness_b(1), cv(1, 1, 1, 2))
-    with pytest.raises(ValueError):
-        witness_a(1, 2).value(cv(1, 1))
+        value_by_max_rule(witness_b(1), (1, 1, 1, 2))
