@@ -5,20 +5,38 @@ one constraint per matrix of columns drawn from a relation (the tuple of
 entries indexed by the matrix rows must land in the relation).  Unary
 relations shrink variable domains directly, the near-unanimity identities
 pin the constant and one-deviation tuples, and the search runs complete
-backtracking with generalized arc consistency over the matrix constraints.
-Verdicts are "sat" (with a full table), "unsat" (complete search exhausted),
-or "unknown" (node limit hit); an unknown is never reported as unsat.
+backtracking with generalized arc consistency (GAC; after Mackworth 1977)
+over the matrix constraints.  Verdicts are "sat" (with a full table),
+"unsat" (complete search exhausted), or "unknown" (node limit hit); an
+unknown is never reported as unsat.
 
-Matrices are kept only up to the relation's coordinate symmetries: when
-swapping coordinates p and q preserves R, a matrix and the one with rows p
-and q exchanged give the constraints (R, scope) and (R, scope∘π), which
-allow exactly the same assignments.  Generalized arc consistency prunes the
-same values from both, so dropping all but one matrix per orbit leaves the
-fixpoint at every search node, and hence verdicts, node counts and tables,
-unchanged.  Each level relation S_i of family A is symmetric in its last m
-coordinates, which cuts A(0,4) at k=5 from 759,375 constraints to 35,954;
-family B's binary relations have no such symmetry and keep every matrix.
-The matrix budget still counts every column matrix, len(R)**k.
+A k-column matrix over a binary relation R is an ordered pair of variables
+(u, v) with (u_i, v_i) in R at every digit i, so the matrices over R are
+the pairs of R's k-th tensor power, and GAC on one is plain arc
+consistency: D_u within pre_R(D_v) and D_v within post_R(D_u).  Binary
+relations therefore build no matrices.  Each keeps an image table per
+direction, post[mask] and pre[mask] for every domain mask, and neighbour
+tables split at h = k // 2 digits, so that the successors of v are a + b
+for a in hi[v // d^(k-h)] and b in lo[v % d^(k-h)].  A tied matrix (u = v,
+when every digit of v lies in diag(R)) only keeps D_v within diag(R); the
+build applies that as it applies a unary relation, after which the
+self-arc narrows nothing.  When a variable narrows from `old` to `now`,
+each direction whose image changed, img[now] != img[old], intersects every
+neighbour's domain with img[now]; a direction whose image did not change
+is skipped (`_same_image`), because its arcs were consistent and every
+neighbour already lies within img[old].  The matrix budget still counts
+len(R)**k matrices of a binary relation, and so does `n_constraints`.
+
+Relations of arity 3 and up keep one constraint per matrix, up to the
+relation's coordinate symmetries: when swapping coordinates p and q
+preserves R, a matrix and the one with rows p and q exchanged give the
+constraints (R, scope) and (R, scope∘π), which allow exactly the same
+assignments.  GAC prunes the same values from both, so dropping all but
+one matrix per orbit leaves the fixpoint at every search node, and hence
+verdicts, node counts and tables, unchanged.  Each level relation S_i of
+family A is symmetric in its last m coordinates, which cuts A(0,4) at k=5
+from 759,375 constraints to 35,954.  The matrix budget still counts every
+column matrix, len(R)**k.
 
 Rows of a matrix that are equal name the same variable, so a constraint
 allows only the tuples of R that repeat where its scope repeats.  The build
@@ -28,31 +46,36 @@ packs a scope's domains into one int, d bits per position, and looks up the
 narrowed domains in a memo per group, so each distinct signature of a group
 is revised against R once.
 
-A narrowing queues only the constraints it may leave short of generalized
-arc consistency (GAC; after Mackworth 1977, and Lecoutre & Hemery 2007 on
-residual supports).  A constraint out of the queue is GAC.  Say a variable
-at the positions P of a constraint over R narrows from `old` to `now`.  If
-every tuple the constraint allows whose P-entries lie in old∖now has a
-sibling in R, the same tuple with every P-entry set to one value of `now`,
-the siblings keep every value supported and the constraint stays GAC.  The
-constraints over R that hold the variable at one position p form a class;
-the test is asked once per (class, old, now), for every repeat pattern of
-R's groups, and the class is queued only on a no.  GAC has a unique
-fixpoint, so skipped revisions, which would narrow nothing, change no
-node's domains: verdicts, node counts and tables stay as they were.
+A narrowing queues only the matrix constraints it may leave short of GAC
+(after Lecoutre & Hemery 2007 on residual supports).  A constraint out of
+the queue is GAC.  Say a variable at the positions P of a constraint over
+R narrows from `old` to `now`.  If every tuple the constraint allows whose
+P-entries lie in old∖now has a sibling in R, the same tuple with every
+P-entry set to one value of `now`, the siblings keep every value supported
+and the constraint stays GAC.  The constraints over R that hold the
+variable at one position p form a class; the test (`_stays_gac`) is asked
+once per (class, old, now), for every repeat pattern of R's groups, and the
+class is queued only on a no.  GAC has a unique fixpoint, so skipped
+revisions, which would narrow nothing, change no node's domains: verdicts,
+node counts and tables stay as they were.
 
 The root starts from the entries of each variable's argument tuple.  Were
-every domain exactly its entries, every constraint would be GAC: column c
-of a constraint's matrix is a tuple of R that repeats wherever the scope
-repeats (tied rows are one code), its entry at position q is digit c of
-that row's code, and so each value of each domain has a support.  With
-every nonempty unary relation, as in both families, a variable's domain
-is its entries, or a subset of them where the identities pin it; the root
+every domain exactly its entries, every constraint and every arc would be
+consistent: column c of a matrix is a tuple of R that repeats wherever the
+scope repeats (tied rows are one code), its entry at position q is digit c
+of that row's code, and so each value of each domain has a support.  With
+every nonempty unary relation, as in both families, a variable's domain is
+its entries, or a subset of them where the identities pin it; the root
 wakes each pinned variable as a narrowing from its entries, so only the
-classes that narrowing may break are queued.  A variable whose domain holds
-a value outside its entries, which happens only without those unary
-relations, queues every constraint over it.  B(1) at arity 6 revises
-158,390 of its 617,600 constraints at the root and 313,580 in all.
+classes and arc directions that narrowing may break are revised.  A
+variable whose domain holds a value outside its entries, which happens
+only without those unary relations, queues every matrix constraint over
+it and revises all of its arcs in both directions with no skip.
+
+`SolveReport.revisions` counts the revisions done, at the root and the
+nodes: one per matrix constraint revised, and one per arc revised, that
+is per neighbour domain intersected with an image (or, at the root, per
+neighbour a variable's own domain is revised against).
 """
 
 from __future__ import annotations
@@ -78,7 +101,7 @@ _ROOT_SLICE = 4096  # constraint ids queued at once at the root
 class IndicatorInstance:
     """Compiled constraint problem for one (structure, arity) question.
 
-    The constraints over `rel_list[j]` have ids `rel_start[j]` to
+    The matrix constraints over `rel_list[j]` have ids `rel_start[j]` to
     `rel_start[j + 1] - 1`, and their scopes follow one another in `scopes`,
     one relation block after another.  Constraint `cid` belongs to group
     `g = con_group[cid]`; `groups[g]` is the pair (relation index, repeat
@@ -89,6 +112,13 @@ class IndicatorInstance:
     `var_cons[v]` holds a pair (c, cids) for each class whose constraints
     hold variable v at position p, `cids` listing them; so a constraint is
     listed once per occurrence of each variable in its scope.
+
+    The binary relations `arc_rels` are arcs.  `arcs` holds two directions
+    per relation, forward then backward, each a triple (img, hi, lo): when
+    v narrows, each neighbour's domain must lie within img[dom[v]], and
+    the neighbours of v are a + b for a in hi[v // arc_split] and b in
+    lo[v % arc_split].  The forward direction maps v to its successors
+    under post_R, the backward one to its predecessors under pre_R.
     """
 
     __slots__ = (
@@ -106,9 +136,15 @@ class IndicatorInstance:
         "scopes",
         "classes",
         "var_cons",
+        "arc_rels",
+        "arcs",
+        "arc_split",
     )
 
-    def __init__(self, structure, arity, domains, rel_list, rel_start, groups, con_group, scopes):
+    def __init__(
+        self, structure, arity, domains, rel_list, rel_start, groups, con_group, scopes,
+        arc_rels=(), arcs=(),
+    ):
         self.structure = structure
         self.arity = arity
         self.domain_size = structure.domain.size
@@ -119,6 +155,9 @@ class IndicatorInstance:
         self.groups = groups
         self.con_group = con_group
         self.scopes = scopes
+        self.arc_rels = arc_rels
+        self.arcs = arcs
+        self.arc_split = self.domain_size ** (arity - arity // 2)
         self._index_vars()
 
     def _index_vars(self):
@@ -149,7 +188,9 @@ class IndicatorInstance:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.con_group)
+        """Matrix constraints, plus every matrix len(R)**k of each binary
+        relation: each is a distinct pair of its tensor power."""
+        return len(self.con_group) + sum(len(rel) ** self.arity for rel in self.arc_rels)
 
 
 def nu_pins(domain_size: int, arity: int):
@@ -271,6 +312,38 @@ def _entry_masks(d: int, k: int) -> list[int]:
     return masks
 
 
+def _words_under(steps: list[list[int]], j: int, d: int) -> list[list[int]]:
+    """For each word of j digits over d elements, by code (first digit most
+    significant), the codes of the words whose i-th digit lies in
+    `steps[x_i]` for the word's i-th digit x_i, at every i."""
+    out = [[0]]
+    for _ in range(j):
+        out = [[y * d + b for y in out[x // d] for b in steps[x % d]] for x in range(len(out) * d)]
+    return out
+
+
+def _arc_tables(rel: Relation, k: int, d: int) -> list[tuple]:
+    """The forward and backward arc directions of binary rel at arity k, as
+    `IndicatorInstance.arcs` holds them: (post, successor tables), then
+    (pre, predecessor tables), split at h = k // 2 digits."""
+    succ = [[] for _ in range(d)]
+    pred = [[] for _ in range(d)]
+    for a, b in rel:
+        succ[a].append(b)
+        pred[b].append(a)
+    h = k // 2
+    split = d ** (k - h)
+    out = []
+    for steps in (succ, pred):
+        img = [0] * (1 << d)
+        for mask in range(1, 1 << d):
+            low = mask & -mask
+            img[mask] = img[mask ^ low] | sum(1 << b for b in steps[low.bit_length() - 1])
+        hi = [[y * split for y in ys] for ys in _words_under(steps, h, d)]
+        out.append((img, hi, _words_under(steps, k - h, d)))
+    return out
+
+
 def build_indicator(
     structure: Structure,
     k: int,
@@ -301,7 +374,9 @@ def build_indicator(
     domains = [full] * nvars
 
     # one read of each relation: a unary one becomes a per-variable domain
-    # restriction, a nonempty wider one a block of constraints
+    # restriction, a nonempty wider one arcs or a block of constraints.  A
+    # binary relation's tied matrices (u = v, every digit of v in diag(R))
+    # keep D_v within diag(R), a restriction of the same kind
     unary_masks = []
     constrained = []
     for rel in structure.relations.values():
@@ -309,6 +384,8 @@ def build_indicator(
             unary_masks.append(sum(1 << e for (e,) in rel.tuples))
         elif len(rel):
             constrained.append(rel)
+            if rel.arity == 2:
+                unary_masks.append(sum(1 << a for a, b in rel.tuples if a == b))
     for code, coords in enumerate(_entry_masks(d, k)):
         m = full
         for u in unary_masks:
@@ -319,6 +396,8 @@ def build_indicator(
     for args, val in pins:
         if len(args) != k:
             raise ValueError("pinned tuple has wrong arity")
+        if not all(0 <= x < d for x in (*args, val)):
+            raise ValueError(f"pin {tuple(args)} -> {val} names an element outside range({d})")
         code = 0
         for x in args:
             code = code * d + x
@@ -329,12 +408,18 @@ def build_indicator(
     groups = []
     con_group = array("i")
     scopes = array("l")
+    arc_rels = []
+    arcs = []
     for rel in constrained:
         count = len(rel) ** k
         if count > matrix_budget:
             raise BudgetExceededError(
                 f"{count} column matrices for a relation exceed budget {matrix_budget}"
             )
+        if rel.arity == 2:
+            arc_rels.append(rel)
+            arcs.extend(_arc_tables(rel, k, d))
+            continue
         block, ids, patterns = _scopes_for_relation(rel, k, d, len(groups))
         groups.extend((len(rel_list), pattern) for pattern in patterns)
         scopes.extend(block)
@@ -342,7 +427,9 @@ def build_indicator(
         rel_list.append(rel)
         rel_start.append(len(con_group))
 
-    return IndicatorInstance(structure, k, domains, rel_list, rel_start, groups, con_group, scopes)
+    return IndicatorInstance(
+        structure, k, domains, rel_list, rel_start, groups, con_group, scopes, arc_rels, arcs
+    )
 
 
 @dataclass
@@ -350,7 +437,7 @@ class SolveReport:
     verdict: str  # "sat" | "unsat" | "unknown"
     table: OpTable | None
     nodes: int
-    revisions: int = 0  # constraints revised, at the root and the nodes; not in the JSON
+    revisions: int = 0  # constraints and arcs revised, at the root and the nodes; not in the JSON
 
     def to_json(self) -> dict:
         obj = {"verdict": self.verdict, "nodes": self.nodes}
@@ -407,6 +494,16 @@ def _stays_gac(rel: Relation, pattern: tuple, p: int, old: int, now: int) -> boo
     return True
 
 
+def _same_image(img: list[int], old: int, now: int) -> bool:
+    """Whether the arcs of one direction stay consistent when a variable
+    narrows from `old` to `now` (domain masks), with no revision.
+
+    The arcs were consistent, so every neighbour's domain lies within
+    img[old]; when img[now] is the same mask, intersecting each neighbour's
+    domain with it narrows nothing."""
+    return img[old] == img[now]
+
+
 def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveReport:
     """Complete depth-first search with generalized arc consistency.
 
@@ -422,28 +519,36 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     Every constraint out of the queue is GAC.  When a variable narrows, the
     constraints of a class that holds it are queued only if `_stays_gac`
     cannot show that they stay GAC; its answer depends on the class and the
-    two domains alone, and is kept in a memo.  The fixpoint of GAC is
-    unique, so skipping a revision that would narrow nothing leaves every
-    node's domains, and so verdicts, node counts and tables, unchanged.
+    two domains alone, and is kept in a memo.  The narrowing is also kept
+    for its arcs, which are revised before the next constraint leaves the
+    queue: each direction whose image `_same_image` cannot show unchanged
+    intersects every neighbour's domain with the image of the variable's
+    domain, and a neighbour that narrows is itself a narrowing.  Which
+    directions change depends on the two domains alone, and is kept in a
+    memo too.  The fixpoint of GAC is unique, so skipping a revision that
+    would narrow nothing leaves every node's domains, and so verdicts, node
+    counts and tables, unchanged.
 
-    The root queues no constraint that would be GAC were each domain its
+    The root revises nothing that would be consistent were each domain its
     variable's entries (`_entry_masks`): a domain inside its entries wakes
     its variable as a narrowing from them, and a domain with a value
-    outside them queues every constraint over its variable.  So the root
-    revises only what the pins, or missing unary relations, may leave short
-    of GAC.
+    outside them queues every constraint over its variable and revises all
+    of its arcs both ways.  So the root revises only what the pins, or
+    missing unary relations, may leave short of GAC.
     """
     if node_limit < 0:
         raise ValueError(f"node limit must be nonnegative, got {node_limit}")
     d = inst.domain_size
     nvars = inst.nvars
-    ncons = inst.n_constraints
+    ncons = len(inst.con_group)
     con_group = inst.con_group
     shift = inst.group_shift
     width = inst.group_arity
     scopes = inst.scopes
     var_cons = inst.var_cons
     classes = inst.classes
+    arcs = inst.arcs
+    split = inst.arc_split
     # up to 8 elements a domain fits a byte, and choose() counts them in C
     dom = bytearray(inst.domains) if d <= 8 else list(inst.domains)
 
@@ -460,11 +565,13 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     stays: dict[int, bool] = {}  # (class, old, now), packed -> _stays_gac
     in_queue = bytearray(ncons)
     trail: list[tuple[int, int]] = []
+    pending: list[tuple[int, int]] = []  # narrowings (v, old) whose arcs wait
+    images: dict[int, list] = {}  # (old, now), packed -> the arc directions to revise
     revisions = 0
 
     def wake(v, old, queue):
         # queue the constraints that v's narrowing from `old` may leave short
-        # of GAC
+        # of GAC, and keep the narrowing for its arcs
         now = dom[v]
         change = old << d | now
         for c, cids in var_cons[v]:
@@ -482,10 +589,55 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
                     if not in_queue[c2]:
                         in_queue[c2] = 1
                         queue.append(c2)
+        if arcs:
+            pending.append((v, old))
+
+    def narrow(new, hi, lo, queue) -> bool:
+        # intersect the domain of each neighbour a + b with `new`; False
+        # when one empties
+        nonlocal revisions
+        revisions += len(hi) * len(lo)
+        cut = mask & ~new
+        for a in hi:
+            for b in lo:
+                if dom[a + b] & cut:
+                    u = a + b
+                    was = dom[u]
+                    if not was & new:
+                        return False
+                    trail.append((u, was))
+                    dom[u] = was & new
+                    wake(u, was, queue)
+        return True
+
+    def revise_arcs(queue) -> bool:
+        # the arcs of every kept narrowing, last kept first
+        while pending:
+            v, old = pending.pop()
+            now = dom[v]
+            key = old << d | now
+            try:
+                moved = images[key]
+            except KeyError:
+                moved = images[key] = [
+                    (img[now], hi, lo) for img, hi, lo in arcs if not _same_image(img, old, now)
+                ]
+            x, y = divmod(v, split)
+            for new, hi, lo in moved:
+                if not narrow(new, hi[x], lo[y], queue):
+                    pending.clear()
+                    return False
+        return True
 
     def propagate(queue) -> bool:
         nonlocal revisions
-        while queue:
+        while True:
+            if pending and not revise_arcs(queue):
+                while queue:
+                    in_queue[queue.popleft()] = 0
+                return False
+            if not queue:
+                return True
             cid = queue.popleft()
             revisions += 1
             g = con_group[cid]
@@ -511,7 +663,9 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
                         in_queue[queue.popleft()] = 0
                     return False
                 # revising cid again would narrow nothing more, so it stays
-                # marked queued while its own narrowings are propagated
+                # marked queued while its own narrowings are propagated.  Their
+                # arcs are revised once it is unmarked, so a narrowing the
+                # arcs cause in its scope queues it again
                 for v in reversed(scope):
                     now = new & mask
                     new >>= d
@@ -521,7 +675,25 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
                         dom[v] = now
                         wake(v, old, queue)
             in_queue[cid] = 0
-        return True
+
+    def revise_all_arcs(v, queue) -> bool:
+        # v's domain against every neighbour's, both ways, then every
+        # neighbour's against v's, with no skip
+        nonlocal revisions
+        x, y = divmod(v, split)
+        now = old = dom[v]
+        for i, (_, hi, lo) in enumerate(arcs):
+            img = arcs[i ^ 1][0]  # the other direction's image bounds v
+            revisions += len(hi[x]) * len(lo[y])
+            for a in hi[x]:
+                for b in lo[y]:
+                    now &= img[dom[a + b]]
+        if not now:
+            return False
+        if now != old:
+            trail.append((v, old))
+            dom[v] = now
+        return all(narrow(img[now], hi[x], lo[y], queue) for img, hi, lo in arcs)
 
     def choose():
         counts = dom.translate(_POPCOUNT) if d <= 8 else list(map(int.bit_count, dom))
@@ -545,12 +717,20 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     # the root marks queued what it cannot show GAC from the entries; wake's
     # appends go to a deque that keeps nothing
     marked = deque((), 0)
+    outside = []
     for v, (entries, now) in enumerate(zip(_entry_masks(d, inst.arity), dom)):
         if now & ~entries:
             for _, cids in var_cons[v]:
                 marked.extend(map(in_queue.__setitem__, cids, repeat(1)))
+            outside.append(v)
         elif now != entries:
             wake(v, entries, marked)
+    if arcs and not all(revise_all_arcs(v, marked) for v in outside):
+        return SolveReport("unsat", None, 0, revisions)
+    # the arcs of the narrowings kept so far, which no slice revises when
+    # there is no matrix constraint
+    if not propagate(deque()):
+        return SolveReport("unsat", None, 0, revisions)
     # the marked ids are fed in slices, so they are never all boxed at once;
     # the ones not yet fed stay marked queued and so are never queued twice
     for lo in range(0, ncons, _ROOT_SLICE):

@@ -183,19 +183,36 @@ def _pattern(scope) -> tuple:
 
 
 def repeat_patterns(inst: IndicatorInstance) -> list[tuple]:
-    """Each constraint's repeat pattern, read off its scope."""
-    return [_pattern(scope_of(inst, cid)) for cid in range(inst.n_constraints)]
+    """Each matrix constraint's repeat pattern, read off its scope."""
+    return [_pattern(scope_of(inst, cid)) for cid in range(len(inst.con_group))]
 
 
-def full_instance(inst: IndicatorInstance) -> IndicatorInstance:
-    """`inst` with one constraint per k-column matrix over each relation,
-    every matrix of `itertools.product(rel.tuples, repeat=k)`, so no
-    symmetry reduction.  Domains and relations are shared with `inst`;
-    group ids number the (relation, repeat pattern) pairs in order of first
-    appearance."""
-    k, d = inst.arity, inst.domain_size
+def full_instance(structure: Structure, k: int, pins) -> IndicatorInstance:
+    """The instance of "does `structure` have an operation of arity k that
+    takes each pinned value" with one matrix constraint per k-column matrix
+    over each nonempty relation of arity 2 and up, every matrix of
+    `itertools.product(rel.tuples, repeat=k)`: binary relations included,
+    no arcs and no symmetry reduction.  A variable's domain keeps the
+    elements of each unary relation that holds all its entries, and its
+    pin; group ids number the (relation, repeat pattern) pairs in order of
+    first appearance."""
+    d = structure.domain.size
+    rels = list(structure.relations.values())
+    domains = []
+    for args in itertools.product(range(d), repeat=k):
+        dom = (1 << d) - 1
+        for rel in rels:
+            if rel.arity == 1 and all((x,) in rel for x in args):
+                dom &= sum(1 << e for (e,) in rel.tuples)
+        domains.append(dom)
+    for args, val in pins:
+        code = 0
+        for x in args:
+            code = code * d + x
+        domains[code] &= 1 << val
+    rel_list = [rel for rel in rels if rel.arity > 1 and len(rel)]
     rel_start, scopes, patterns = [0], array("l"), []
-    for rel in inst.rel_list:
+    for rel in rel_list:
         for cols in itertools.product(rel.tuples, repeat=k):
             scope = []
             for p in range(rel.arity):
@@ -212,7 +229,7 @@ def full_instance(inst: IndicatorInstance) -> IndicatorInstance:
         for pattern in patterns[lo:hi]:
             con_group.append(group_of.setdefault((j, pattern), len(group_of)))
     return IndicatorInstance(
-        inst.structure, k, inst.domains, inst.rel_list, rel_start, list(group_of), con_group, scopes
+        structure, k, domains, rel_list, rel_start, list(group_of), con_group, scopes
     )
 
 

@@ -154,6 +154,14 @@ def test_decide_var_cap_is_a_budget_stop(capsys):
     assert "2**100000 variables exceed cap 20000" in err
 
 
+def test_decide_matrix_budget_counts_binary_matrices(capsys):
+    # family B's binary relations build arcs, not matrices, yet the budget
+    # still counts each relation's len(R)**k column matrices: 8**7 for R1^1
+    code, out, err = run(capsys, "decide", "B", "--n", "1", "--k", "7")
+    assert code == 3 and out == ""
+    assert "2097152 column matrices for a relation exceed budget 2000000" in err
+
+
 def test_decide_remark_pin(capsys):
     code, out, _ = run(
         capsys, "decide", "A", "--n", "0", "--m", "3", "--k", "3", "--pin", "remark"

@@ -76,16 +76,38 @@ def test_empty_domain_unsat_immediately():
 
 def test_repeated_rows_prune_at_the_root():
     # the column (0, 0) of R puts argument tuple (0,) in both rows, so its
-    # constraint admits only R's tuples with equal entries: (0, 0).  The root
-    # fixes f(0) = 0, and one node settles f(1); revising the two rows as
-    # independent variables would leave f(0) open and take two nodes.  R is
-    # symmetric, so of the columns (0, 1) and (1, 0) only the first is kept
+    # matrix admits only R's tuples with equal entries: (0, 0).  A binary
+    # relation builds no matrix; the build keeps f(0) within diag(R) = {0},
+    # and one node settles f(1).  Revising the two rows as independent
+    # variables would leave f(0) open and take two nodes
     struct = Structure(Domain(["0", "1"]), [("R", Relation(2, 2, [(0, 0), (0, 1), (1, 0)]))])
     inst = build_indicator(struct, 1, [])
-    assert [inst.groups[g][1] for g in inst.con_group] == [(0, 0), (0, 1)]
+    assert len(inst.scopes) == 0 and inst.domains == [0b01, 0b11]
     report = solve(inst)
     assert report.verdict == "sat" and report.nodes == 1
     assert report.table.values == (0, 0)
+    # a ternary relation keeps its matrices, and their ties: the column
+    # (0, 0, 1) puts (0,) in rows 0 and 1, so it admits only (0, 0, 1), and
+    # the root settles both values.  T is symmetric, so of its three columns
+    # only (0, 0, 1) is kept
+    struct = Structure(
+        Domain(["0", "1"]), [("T", Relation(3, 2, [(0, 0, 1), (0, 1, 0), (1, 0, 0)]))]
+    )
+    inst = build_indicator(struct, 1, [])
+    assert [inst.groups[g][1] for g in inst.con_group] == [(0, 0, 2)]
+    report = solve(inst)
+    assert report.verdict == "sat" and report.nodes == 0
+    assert report.table.values == (0, 1)
+
+
+def test_pins_outside_the_domain_are_refused():
+    # a pin names a tuple of elements and an element; one outside range(d)
+    # would pin another tuple's code, index from the end, or empty a domain
+    sa = structure_a(SpecA(0, 3))
+    for pin in (((0, 0, 2), 1), ((0, -1, 0), 1), ((0, 0, 0), 5), ((0, 0, 0), -1)):
+        with pytest.raises(ValueError, match="outside range"):
+            build_indicator(sa, 3, [pin])
+    assert build_indicator(sa, 3, [((0, 1, 0), 1)]).domains[2] == 0b10
 
 
 def test_unary_restrictions_are_supports():
@@ -315,8 +337,7 @@ def test_decide_matches_brute_force_for_each_pin(case, seed, with_unaries):
 
 def test_orbit_reduced_counts_and_nodes():
     # constraint counts kept up to coordinate symmetry (759,375 and 50,625
-    # column matrices for A(0,4)); family B's binary relations have no
-    # interchangeable coordinates, so nothing is dropped there
+    # column matrices for A(0,4))
     a04 = structure_a(SpecA(0, 4))
     assert build_indicator(a04, 4, nu_pins(2, 4)).n_constraints == 2747
     assert build_indicator(a04, 5, nu_pins(2, 5)).n_constraints == 35954
@@ -328,10 +349,23 @@ def test_orbit_reduced_counts_and_nodes():
     assert inst.n_constraints == 617600
     report = solve(inst)
     assert report.nodes == 2360
-    # the root queues only the constraints that the pins may leave short of
-    # GAC, not all 617,600 (707,060 root revisions while it queued them all)
-    assert solve(inst, node_limit=0).revisions == 158390
-    assert report.revisions == 313580
+    # the root revises only the arcs that the pins may leave inconsistent,
+    # not all 617,600
+    assert solve(inst, node_limit=0).revisions == 176476
+    assert report.revisions == 332416
+
+
+def test_binary_relations_build_no_matrix():
+    # family B's relations are all binary: B(1) at arity 6 is arcs alone,
+    # and still counts every one of its 2 * 6**6 + 2 * 8**6 matrices
+    b1 = structure_b(SpecB(1))
+    inst = build_indicator(b1, 6, nu_pins(4, 6))
+    assert len(inst.scopes) == 0 and len(inst.con_group) == 0
+    assert inst.n_constraints == 617600
+    # the matrix budget counts them as before: 8**6 matrices of R1^1
+    build_indicator(b1, 6, [], matrix_budget=262144)
+    with pytest.raises(BudgetExceededError, match="262144 column matrices"):
+        build_indicator(b1, 6, [], matrix_budget=262143)
 
 
 def never_skip(*args):
@@ -339,19 +373,28 @@ def never_skip(*args):
 
 
 def test_skipped_revisions_are_counted(monkeypatch):
-    # the search revises under half the constraints it would if every
-    # narrowing queued every constraint over the variable; the count is
-    # pinned so that a change which silently stops skipping fails, and it
-    # stays out of the JSON, so decide's output does not change
+    # each skip rule is pinned by a revision count, so that a change which
+    # silently stops skipping fails; the count stays out of the JSON, so
+    # decide's output does not change.  B(1) is arcs alone, A(0,4) matrix
+    # constraints alone, and each search revises under half of what it
+    # would if its skip rule never fired
     b1 = structure_b(SpecB(1))
     report = decide_nu(b1, 5)
-    assert report.revisions == 45010
+    assert report.revisions == 44084
     assert "revisions" not in report.to_json()
-    monkeypatch.setattr(indicator, "_stays_gac", never_skip)
+    a04 = structure_a(SpecA(0, 4))
+    wide = decide_nu(a04, 5)
+    assert wide.revisions == 14720
+    monkeypatch.setattr(indicator, "_same_image", never_skip)
     every = decide_nu(b1, 5)
-    assert every.revisions == 227739
+    assert every.revisions == 258420
     assert 2 * report.revisions < every.revisions
     assert (every.verdict, every.nodes, every.table) == (report.verdict, report.nodes, report.table)
+    monkeypatch.setattr(indicator, "_stays_gac", never_skip)
+    every = decide_nu(a04, 5)
+    assert every.revisions == 84128
+    assert 2 * wide.revisions < every.revisions
+    assert (every.verdict, every.nodes, every.table) == (wide.verdict, wide.nodes, wide.table)
 
 
 def test_stays_gac_examples():
@@ -437,12 +480,14 @@ def test_stays_gac_is_sound(data):
 )
 def test_skipping_revisions_changes_no_search(case, seed):
     # the same search with every narrowing queueing every constraint over
-    # the variable: GAC has one fixpoint, so nodes and tables agree
+    # the variable and revising all of its arcs: GAC has one fixpoint, so
+    # nodes and tables agree
     d, k, pin = case
     struct = rand_small_structure(random.Random(seed), d)
     skipping = decide_nu(struct, k, pin=pin)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(indicator, "_stays_gac", never_skip)
+        patch.setattr(indicator, "_same_image", never_skip)
         every = decide_nu(struct, k, pin=pin)
     assert skipping.verdict == every.verdict
     assert skipping.nodes == every.nodes
@@ -563,8 +608,9 @@ def test_orbit_build_matches_full_enumeration(case, seed):
             rel = Relation(arity, d, rng.sample(universe, rng.randint(1, min(6, len(universe)))))
         rels.append((f"P{idx}", rel))
     struct = Structure(Domain([str(x) for x in range(d)]), rels)
-    inst = build_indicator(struct, k, nu_pins(d, k))
-    full = full_instance(inst)
+    pins = list(nu_pins(d, k))
+    inst = build_indicator(struct, k, pins)
+    full = full_instance(struct, k, pins)
 
     def blocks(i):
         out = [[] for _ in i.rel_list]
@@ -572,9 +618,12 @@ def test_orbit_build_matches_full_enumeration(case, seed):
             out[i.groups[g][0]].append(tuple(scope_of(i, cid)))
         return out
 
+    # binary relations are arcs, the wider ones matrix constraints
+    assert inst.arc_rels == [rel for _, rel in rels if rel.arity == 2]
+    assert inst.rel_list == [rel for _, rel in rels if rel.arity > 2]
     for i in (inst, full):
         # scopes follow one another in constraint order
-        assert [v for c in range(i.n_constraints) for v in scope_of(i, c)] == list(i.scopes)
+        assert [v for c in range(len(i.con_group)) for v in scope_of(i, c)] == list(i.scopes)
         # each constraint's group carries the repeat pattern of its scope,
         # and each group is one (relation, pattern) pair
         patterns = repeat_patterns(i)
@@ -583,7 +632,7 @@ def test_orbit_build_matches_full_enumeration(case, seed):
         # each variable lists every constraint whose scope holds it, once
         # per occurrence
         holders = [[] for _ in range(i.nvars)]
-        for cid in range(i.n_constraints):
+        for cid in range(len(i.con_group)):
             for v in scope_of(i, cid):
                 holders[v].append(cid)
         assert [sorted(c for _, cids in held for c in cids) for held in i.var_cons] == holders
@@ -591,7 +640,7 @@ def test_orbit_build_matches_full_enumeration(case, seed):
         # constraints over relation j that hold the variable at position p,
         # and no class is listed twice for one variable
         at = {}
-        for cid in range(i.n_constraints):
+        for cid in range(len(i.con_group)):
             j = i.groups[i.con_group[cid]][0]
             for p, v in enumerate(scope_of(i, cid)):
                 at.setdefault((v, j, p), []).append(cid)
@@ -602,7 +651,8 @@ def test_orbit_build_matches_full_enumeration(case, seed):
         }
         assert listed == at
 
-    for rel, kept, every in zip(inst.rel_list, blocks(inst), blocks(full)):
+    wide_blocks = [b for rel, b in zip(full.rel_list, blocks(full)) if rel.arity > 2]
+    for rel, kept, every in zip(inst.rel_list, blocks(inst), wide_blocks):
         kept_set = set(kept)
         assert len(kept_set) == len(kept) and kept_set <= set(every)
         autos = automorphisms(rel)
@@ -624,6 +674,81 @@ def test_orbit_build_matches_full_enumeration(case, seed):
     assert reduced.verdict == reference.verdict
     assert reduced.nodes == reference.nodes
     assert reduced.table == reference.table
+
+
+def tensor_neighbours(rel, k, d, v, forward):
+    """The variables u with (v, u) (forward) or (u, v) in rel's k-th tensor
+    power, by brute force over every pair of argument tuples."""
+    words = list(itertools.product(range(d), repeat=k))
+    out = []
+    for u, w in enumerate(words):
+        s, t = (words[v], w) if forward else (w, words[v])
+        if all((a, b) in rel for a, b in zip(s, t)):
+            out.append(u)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 10**6))
+def test_arc_tables_list_the_tensor_power(d, k, seed):
+    # each direction's neighbours are exactly the pairs of R's k-th tensor
+    # power, and its image is post_R (forward) or pre_R (backward)
+    assume(d**k <= 256)
+    rng = random.Random(seed)
+    universe = list(itertools.product(range(d), repeat=2))
+    rel = Relation(2, d, rng.sample(universe, rng.randint(1, len(universe))))
+    struct = Structure(Domain([str(x) for x in range(d)]), [("R", rel)])
+    inst = build_indicator(struct, k, [])
+    (post, *fwd), (pre, *bwd) = inst.arcs
+    split = inst.arc_split
+    for forward, (hi, lo) in ((True, fwd), (False, bwd)):
+        for v in range(d**k):
+            got = sorted(a + b for a in hi[v // split] for b in lo[v % split])
+            assert got == tensor_neighbours(rel, k, d, v, forward)
+    for m in range(1 << d):
+        held = [x for x in range(d) if m >> x & 1]
+        assert post[m] == sum({1 << b for a, b in rel if a in held})
+        assert pre[m] == sum({1 << a for a, b in rel if b in held})
+    assert inst.n_constraints == len(rel) ** k
+
+
+def rand_mixed_structure(rng, d):
+    """Random structure over d elements: one to four relations of arity 1,
+    2 or 3, at least one of them binary."""
+    arities = [2] + [rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 3))]
+    rels = []
+    for idx, arity in enumerate(arities):
+        universe = list(itertools.product(range(d), repeat=arity))
+        size = rng.randint(1, min(8, len(universe)))
+        rels.append((f"P{idx}", Relation(arity, d, rng.sample(universe, size))))
+    rng.shuffle(rels)
+    return Structure(Domain([str(x) for x in range(d)]), rels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (2, 4), (3, 3), (4, 3)]),
+    st.sampled_from(["nu", "remark"]),
+    st.sampled_from(["none", "drawn", "all"]),
+    st.integers(0, 10**6),
+)
+def test_arc_search_matches_every_matrix(case, pin, unaries, seed):
+    # binary relations as arcs against every matrix of every relation as a
+    # constraint: GAC has one fixpoint, so verdicts, nodes and tables agree.
+    # Without unary relations, domains hold values outside their entries
+    d, k = case
+    struct = rand_mixed_structure(random.Random(seed), d)
+    if unaries == "none":
+        struct = Structure(
+            struct.domain, [(n, r) for n, r in struct.relations.items() if r.arity > 1]
+        )
+    elif unaries == "all":
+        struct = conservative(struct)
+    pins = list(PIN_SETS[pin](d, k))
+    arcs, every = solve(build_indicator(struct, k, pins)), solve(full_instance(struct, k, pins))
+    event(arcs.verdict)
+    event("searched" if arcs.nodes else "settled at the root")
+    assert (arcs.verdict, arcs.nodes, arcs.table) == (every.verdict, every.nodes, every.table)
 
 
 def test_solver_is_deterministic():
