@@ -127,11 +127,6 @@ class OpTable:
     def apply(self, args) -> int:
         return self.values[self.encode(args)]
 
-    @classmethod
-    def from_function(cls, arity: int, domain_size: int, fn) -> "OpTable":
-        values = [fn(args) for args in itertools.product(range(domain_size), repeat=arity)]
-        return cls(arity, domain_size, values)
-
     def __eq__(self, other):
         return (
             isinstance(other, OpTable)
@@ -214,20 +209,20 @@ def equivalence_from_blocks(domain_size: int, parts) -> Relation:
 DEFAULT_TABLE_BUDGET = 10**7
 
 
-def table_compatible(table: OpTable, rel: Relation, budget: int = DEFAULT_TABLE_BUDGET):
+def table_compatible(table: OpTable, rel: Relation):
     """Check that applying the table row-wise to every matrix of columns from
     `rel` lands back in `rel`.
 
     Returns (True, None), or (False, columns) with one violating matrix given
     as its tuple of columns.  Raises BudgetExceededError when |rel|**arity
-    exceeds the budget.
+    exceeds DEFAULT_TABLE_BUDGET.
     """
     if table.domain_size != rel.domain_size:
         raise ValueError("table and relation must share a domain")
     count = len(rel) ** table.arity
-    if count > budget:
+    if count > DEFAULT_TABLE_BUDGET:
         raise BudgetExceededError(
-            f"{count} column matrices exceed budget {budget}; "
+            f"{count} column matrices exceed budget {DEFAULT_TABLE_BUDGET}; "
             "use the multiset verifier for symmetric operations"
         )
     for cols in itertools.product(rel.tuples, repeat=table.arity):

@@ -252,28 +252,20 @@ def congruence_b(spec: SpecB, i: int) -> Relation:
     return equivalence_from_blocks(spec.domain_size, parts)
 
 
-def chain_congruence_b(spec: SpecB, i: int, j_pattern=None) -> Relation:
-    """Converse/forward ladder of R_0^j..R_{i-1}^j for family B.
-
-    `j_pattern` picks the upper index of each of the 2i layers (converse
-    layers for levels 0..i-1, then forward layers for levels i-1..0); the
-    default uses j=1 everywhere.
-    """
+def chain_congruence_b(spec: SpecB, i: int) -> Relation:
+    """Converse/forward ladder of R_0^1..R_{i-1}^1 for family B: the
+    converse layers for levels 0..i-1, then the forward layers for levels
+    i-1..0."""
     if not 1 <= i <= spec.n:
         raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
     _bound_ladder(spec.n, i)
-    if j_pattern is None:
-        j_pattern = (1,) * (2 * i)
-    j_pattern = tuple(j_pattern)
-    if len(j_pattern) != 2 * i:
-        raise ValueError(f"j pattern must have length {2 * i}")
-    layers = [converse(gen_r_b(spec, t, j_pattern[t])) for t in range(i)]
-    layers.extend(gen_r_b(spec, t, j_pattern[2 * i - 1 - t]) for t in reversed(range(i)))
+    layers = [converse(gen_r_b(spec, t, 1)) for t in range(i)]
+    layers.extend(gen_r_b(spec, t, 1) for t in reversed(range(i)))
     return reduce(compose, layers)
 
 
-def chain_matches_congruence_b(spec: SpecB, i: int, j_pattern=None) -> bool:
-    return chain_congruence_b(spec, i, j_pattern) == congruence_b(spec, i)
+def chain_matches_congruence_b(spec: SpecB, i: int) -> bool:
+    return chain_congruence_b(spec, i) == congruence_b(spec, i)
 
 
 def structure_b(spec: SpecB) -> Structure:

@@ -438,6 +438,15 @@ def certificate_to_json(cert: TraceCertificate) -> dict:
     return json.loads("".join(parts))
 
 
+def _json_int(c) -> int:
+    """int(c) for a parameter or count of a JSON certificate: a decimal
+    string, or a number int() leaves unchanged (so 2.0 and true, not 2.5)."""
+    v = int(c)
+    if not isinstance(c, str) and v != c:
+        raise ValueError(f"{c!r} is not an integer")
+    return v
+
+
 def certificate_from_json(
     obj: dict, reference: tuple[dict, TraceCertificate] | None = None
 ) -> TraceCertificate:
@@ -447,8 +456,8 @@ def certificate_from_json(
     to.  A schedule row, the base or a step of `obj` that equals (==) the
     reference's member at the same position is taken from the reference
     certificate instead of being parsed: a member is read only through
-    int() and name lookups, and a target must be a string, so equal members
-    parse to equal objects.
+    `_json_int` and name lookups, and a target must be a string, so equal
+    members parse to equal objects.
     Members are read in one order (schedule, base, steps, arity, terminal
     support) with or without a reference, so a malformed member raises the
     same error either way.  Within one parse each distinct decimal string
@@ -457,8 +466,8 @@ def certificate_from_json(
     family = str(obj["family"])
     if family not in ("A", "B"):
         raise ValueError(f"unknown family {family!r}")
-    n = int(obj["n"])
-    m = int(obj["m"])
+    n = _json_int(obj["n"])
+    m = _json_int(obj["m"])
     domain = _domain_for(family, n)
     index = domain.index
     size = domain.size
@@ -471,9 +480,9 @@ def certificate_from_json(
         try:
             v = ints.get(c)
         except TypeError:  # unhashable: int() raises as without the memo
-            return int(c)
+            return _json_int(c)
         if v is None:
-            v = ints[c] = int(c)
+            v = ints[c] = _json_int(c)
         return v
 
     def ids_of(names) -> tuple[int, ...]:
@@ -512,13 +521,13 @@ def certificate_from_json(
 
     def step(s) -> StepCertificate:
         return StepCertificate(
-            k=int(s["k"]),
-            pivot=int(s["pivot"]),
+            k=dec(s["k"]),
+            pivot=dec(s["pivot"]),
             applications=tuple(map(app, s["applications"])),
             pivot_count=dec(s["pivot_count"]),
             below_succ_premise=dec(s["below_succ_premise"]),
             below_pivot_conclusion=dec(s["below_pivot_conclusion"]),
-            congruence_level=int(s["congruence_level"]),
+            congruence_level=dec(s["congruence_level"]),
             congruence_blocks=tuple(ids_of(blk) for blk in s["congruence_blocks"]),
             doubled=None if s["doubled"] is None else dec(s["doubled"]),
         )
@@ -857,7 +866,7 @@ def check_certificate_json(obj: dict, structure: Structure) -> CheckReport:
     # the claimed n is held against the structure before the names of a
     # domain of that size are built to parse the certificate
     try:
-        family, n, m = str(obj["family"]), int(obj["n"]), int(obj["m"])
+        family, n, m = str(obj["family"]), _json_int(obj["n"]), _json_int(obj["m"])
         refused = _ck_claim(family, n, m, structure)
         if refused is not None:
             return refused

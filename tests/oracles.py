@@ -3,12 +3,14 @@
 import itertools
 import random
 from array import array
+from functools import reduce
 
 from polyclone import trace
 from polyclone.compat import ColumnMultiset, Verdict
 from polyclone.indicator import IndicatorInstance
-from polyclone.relations import BudgetExceededError, OpTable, Relation, Structure, tally_rows
-from polyclone.structures import SpecA, SpecB, domain_a, domain_b, gen_r_b, gen_s
+from polyclone.relations import (BudgetExceededError, OpTable, Relation, Structure, compose,
+                                 converse, tally_rows)
+from polyclone.structures import SpecA, SpecB, congruence_b, domain_a, domain_b, gen_r_b, gen_s
 from polyclone.trace import (
     Application,
     BaseCertificate,
@@ -61,6 +63,12 @@ def compositions(total: int, parts: int):
             yield (c,) + rest
 
 
+def table_from_function(arity: int, domain_size: int, fn) -> OpTable:
+    """The table of fn, which takes an argument tuple."""
+    values = [fn(args) for args in itertools.product(range(domain_size), repeat=arity)]
+    return OpTable(arity, domain_size, values)
+
+
 def as_table(op: SymmetricOp, budget: int = 10**7) -> OpTable:
     """Expand to an explicit table; only feasible for tiny declared arities."""
     d = op.domain.size
@@ -69,7 +77,24 @@ def as_table(op: SymmetricOp, budget: int = 10**7) -> OpTable:
             f"{d}**{op.arity} table entries exceed budget {budget}"
         )
 
-    return OpTable.from_function(op.arity, d, lambda args: op.value_counts(counts_of(d, args)))
+    return table_from_function(op.arity, d, lambda args: op.value_counts(counts_of(d, args)))
+
+
+def chain_congruence_b_pattern(spec: SpecB, i: int, j_pattern) -> Relation:
+    """The ladder of `structures.chain_congruence_b` with the upper index of
+    each of its 2i layers picked by `j_pattern`: converse layers for levels
+    0..i-1, then forward layers for levels i-1..0.  The package builds the
+    all-ones pattern alone."""
+    j_pattern = tuple(j_pattern)
+    if len(j_pattern) != 2 * i:
+        raise ValueError(f"j pattern must have length {2 * i}")
+    layers = [converse(gen_r_b(spec, t, j_pattern[t])) for t in range(i)]
+    layers += [gen_r_b(spec, t, j_pattern[2 * i - 1 - t]) for t in reversed(range(i))]
+    return reduce(compose, layers)
+
+
+def chain_matches_congruence_b_pattern(spec: SpecB, i: int, j_pattern) -> bool:
+    return chain_congruence_b_pattern(spec, i, j_pattern) == congruence_b(spec, i)
 
 
 def identity_relation(domain_size: int) -> Relation:
@@ -233,9 +258,16 @@ def full_instance(structure: Structure, k: int, pins) -> IndicatorInstance:
     )
 
 
+def whole(c) -> int:
+    """int(c), refusing a JSON number with a fractional part."""
+    if isinstance(c, float) and not c.is_integer():
+        raise ValueError(f"{c!r} is not an integer")
+    return int(c)
+
+
 def _app_from_json(obj: dict, index) -> Application:
     columns = tuple(
-        ColumnBlock(tuple(index[x] for x in entry["column"]), int(entry["count"]))
+        ColumnBlock(tuple(index[x] for x in entry["column"]), whole(entry["count"]))
         for entry in obj["columns"]
     )
     if not isinstance(obj["target"], str):
@@ -249,32 +281,32 @@ def plain_certificate_from_json(obj: dict) -> TraceCertificate:
     family = str(obj["family"])
     if family not in ("A", "B"):
         raise ValueError(f"unknown family {family!r}")
-    n = int(obj["n"])
-    m = int(obj["m"])
+    n = whole(obj["n"])
+    m = whole(obj["m"])
     domain = trace._domain_for(family, n)
     index = domain.index
     schedule = []
     for row in obj["schedule"]:
         counts = [0] * domain.size
         for name, c in row.items():
-            counts[index[name]] = int(c)
+            counts[index[name]] = whole(c)
         schedule.append(tuple(counts))
     base = BaseCertificate(
         applications=tuple(_app_from_json(a, index) for a in obj["base"]["applications"])
     )
     steps = tuple(
         StepCertificate(
-            k=int(s["k"]),
-            pivot=int(s["pivot"]),
+            k=whole(s["k"]),
+            pivot=whole(s["pivot"]),
             applications=tuple(_app_from_json(a, index) for a in s["applications"]),
-            pivot_count=int(s["pivot_count"]),
-            below_succ_premise=int(s["below_succ_premise"]),
-            below_pivot_conclusion=int(s["below_pivot_conclusion"]),
-            congruence_level=int(s["congruence_level"]),
+            pivot_count=whole(s["pivot_count"]),
+            below_succ_premise=whole(s["below_succ_premise"]),
+            below_pivot_conclusion=whole(s["below_pivot_conclusion"]),
+            congruence_level=whole(s["congruence_level"]),
             congruence_blocks=tuple(
                 tuple(index[x] for x in blk) for blk in s["congruence_blocks"]
             ),
-            doubled=None if s["doubled"] is None else int(s["doubled"]),
+            doubled=None if s["doubled"] is None else whole(s["doubled"]),
         )
         for s in obj["steps"]
     )
@@ -282,7 +314,7 @@ def plain_certificate_from_json(obj: dict) -> TraceCertificate:
         family=family,
         n=n,
         m=m,
-        arity=int(obj["arity"]),
+        arity=whole(obj["arity"]),
         schedule=tuple(schedule),
         base=base,
         steps=steps,
@@ -294,7 +326,7 @@ def check_json_in_full(obj: dict, structure) -> CheckReport:
     """The JSON check with every member parsed: the claim held against the
     structure, a plain parse, then `check_certificate`."""
     try:
-        refused = trace._ck_claim(str(obj["family"]), int(obj["n"]), int(obj["m"]), structure)
+        refused = trace._ck_claim(str(obj["family"]), whole(obj["n"]), whole(obj["m"]), structure)
         if refused is not None:
             return refused
         cert = plain_certificate_from_json(obj)

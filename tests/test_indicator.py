@@ -392,7 +392,7 @@ def test_skipped_revisions_are_counted(monkeypatch):
     assert (every.verdict, every.nodes, every.table) == (report.verdict, report.nodes, report.table)
     monkeypatch.setattr(indicator, "_stays_gac", never_skip)
     every = decide_nu(a04, 5)
-    assert every.revisions == 84128
+    assert every.revisions == 60903
     assert 2 * wide.revisions < every.revisions
     assert (every.verdict, every.nodes, every.table) == (wide.verdict, wide.nodes, wide.table)
 

@@ -112,6 +112,86 @@ def test_unused_export_scan_sees_users(tmp_path):
     assert exports_without_a_user(pkg, [bench]) == ["alias", "recursive"]
 
 
+def unpassed_defaults(src_dir: Path, user_dirs: list[Path]) -> list[str]:
+    """The defaulted parameters of the module-level functions and methods of
+    src_dir that no call in src_dir or under `user_dirs` passes, as
+    "function(parameter)" or "Class.method(parameter)".  A call is matched
+    by the name it calls (`__init__` by its class's name); it passes a
+    parameter by position or by keyword, and a call with `*args` or
+    `**kwargs` passes every parameter."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = []  # (label, called name, arguments, leading parameters a call does not pass)
+    for path in sorted(src_dir.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, functions):
+                defs.append((top.name, top.name, top.args, 0))
+            elif isinstance(top, ast.ClassDef):
+                for f in top.body:
+                    if isinstance(f, functions):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in f.decorator_list)
+                        called = top.name if f.name == "__init__" else f.name
+                        defs.append((f"{top.name}.{f.name}", called, f.args, 0 if static else 1))
+    calls = {}  # called name -> (positional count, keywords) per call, None if starred
+    paths = sorted(src_dir.glob("*.py")) + [p for d in user_dirs for p in sorted(d.rglob("*.py"))]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(
+                    node.func, "attr", None)
+                starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    None if starred else (len(node.args), {k.arg for k in node.keywords}))
+    found = []
+    for label, called, args, skip in defs:
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = list(enumerate(positional))[len(positional) - len(args.defaults):]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                     if d is not None]
+        for i, param in defaulted:
+            if not any(c is None or i is not None and i - skip < c[0] or param in c[1]
+                       for c in calls.get(called, [])):
+                found.append(f"{label}({param})")
+    return sorted(found)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no caller overrides is a constant with a second name
+    assert unpassed_defaults(SRC, [ROOT / "perfbench"]) == []
+
+
+def test_unpassed_default_scan_sees_calls(tmp_path):
+    pkg, bench = tmp_path / "pkg", tmp_path / "bench"
+    pkg.mkdir()
+    bench.mkdir()
+    (pkg / "a.py").write_text(
+        "def f(x, y=1, *, z=2): pass\n"
+        "def g(x, y=1): pass\n"
+        "def h(x=0): pass\n"
+        "def star(x=0): pass\n"
+        "def stars(x=0): pass\n"
+        "class C:\n"
+        "    def __init__(self, a, b=0): pass\n"
+        "    def m(self, c=1, d=2): pass\n"
+        "    @staticmethod\n"
+        "    def s(e=3): pass\n"
+        "    def unused(self, u=4): pass\n"
+    )
+    (pkg / "b.py").write_text(
+        "from .a import C, f, g, star, stars\n"
+        "f(1, z=3)\n"
+        "g(1, 2)\n"
+        "star(*())\n"
+        "stars(**{})\n"
+        "c = C(1)\n"
+        "c.m(d=5)\n"
+        "C.s(3)\n"
+    )
+    (bench / "run.py").write_text("from pkg.a import h\nh(x=1)\n")
+    assert unpassed_defaults(pkg, [bench]) == ["C.__init__(b)", "C.m(c)", "C.unused(u)", "f(y)"]
+
+
 def foreign_imports(src_dir: Path) -> list[str]:
     """Absolute imports of the modules in src_dir whose top-level package is
     not in the standard library."""

@@ -33,7 +33,8 @@ from polyclone.structures import (
     upper_bound,
 )
 
-from oracles import eager_structure, project
+from oracles import (chain_congruence_b_pattern, chain_matches_congruence_b_pattern,
+                     eager_structure, project)
 
 
 def test_spec_validation():
@@ -202,17 +203,18 @@ def test_chain_identity_b_default():
         spec = SpecB(n)
         for i in range(1, n + 1):
             assert chain_matches_congruence_b(spec, i)
+            assert chain_congruence_b(spec, i) == chain_congruence_b_pattern(spec, i, (1,) * 2 * i)
 
 
 def test_chain_b_mixed_pattern_at_level_one():
     # with a single level in the ladder the two factors must agree on which
     # bottom element is excluded; mixed choices drop the (0, 0) loop
     spec = SpecB(2)
-    assert chain_matches_congruence_b(spec, 1, (1, 1))
-    assert chain_matches_congruence_b(spec, 1, (2, 2))
-    assert not chain_matches_congruence_b(spec, 1, (1, 2))
-    assert not chain_matches_congruence_b(spec, 1, (2, 1))
-    missing = chain_congruence_b(spec, 1, (1, 2))
+    assert chain_matches_congruence_b_pattern(spec, 1, (1, 1))
+    assert chain_matches_congruence_b_pattern(spec, 1, (2, 2))
+    assert not chain_matches_congruence_b_pattern(spec, 1, (1, 2))
+    assert not chain_matches_congruence_b_pattern(spec, 1, (2, 1))
+    missing = chain_congruence_b_pattern(spec, 1, (1, 2))
     assert (2, 2) not in missing
 
 
@@ -261,7 +263,7 @@ def test_all_unaries_present():
 
 def test_chain_b_pattern_length_checked():
     with pytest.raises(ValueError):
-        chain_congruence_b(SpecB(2), 2, (1, 1, 1))
+        chain_congruence_b_pattern(SpecB(2), 2, (1, 1, 1))
     with pytest.raises(ValueError):
         chain_congruence_b(SpecB(2), 0)
 

@@ -643,6 +643,9 @@ def test_json_check_matches_the_full_parse_on_equal_members():
         "step without k": changed(("steps", 1), {k: v for k, v in steps[1].items() if k != "k"}),
         "column not a list": changed(("steps", 0, "applications", 0, "columns", 0, "column"), 7),
         "target not a string": changed(("steps", 0, "applications", 0, "target"), 0),
+        "k as a fraction": changed(("steps", 1, "k"), 1.5),
+        "n as a fraction": changed(("n",), 2.9),
+        "count as a fraction": changed(("steps", 0, "pivot_count"), 2.5),
     }
     accepted = {"k as a float", "k as true", "reordered step", "reordered row",
                 "reordered base", "reordered certificate", "extra key in a step",
