@@ -15,7 +15,11 @@ tally is linear in its cuts, so it is read off them with one dot product,
 and the multiset itself is built only for a violation.  Rows are evaluated
 as in the exact scan, with one cached value per distinct row for the length
 of a call.  Its draws are those of `random.Random(seed).randrange`, so a
-seed names its compositions.
+seed names its compositions.  Where the exact scan stores no more tallies
+than there are trials, it runs first on the same cached rows: when it finds
+no violation, no draw could fail, so the check returns the verdict the
+draws would reach without drawing; when it finds one, the trials are drawn
+as always, so a seed still names the violation reported.
 """
 
 from __future__ import annotations
@@ -46,7 +50,10 @@ class ColumnMultiset:
     __slots__ = ("rel", "counts", "total")
 
     def __init__(self, rel: Relation, counts):
-        counts = tuple(int(c) for c in counts)
+        given = tuple(counts)
+        counts = tuple(map(int, given))
+        if counts != given:
+            raise ValueError("counts must be integers")
         if len(counts) != len(rel):
             raise ValueError("counts must align with the relation's tuple list")
         if any(c < 0 for c in counts):
@@ -185,20 +192,20 @@ def _read_back(layers: list[dict], steps: list[int], tally: int) -> list[int]:
     return counts
 
 
-def _violation(op, rel: Relation) -> list[int] | None:
-    """Tuple counts of the first reachable multiset of `op.arity` columns
-    whose image lies outside `rel`, or None.  The last layer is evaluated
-    as it is generated; only a violation keeps every layer, to read back."""
-    steps, image = _tally_image(op, rel, op.arity + 1)
+def _violation(steps: list[int], image, rel: Relation, arity: int) -> list[int] | None:
+    """Tuple counts of the first reachable multiset of `arity` columns whose
+    image lies outside `rel`, or None, for the `steps` and `image` of one
+    `_tally_image` call.  The last layer is evaluated as it is generated;
+    only a violation keeps every layer, to read back."""
     T = len(steps)
     last = {0: 0}
-    for last in _layers(steps, op.arity):
+    for last in _layers(steps, arity):
         pass
     members = rel._members
     for tally, lo in last.items():
         for t in range(lo, T):
             if image(tally + steps[t]) not in members:
-                counts = _read_back(list(_layers(steps, op.arity)), steps, tally)
+                counts = _read_back(list(_layers(steps, arity)), steps, tally)
                 counts[t] += 1
                 return counts
     return None
@@ -232,7 +239,7 @@ def check_compat_symmetric(
         raise BudgetExceededError(
             f"{total} column multisets exceed budget {budget}; use sampled mode"
         )
-    counts = _violation(op, rel)
+    counts = _violation(*_tally_image(op, rel, op.arity + 1), rel, op.arity)
     if counts is None:
         return Verdict(True, "exact", total)
     cm = ColumnMultiset(rel, counts)
@@ -254,12 +261,27 @@ def check_compat_sampled(
     the sorted cuts of `floyd_cuts`, with `random.Random(seed)`, reads its
     packed row tally off the cuts and evaluates it as the exact scan does;
     the multiset's counts are built only for a violation.  A relation with
-    one tuple has one multiset, evaluated once.  A negative seed is refused:
-    `Random` seeds with its absolute value, so it would repeat the samples
-    of the positive seed.
+    one tuple has one multiset, evaluated once.
+
+    Where the exact scan stores no more tallies than there are trials,
+    C(l+T-1, T) over its layers for arity l and T tuples (the hockey-stick
+    sum of the layers' multiset counts), `_violation` runs first, on the
+    same cached row values.  If it finds none, every multiset is compatible,
+    so every draw would pass: the verdict is the one the draws would reach,
+    and nothing is drawn.  If it finds one, the trials are drawn as always,
+    so the first failing trial and its multiset are those of the seed.  The
+    scan holds at most `trials` tallies; it evaluates at most C(l+T-1, T-1)
+    extensions of its last layer, T/l times that bound, as they are made.
+
+    `trials` and `seed` must be ints and not bools.  A negative seed is
+    refused: `Random` seeds with its absolute value, so it would repeat the
+    samples of the positive seed.
     """
     if op.domain.size != rel.domain_size:
         raise ValueError("operation and relation must share a domain")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise ValueError(f"sampled check needs at least one trial, got {trials}")
     if seed < 0:
@@ -274,6 +296,8 @@ def check_compat_sampled(
         if image(l * steps[0]) in members:
             return Verdict(True, "sampled", trials, None, seed)
         return Verdict(False, "sampled", 1, ColumnMultiset(rel, (l,)), seed)
+    if math.comb(l + T - 1, T) <= trials and _violation(steps, image, rel, l) is None:
+        return Verdict(True, "sampled", trials, None, seed)
     const, diffs = _cut_tally(steps, l)
     samples = floyd_cuts(random.Random(seed), l + T - 1, T - 1)
     for trial, cuts in zip(range(trials), samples):

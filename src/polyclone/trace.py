@@ -45,7 +45,9 @@ one application per bottom id, so it cannot state one for F(v_0).  The
 checker reads relations by name only: the level relations and each
 application's target.  It derives its own level relations, their premise
 patterns and congruence-chain blocks once per parameters (`_ck_levels`),
-and the patterns of any other target once per check.
+and the patterns of any other target once per check.  A structure's level
+relation is compared with the checker's own until one with the same member
+set object is found equal; that set is kept with the level data.
 
 A certificate is accepted iff every local check passes and the fact of the
 last schedule row is empty.  The local checks: the ladder has 2**n rows,
@@ -591,11 +593,12 @@ def _ck_patterns(rel: Relation) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=_CK_CACHE_SIZE)
-def _ck_levels(family: str, n: int, m: int) -> tuple[dict, tuple]:
+def _ck_levels(family: str, n: int, m: int) -> tuple[dict, tuple, dict]:
     """The checker's own level data of in-range parameters: its level
-    relations by name, each paired with its premise patterns, and the
-    blocks of the composed converse/forward ladder up to level t at index
-    t - 1, for the levels 1..n."""
+    relations by name, each paired with its premise patterns; the blocks of
+    the composed converse/forward ladder up to level t at index t - 1, for
+    the levels 1..n; and, filled by `_ck_level_equal`, the member set of a
+    structure relation found equal to each level relation."""
     rels = {}
     if family == "A":
         for i in range(n + 1):
@@ -620,7 +623,7 @@ def _ck_levels(family: str, n: int, m: int) -> tuple[dict, tuple]:
         blocks(reduce(compose, [converse(r) for r in rails[:t]] + rails[t - 1 :: -1]))
         for t in range(1, n + 1)
     )
-    return {name: (rel, _ck_patterns(rel)) for name, rel in rels.items()}, chain
+    return {name: (rel, _ck_patterns(rel)) for name, rel in rels.items()}, chain, {}
 
 
 def _ck_parameters(family: str, n: int, m: int) -> None:
@@ -671,10 +674,26 @@ def _ck_structure_faults(family: str, n: int, m: int, structure: Structure) -> l
             or rel.arity != arity
             or bits > len(rel).bit_length()
             or len(rel) != (lead << bits) - 1 + rest
-            or rel != _ck_levels(family, n, m)[0][name][0]
+            or not _ck_level_equal(family, n, m, name, rel)
         ):
             faults.append(f"structure relation {name} does not match the parameters")
     return faults
+
+
+def _ck_level_equal(family: str, n: int, m: int, name: str, rel: Relation) -> bool:
+    """Whether `rel`, of the level's arity and size, is the checker's level
+    relation `name`.  The member set of a relation found equal is kept with
+    the level data: a frozenset is immutable, so one that is the kept object
+    holds the same tuples and needs no comparison."""
+    levels, _, matched = _ck_levels(family, n, m)
+    own = levels[name][0]
+    if rel.domain_size != own.domain_size:
+        return False
+    if rel._members is not matched.get(name):
+        if rel != own:
+            return False
+        matched[name] = rel._members
+    return True
 
 
 def _ck_kept(members: tuple, ref_members: tuple) -> list[bool]:
@@ -723,7 +742,7 @@ def _ck_replay(cert: TraceCertificate, structure: Structure, faults: list) -> No
     size = structure.domain.size
     bits = [1 << e for e in range(size)]
     facts: dict = {}  # count vector -> the values an NU operation may take on it
-    levels, chain = _ck_levels(cert.family, n, m)
+    levels, chain, _ = _ck_levels(cert.family, n, m)
     others: dict = {}  # a target that is no level relation -> (relation, patterns)
 
     def fact(w) -> int:

@@ -34,6 +34,9 @@ class SymmetricOp:
     def __init__(self, family: str, n: int, m: int):
         if family not in ("A", "B"):
             raise ValueError("family must be 'A' or 'B'")
+        for name, value in (("n", n), ("m", m)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if n < 0:
             raise ValueError("n must be nonnegative")
         if family == "B":

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from operator import mul
 from types import SimpleNamespace
@@ -129,6 +130,11 @@ def test_column_multiset_validation():
         ColumnMultiset(rel, [1, 2])
     with pytest.raises(ValueError):
         ColumnMultiset(rel, [1, -1, 0])
+    # a count that int() would change is refused, not truncated
+    for counts in ([1.5, 0, 0], [1, "2", 0], [0, 0, 2.25]):
+        with pytest.raises(ValueError, match="integers"):
+            ColumnMultiset(rel, counts)
+    assert ColumnMultiset(rel, [2.0, True, 0]).counts == (2, 1, 0)
 
 
 def test_exact_check_smallest_witnesses():
@@ -243,6 +249,17 @@ def test_sampled_check_rejects_negative_seeds():
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             check_compat_sampled(op, rel, 10, seed)
     assert check_compat_sampled(op, rel, 10, 0).seed == 0
+
+
+def test_sampled_check_rejects_trials_and_seeds_that_are_not_ints():
+    # seed True would repeat the samples of seed 1 under another name, a
+    # float seed is hashed, and trials True would report `checked: True`
+    op = witness_a(0, 3)
+    rel = gen_s(SpecA(0, 3), 0)
+    for trials, seed in [(10, True), (10, False), (10, 1.5), (10, 1.0), (10, "1"),
+                         (True, 1), (10.0, 1), (2.5, 1), (None, 1)]:
+        with pytest.raises(TypeError, match="must be an int"):
+            check_compat_sampled(op, rel, trials, seed)
 
 
 def test_binary_check_families():
@@ -434,7 +451,9 @@ def test_sampled_check_matches_the_full_loop(seed, kind):
         rel = rng.choice(list(struct.relations.values()))
         if kind == 2:
             rel = perturbed(rng, rel)
-    trials = rng.randint(1, 300)
+    # log-uniform over 1..3162, so that many cases fall on either side of
+    # the rule that scans first, C(l+T-1, T) <= trials
+    trials = round(10 ** rng.uniform(0, 3.5))
     sample_seed = rng.randrange(2**40)
     verdict = check_compat_sampled(op, rel, trials, sample_seed)
     assert verdict == sampled_in_full(op, rel, trials, sample_seed)
@@ -454,6 +473,59 @@ def test_sampled_check_matches_the_full_loop_on_failing_witnesses():
         if not verdict.ok:
             failing += 1
             assert not check_compat_symmetric(op, rel).ok
+
+
+class CountingRandom(random.Random):
+    """A `random.Random` that counts its `getrandbits` calls, through which
+    `randrange` and every draw of `floyd_cuts` go."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        CountingRandom.calls += 1
+        return super().getrandbits(k)
+
+
+def draws(monkeypatch, check, *args):
+    """The verdict of `check(*args)` and the `getrandbits` calls it made."""
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    CountingRandom.calls = 0
+    verdict = check(*args)
+    return verdict, CountingRandom.calls
+
+
+def test_sampled_check_under_the_scan_bound_draws_only_for_a_violation(monkeypatch):
+    # where the exact scan holds at most `trials` tallies, C(l+T-1, T), a
+    # compatible relation is answered by the scan and draws nothing; a
+    # violating one draws, bit for bit, what the plain loop draws
+    op = witness_a(0, 3)
+    rel = gen_s(SpecA(0, 3), 0)
+    bound = math.comb(op.arity + len(rel) - 1, len(rel))
+    assert bound == 120
+    for trials in (bound, bound + 1, 10**4):
+        verdict, calls = draws(monkeypatch, check_compat_sampled, op, rel, trials, 5)
+        assert verdict == Verdict(True, "sampled", trials, None, 5) and calls == 0
+    # one trial short of the bound, the trials are drawn
+    verdict, calls = draws(monkeypatch, check_compat_sampled, op, rel, bound - 1, 5)
+    assert verdict.ok and verdict.checked == bound - 1
+    assert (verdict, calls) == draws(monkeypatch, sampled_in_full, op, rel, bound - 1, 5)
+    bad = corrupted_s0()
+    assert math.comb(op.arity + len(bad) - 1, len(bad)) <= 10**4
+    for seed, checked, counts in SAMPLED_VERDICT_PINS:
+        verdict, calls = draws(monkeypatch, check_compat_sampled, op, bad, 10**4, seed)
+        assert verdict == Verdict(False, "sampled", checked, ColumnMultiset(bad, counts), seed)
+        assert (verdict, calls) == draws(monkeypatch, sampled_in_full, op, bad, 10**4, seed)
+        assert calls >= checked * (len(bad) - 1)
+    # the sampled-scan workload's smallest relations scan at 5,000 trials
+    op = witness_b(2)
+    scanned = 0
+    for rel in structure_b(SpecB(2)).relations.values():
+        T = len(rel)
+        if T > 1 and math.comb(op.arity + T - 1, T) <= 5000:
+            verdict, calls = draws(monkeypatch, check_compat_sampled, op, rel, 5000, 9)
+            assert verdict.ok and verdict.checked == 5000 and calls == 0
+            scanned += 1
+    assert scanned == 25
 
 
 class CountingOp:

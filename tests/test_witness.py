@@ -238,5 +238,11 @@ def test_symmetric_op_validation():
         witness_a(-1, 2)
     with pytest.raises(ValueError):
         witness_a(1, 1)
+    # witness_a(0, 2.5) would build an operation of arity 3.5
+    for n, m in [(0, 2.5), (0.0, 3), (True, 3), (1, True), ("1", 3), (1, None)]:
+        with pytest.raises(TypeError, match="must be an int"):
+            witness_a(n, m)
+    with pytest.raises(TypeError, match="n must be an int"):
+        witness_b(2.0)
     with pytest.raises(ValueError):
         value_by_max_rule(witness_b(1), (1, 1, 1, 2))
