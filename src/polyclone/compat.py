@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .relations import BudgetExceededError, Domain, Relation, tally_rows
 from .witness import (
@@ -94,8 +94,7 @@ def multiset_count(arity: int, tuples: int) -> int:
     return math.comb(arity + tuples - 1, tuples - 1)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     mode: str  # "exact" | "sampled"
     checked: int

@@ -86,9 +86,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from operator import add
+from typing import NamedTuple
 
 from .relations import BudgetExceededError, OpTable, Relation, Structure, table_compatible
 
@@ -420,8 +420,7 @@ def build_indicator(
     )
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     verdict: str  # "sat" | "unsat" | "unknown"
     table: OpTable | None
     nodes: int

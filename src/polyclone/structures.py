@@ -34,8 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .relations import (
     BudgetExceededError,
@@ -48,33 +48,47 @@ from .relations import (
 )
 
 
-@dataclass(frozen=True)
-class SpecA:
+def _check_int(name: str, value: int, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be " + (f"at least {least}" if least else "nonnegative"))
+
+
+# A NamedTuple body may not define __new__, so each spec validates in a
+# subclass; `_make` goes through it too, so `_replace` validates as well.
+
+class SpecA(NamedTuple("SpecA", [("n", int), ("m", int)])):
     """Parameters of family A: universe size n+2, relation arity m+1."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        if self.m < 2:
-            raise ValueError("m must be at least 2")
+    def __new__(cls, n: int, m: int):
+        _check_int("n", n, 0)
+        _check_int("m", m, 2)
+        return super().__new__(cls, n, m)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def domain_size(self) -> int:
         return self.n + 2
 
 
-@dataclass(frozen=True)
-class SpecB:
+class SpecB(NamedTuple("SpecB", [("n", int)])):
     """Parameters of family B: universe size n+3, binary relations."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+    def __new__(cls, n: int):
+        _check_int("n", n, 0)
+        return super().__new__(cls, n)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def domain_size(self) -> int:

@@ -83,7 +83,7 @@ its applications on level relations only narrow their facts.  This is
 sound: each local check is a pure function of the member, the rows it
 reads, the parameters and the checker's own level relations; the reference
 was accepted, so each of its local checks passed; and its parse is private
-and immutable (tuples of ints and frozen dataclasses).  Facts and the last
+and immutable (tuples of ints and NamedTuples).  Facts and the last
 emptiness test are recomputed on every check, and an application on any
 other target is checked in full, since the structure may differ from the
 one the reference was accepted against.  A certificate built outside that
@@ -95,9 +95,9 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 from .relations import Relation, Structure, blocks, compose, converse, tally_rows
 from .structures import SpecA, SpecB, congruence_a, congruence_b, domain_a, domain_b
@@ -123,19 +123,21 @@ def _build_schedule(spec: SpecA | SpecB, seen: dict) -> tuple[tuple[int, ...], .
     at each level t < n and 0 at level n.  Each later row comes from its
     predecessor: from row k to row k+1 the pivot i (the least zero bit of
     k) empties, each level t < i refills to m**(k+1+2**t) * (m**2**t - 1),
-    the bottom block grows to m**(k+2) in all, and the levels above i keep
-    their counts."""
+    which is m**(k+1) times its row-0 count, the bottom block grows to
+    m**(k+2) in all, and the levels above i keep their counts."""
     m, lo = _shape(spec)
-    row0 = [m // lo] * lo + [m**2**t * (m**2**t - 1) for t in range(spec.n)] + [0]
-    row = [seen.setdefault(c, c) for c in row0]
+    level0 = [m**2**t * (m**2**t - 1) for t in range(spec.n)]
+    row = [seen.setdefault(c, c) for c in [m // lo] * lo + level0 + [0]]
     rows = [tuple(row)]
+    power = 1  # m**(k+1) in row k's step
     for k in range(2**spec.n - 1):
+        power *= m
         i = least_zero_bit(k)
         row[lo + i] = seen.setdefault(0, 0)
         for t in range(i):
-            c = m ** (k + 1 + 2**t) * (m ** (2**t) - 1)
+            c = power * level0[t]
             row[lo + t] = seen.setdefault(c, c)
-        c = m ** (k + 2) // lo
+        c = power * m // lo
         row[:lo] = [seen.setdefault(c, c)] * lo
         rows.append(tuple(row))
     return tuple(rows)
@@ -152,25 +154,21 @@ def least_zero_bit(k: int) -> int:
 # Certificate data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColumnBlock:
+class ColumnBlock(NamedTuple):
     column: tuple[int, ...]
     count: int
 
 
-@dataclass(frozen=True)
-class Application:
+class Application(NamedTuple):
     target: str
     columns: tuple[ColumnBlock, ...]
 
 
-@dataclass(frozen=True)
-class BaseCertificate:
+class BaseCertificate(NamedTuple):
     applications: tuple[Application, ...]
 
 
-@dataclass(frozen=True)
-class StepCertificate:
+class StepCertificate(NamedTuple):
     k: int
     pivot: int
     applications: tuple[Application, ...]
@@ -182,8 +180,7 @@ class StepCertificate:
     doubled: int | None  # family B only: bottom-block size after doubling
 
 
-@dataclass(frozen=True)
-class TraceCertificate:
+class TraceCertificate(NamedTuple):
     family: str
     n: int
     m: int
@@ -566,8 +563,7 @@ def certificate_from_json(
 # code with the builders beyond the domain types.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     ok: bool
     faults: tuple[str, ...]
 

@@ -7,7 +7,6 @@ with `pytest -s`) and fails the suite on any deviation.
 import itertools
 import random
 import time
-from dataclasses import replace
 
 from polyclone.compat import check_compat_sampled, check_compat_symmetric
 from polyclone.indicator import decide_nu, verify_witness_table
@@ -198,19 +197,19 @@ def _mutate_apps(apps, rest, rng, width):
     app = apps[a]
     what = rest[1]
     if what == "target":
-        app = replace(app, target=app.target + "x")
+        app = app._replace(target=app.target + "x")
     elif what == "count":
         c = rest[2]
         cols = list(app.columns)
-        cols[c] = replace(cols[c], count=cols[c].count + rng.choice((-1, 1)))
-        app = replace(app, columns=tuple(cols))
+        cols[c] = cols[c]._replace(count=cols[c].count + rng.choice((-1, 1)))
+        app = app._replace(columns=tuple(cols))
     else:
         c, p = rest[2], rest[3]
         cols = list(app.columns)
         col = list(cols[c].column)
         col[p] = (col[p] + 1) % width
-        cols[c] = replace(cols[c], column=tuple(col))
-        app = replace(app, columns=tuple(cols))
+        cols[c] = cols[c]._replace(column=tuple(col))
+        app = app._replace(columns=tuple(cols))
     out = list(apps)
     out[a] = app
     return tuple(out)
@@ -221,41 +220,41 @@ def _mutate(cert, path, rng):
     bump = rng.choice((-1, 1))
     kind = path[0]
     if kind == "family":
-        return replace(cert, family="B" if cert.family == "A" else "A")
+        return cert._replace(family="B" if cert.family == "A" else "A")
     if kind in ("n", "m", "arity"):
-        return replace(cert, **{kind: getattr(cert, kind) + bump})
+        return cert._replace(**{kind: getattr(cert, kind) + bump})
     if kind == "schedule":
         _, i, j = path
         row = list(cert.schedule[i])
         row[j] += 1
         sched = list(cert.schedule)
         sched[i] = tuple(row)
-        return replace(cert, schedule=tuple(sched))
+        return cert._replace(schedule=tuple(sched))
     if kind == "terminal":
         ts = list(cert.terminal_support)
         ts[path[1]] = (ts[path[1]] + 1) % width
-        return replace(cert, terminal_support=tuple(ts))
+        return cert._replace(terminal_support=tuple(ts))
     if kind == "base":
-        return replace(
-            cert, base=BaseCertificate(_mutate_apps(cert.base.applications, path[1:], rng, width))
+        return cert._replace(
+            base=BaseCertificate(_mutate_apps(cert.base.applications, path[1:], rng, width))
         )
     s = path[1]
     step = cert.steps[s]
     field = path[2]
     if field == "doubled":
-        step = replace(step, doubled=1 if step.doubled is None else step.doubled + bump)
+        step = step._replace(doubled=1 if step.doubled is None else step.doubled + bump)
     elif field == "block":
         b, x = path[3], path[4]
         blocks_ = [list(bk) for bk in step.congruence_blocks]
         blocks_[b][x] = (blocks_[b][x] + 1) % width
-        step = replace(step, congruence_blocks=tuple(tuple(bk) for bk in blocks_))
+        step = step._replace(congruence_blocks=tuple(tuple(bk) for bk in blocks_))
     elif field == "app":
-        step = replace(step, applications=_mutate_apps(step.applications, path[3:], rng, width))
+        step = step._replace(applications=_mutate_apps(step.applications, path[3:], rng, width))
     else:
-        step = replace(step, **{field: getattr(step, field) + bump})
+        step = step._replace(**{field: getattr(step, field) + bump})
     steps = list(cert.steps)
     steps[s] = step
-    return replace(cert, steps=tuple(steps))
+    return cert._replace(steps=tuple(steps))
 
 
 def test_acceptance_5_certificate_sweep_and_fuzz():

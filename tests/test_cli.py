@@ -221,6 +221,17 @@ def test_python_m_polyclone_runs_the_command_line(capsys):
     assert code == 0 and proc.stderr == b""
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # importing the two takes about as long as the whole package; -S keeps
+    # the interpreter's own site hooks out of the import set
+    code = ("import sys, polyclone, polyclone.cli; polyclone.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=_source_env(), timeout=120
+    )
+    assert (proc.stdout, proc.stderr) == (b"[]\n", b"")
+
+
 def test_bounds(capsys):
     code, out, _ = run(capsys, "bounds", "2", "4")
     assert code == 0

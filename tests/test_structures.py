@@ -32,6 +32,7 @@ from polyclone.structures import (
     structure_b,
     upper_bound,
 )
+from polyclone.trace import certify_lower_bound_a
 
 from oracles import (chain_congruence_b_pattern, chain_matches_congruence_b_pattern,
                      eager_structure, project)
@@ -44,6 +45,23 @@ def test_spec_validation():
         SpecA(0, 1)
     with pytest.raises(ValueError):
         SpecB(-1)
+
+
+def test_specs_reject_bools_and_non_ints():
+    # SpecA(True, 2) built A(1,2); SpecA(1.0, 2) failed only in structure_a
+    for n, m in [(True, 2), (1, True), (1.0, 2), (0, 2.5), ("1", 2), (None, 2)]:
+        with pytest.raises(TypeError, match="must be an int"):
+            SpecA(n, m)
+    for n in [True, False, 1.0, "1"]:
+        with pytest.raises(TypeError, match="n must be an int"):
+            SpecB(n)
+    with pytest.raises(TypeError, match="n must be an int"):
+        certify_lower_bound_a(True, 3)
+    with pytest.raises(TypeError, match="m must be an int"):
+        SpecA(1, 2)._replace(m=2.0)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        SpecB(1)._replace(n=-1)
+    assert SpecA(1, 2)._replace(n=3) == SpecA(3, 2)
 
 
 def test_gen_s_smallest_cases():

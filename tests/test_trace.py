@@ -1,7 +1,6 @@
 import itertools
 import json
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -262,7 +261,7 @@ def test_membership_guard_rejects_excluded_corner():
     cert = certify_lower_bound_a(3, 3)
     app = cert.base.applications[0]
     columns = (ColumnBlock((0, 4, 4, 4), app.columns[0].count),) + app.columns[1:]
-    bad = replace(cert, base=BaseCertificate((replace(app, columns=columns),)))
+    bad = cert._replace(base=BaseCertificate((app._replace(columns=columns),)))
     assert check_certificate(bad, structure_a(SpecA(3, 3))).faults == (
         "base: column (0, 4, 4, 4) is not in S3",
         "the fact of the last schedule row is not empty",
@@ -275,8 +274,8 @@ def test_check_names_every_deviating_step():
     cert = certify_lower_bound_a(2, 2)
     steps = list(cert.steps)
     for s in (0, 2):
-        steps[s] = replace(steps[s], pivot_count=steps[s].pivot_count + 1)
-    report = check_certificate(replace(cert, steps=tuple(steps)), structure_a(SpecA(2, 2)))
+        steps[s] = steps[s]._replace(pivot_count=steps[s].pivot_count + 1)
+    report = check_certificate(cert._replace(steps=tuple(steps)), structure_a(SpecA(2, 2)))
     assert not report.ok
     assert report.faults == (
         "step 0: pivot count is not the premise's count at the pivot",
@@ -301,8 +300,8 @@ def _with_step_app(cert, k, app):
     """`cert` with the first application of step k replaced by `app`."""
     step = cert.steps[k]
     steps = list(cert.steps)
-    steps[k] = replace(step, applications=(app,) + step.applications[1:])
-    return replace(cert, steps=tuple(steps))
+    steps[k] = step._replace(applications=(app,) + step.applications[1:])
+    return cert._replace(steps=tuple(steps))
 
 
 def test_check_accepts_sound_certificates_built_another_way():
@@ -311,12 +310,12 @@ def test_check_accepts_sound_certificates_built_another_way():
     for cert, struct in _both_families():
         for k in range(len(cert.steps)):
             app = cert.steps[k].applications[0]
-            reversed_ = replace(app, columns=app.columns[::-1])
+            reversed_ = app._replace(columns=app.columns[::-1])
             big, *rest = sorted(app.columns, key=lambda b: -b.count)
             half = big.count // 2
             assert half > 0
-            split = replace(app, columns=(replace(big, count=half),
-                                          replace(big, count=big.count - half), *rest))
+            split = app._replace(columns=(big._replace(count=half),
+                                          big._replace(count=big.count - half), *rest))
             for variant in (reversed_, split):
                 changed = _with_step_app(cert, k, variant)
                 assert changed != cert
@@ -326,7 +325,7 @@ def test_check_accepts_sound_certificates_built_another_way():
 def test_check_rejects_unsound_applications_and_ladders():
     for cert, struct in _both_families():
         app = cert.steps[1].applications[0]
-        missing = _with_step_app(cert, 1, replace(app, target="S9"))
+        missing = _with_step_app(cert, 1, app._replace(target="S9"))
         assert check_certificate(missing, struct).faults == (
             "step 1: structure has no relation 'S9'",
             "the fact of the last schedule row is not empty",
@@ -336,7 +335,7 @@ def test_check_rejects_unsound_applications_and_ladders():
         assert check_certificate(unary, struct).faults[0] == (
             "step 1: row 0 of U1 does not tally to the conclusion"
         )
-        short = replace(cert, schedule=cert.schedule[:-1], steps=cert.steps[:-1])
+        short = cert._replace(schedule=cert.schedule[:-1], steps=cert.steps[:-1])
         report = check_certificate(short, struct)
         assert not report.ok and report.faults[0].startswith("ladder has 3 rows and 2 steps")
 
@@ -360,12 +359,11 @@ def _q_ladder(*extra):
     """The Q ladder of A(1,2), with `extra` applications in step 0."""
     cert = certify_lower_bound_a(1, 2)
     kept = Application("Q", tuple(ColumnBlock(t, 1) for t in Q_KEPT))
-    return replace(
-        cert,
+    return cert._replace(
         schedule=((2, 0, 2), (2, 0, 2)),
         base=BaseCertificate((Application("Q", tuple(ColumnBlock(t, 1) for t in Q_FED)),)),
-        steps=(replace(cert.steps[0], applications=(kept, *extra),
-                       pivot_count=0, below_succ_premise=2, below_pivot_conclusion=2),),
+        steps=(cert.steps[0]._replace(applications=(kept, *extra), pivot_count=0,
+                                      below_succ_premise=2, below_pivot_conclusion=2),),
         terminal_support=(0, 2),
     )
 
@@ -428,7 +426,7 @@ def test_check_builds_only_the_unary_relations_its_applications_name(monkeypatch
         assert check_certificate(cert, struct).ok
     assert read == []
     cert, struct = _both_families()[0]
-    cut = replace(cert, steps=cert.steps[:-1] + (replace(cert.steps[-1], applications=()),))
+    cut = cert._replace(steps=cert.steps[:-1] + (cert.steps[-1]._replace(applications=()),))
     assert check_certificate(cut, struct).faults == (
         "the fact of the last schedule row is not empty",
     )
@@ -467,7 +465,7 @@ def test_check_rejects_wrong_shape_before_deriving(monkeypatch):
          ("parameters: parameters outside the certified range",)),
     ]
     for change, struct, faults in cases:
-        assert check_certificate(replace(cert, **change), struct).faults == faults
+        assert check_certificate(cert._replace(**change), struct).faults == faults
         # a repeat check is the one that would use a parse reference
         for _ in range(3):
             assert check_certificate_json({**obj, **change}, struct).faults == faults
@@ -488,7 +486,7 @@ def test_check_refuses_a_huge_claimed_m_before_any_power_of_it():
     )
     for struct in (structure_a(SpecA(1, 2)), empty):
         for check in (
-            lambda: check_certificate(replace(cert, m=m), struct),
+            lambda: check_certificate(cert._replace(m=m), struct),
             lambda: check_certificate_json({**obj, "m": m}, struct),
         ):
             tracemalloc.start()
@@ -738,7 +736,7 @@ def test_json_check_copies_only_a_new_reference(monkeypatch):
     monkeypatch.setattr(trace.copy, "deepcopy", counted)
     cert, struct = certify_lower_bound_b(2), structure_b(SpecB(2))
     app = cert.steps[1].applications[0]
-    other = _with_step_app(cert, 1, replace(app, columns=app.columns[::-1]))
+    other = _with_step_app(cert, 1, app._replace(columns=app.columns[::-1]))
     obj, other_obj = certificate_to_json(cert), certificate_to_json(other)
     assert other_obj != obj
     trace._ck_accepted.cache_clear()
@@ -807,8 +805,8 @@ def test_kept_steps_recheck_applications_on_other_relations():
     unary = Application(name, tuple(ColumnBlock((e,), conclusion[e]) for e in support))
     step = cert.steps[1]
     steps = list(cert.steps)
-    steps[1] = replace(step, applications=step.applications + (unary,))
-    obj = certificate_to_json(replace(cert, steps=tuple(steps)))
+    steps[1] = step._replace(applications=step.applications + (unary,))
+    obj = certificate_to_json(cert._replace(steps=tuple(steps)))
     # the same level relations, and under that name a relation without the
     # bottom element a, which the conclusion's columns hold
     levels = {key: rel for key, rel in struct.relations.items() if rel.arity > 1}
@@ -832,8 +830,8 @@ def test_library_certificates_are_replayed_in_full(monkeypatch):
     cert, struct = certify_lower_bound_a(3, 2), structure_a(SpecA(3, 2))
     step = cert.steps[2]
     steps = list(cert.steps)
-    steps[2] = replace(step, pivot_count=step.pivot_count + 1)
-    mutant = replace(cert, steps=tuple(steps))
+    steps[2] = step._replace(pivot_count=step.pivot_count + 1)
+    mutant = cert._replace(steps=tuple(steps))
     trace._ck_accepted.cache_clear()
     calls = _tallies(monkeypatch)
     try:
