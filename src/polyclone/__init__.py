@@ -20,8 +20,7 @@ from .structures import (
     bounds,
     chain_matches_congruence_a,
     chain_matches_congruence_b,
-    congruence_a,
-    congruence_b,
+    congruence,
     domain_a,
     domain_b,
     gen_r,

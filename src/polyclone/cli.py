@@ -44,42 +44,41 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _family_spec(family: str, n: int, m: int | None):
-    if family == "B":
-        if m is not None:
+def _family_spec(args):
+    """The spec of the family that `args` name, which validates its parameters."""
+    if args.family == "B":
+        if args.m is not None:
             raise ValueError("family B takes no m")
-        return structures.SpecB(n)
-    if m is None:
+        return structures.SpecB(args.n)
+    if args.m is None:
         raise ValueError("family A needs m")
-    return structures.SpecA(n, m)
+    return structures.SpecA(args.n, args.m)
 
 
-def _family_structure(family: str, n: int, m: int | None):
-    spec = _family_spec(family, n, m)
-    return structures.structure_a(spec) if family == "A" else structures.structure_b(spec)
+def _family_structure(spec):
+    return structures.structure_a(spec) if spec.family == "A" else structures.structure_b(spec)
 
 
-def _refuse_long_arity(family: str, n: int, m: int | None) -> None:
+def _refuse_long_arity(spec) -> None:
     """Stop, before anything is built, a family whose arity trace or witness
-    could not write in decimal: witness's m**2**n + 1 (m = 2 for family B)
-    is at least trace's m**2**n."""
-    _family_spec(family, n, m)
-    base = m if family == "A" else 2
-    if not structures.power_fits(base, 2, n, lambda: base ** 2**n + 1, MAX_DIGITS):
-        raise BudgetExceededError(f"the arity {base}**2**{n} has more than {MAX_DIGITS} digits")
+    could not write in decimal: witness's m**2**n + 1 is at least trace's
+    m**2**n."""
+    m, n = spec.m, spec.n
+    if not structures.power_fits(m, 2, n, lambda: m ** 2**n + 1, MAX_DIGITS):
+        raise BudgetExceededError(f"the arity {m}**2**{n} has more than {MAX_DIGITS} digits")
 
 
 def cmd_gen(args) -> int:
-    fam = args.family
-    if fam == "A" and args.n == 0 and args.m == 2:
+    spec = _family_spec(args)
+    if spec == structures.SpecA(0, 2):
         print(
             "warning: (n=0, m=2) carries no lower-bound claim (the excluded arity is below 3)",
             file=sys.stderr,
         )
-    struct = _family_structure(fam, args.n, args.m)
-    obj = {"family": fam, "n": args.n}
-    if fam == "A":
-        obj["m"] = args.m
+    struct = _family_structure(spec)
+    obj = {"family": spec.family, "n": spec.n}
+    if spec.family == "A":
+        obj["m"] = spec.m
     obj.update(structure_to_json(struct))
     _emit(obj)
     return EXIT_OK
@@ -95,12 +94,13 @@ def cmd_ppcheck(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    fam, budget = args.family, args.budget
+    budget = args.budget
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    _refuse_long_arity(fam, args.n, args.m)
-    struct = _family_structure(fam, args.n, args.m)
-    op = witness.witness_a(args.n, args.m) if fam == "A" else witness.witness_b(args.n)
+    spec = _family_spec(args)
+    _refuse_long_arity(spec)
+    struct = _family_structure(spec)
+    op = witness.SymmetricOp(spec)
     count = len(struct.relations)
     if args.mode == "sampled" and args.trials * count > budget:
         raise BudgetExceededError(
@@ -117,9 +117,9 @@ def cmd_witness(args) -> int:
         results.append({"relation": name, **verdict.to_json(struct.domain)})
     _emit(
         {
-            "family": fam,
-            "n": args.n,
-            "m": op.m,
+            "family": spec.family,
+            "n": spec.n,
+            "m": spec.m,
             "arity": str(op.arity),
             "mode": args.mode,
             "seed": args.seed if args.mode == "sampled" else None,
@@ -132,8 +132,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    fam = args.family
-    struct = _family_structure(fam, args.n, args.m)
+    spec = _family_spec(args)
+    struct = _family_structure(spec)
     report = indicator.decide_nu(
         struct,
         args.k,
@@ -143,7 +143,7 @@ def cmd_decide(args) -> int:
         node_limit=args.node_limit,
     )
     obj = {
-        "structure": {"family": fam, "n": args.n, "m": args.m if fam == "A" else 2},
+        "structure": {"family": spec.family, "n": spec.n, "m": spec.m},
         "arity": args.k,
         "pin": args.pin,
         **report.to_json(),
@@ -159,13 +159,13 @@ def cmd_decide(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    fam = args.family
-    _refuse_long_arity(fam, args.n, args.m)
-    struct = _family_structure(fam, args.n, args.m)
-    if fam == "A":
-        cert = trace.certify_lower_bound_a(args.n, args.m)
+    spec = _family_spec(args)
+    _refuse_long_arity(spec)
+    struct = _family_structure(spec)
+    if spec.family == "A":
+        cert = trace.certify_lower_bound_a(spec.n, spec.m)
     else:
-        cert = trace.certify_lower_bound_b(args.n)
+        cert = trace.certify_lower_bound_b(spec.n)
     report = trace.check_certificate(cert, struct)
     extra = {"checked": report.ok}
     if not report.ok:

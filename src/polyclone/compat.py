@@ -29,7 +29,7 @@ import random
 from operator import mul
 from typing import NamedTuple
 
-from .relations import BudgetExceededError, Domain, Relation, tally_rows
+from .relations import BudgetExceededError, Domain, Relation, require_int, tally_rows
 from .witness import (
     DEFAULT_SEED,
     SymmetricOp,
@@ -278,9 +278,8 @@ def check_compat_sampled(
     """
     if op.domain.size != rel.domain_size:
         raise ValueError("operation and relation must share a domain")
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {value!r}")
+    require_int("trials", trials)
+    require_int("seed", seed)
     if trials < 1:
         raise ValueError(f"sampled check needs at least one trial, got {trials}")
     if seed < 0:

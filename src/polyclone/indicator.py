@@ -90,7 +90,14 @@ from itertools import compress, islice, repeat
 from operator import add
 from typing import NamedTuple
 
-from .relations import BudgetExceededError, OpTable, Relation, Structure, table_compatible
+from .relations import (
+    BudgetExceededError,
+    OpTable,
+    Relation,
+    Structure,
+    require_int,
+    table_compatible,
+)
 
 DEFAULT_VAR_CAP = 2 * 10**4
 DEFAULT_MATRIX_BUDGET = 2 * 10**6
@@ -345,6 +352,8 @@ def build_indicator(
     `pins` is an iterable of (args, value) pairs, such as `nu_pins` or
     `remark_pins` give.
     """
+    for name, value in (("k", k), ("var_cap", var_cap), ("matrix_budget", matrix_budget)):
+        require_int(name, value)
     if k < 1:
         raise ValueError("arity must be positive")
     if var_cap < 0:
@@ -523,6 +532,7 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     of its arcs both ways.  So the root revises only what the pins, or
     missing unary relations, may leave short of GAC.
     """
+    require_int("node_limit", node_limit)
     if node_limit < 0:
         raise ValueError(f"node limit must be nonnegative, got {node_limit}")
     d = inst.domain_size
@@ -765,6 +775,8 @@ def decide_nu(
     "remark" (fix only the bottom-element deviations from the top element)."""
     if pin not in PIN_SETS:
         raise ValueError(f"unknown pin mode {pin!r}")
+    require_int("k", k)
+    require_int("node_limit", node_limit)
     if pin == "nu" and k < 3:  # no near-unanimity operation of arity below 3
         raise ValueError(f"near-unanimity needs arity at least 3, got {k}")
     if node_limit < 0:  # refused before the build, as solve() would refuse it

@@ -17,6 +17,14 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its configured budget."""
 
 
+def require_int(name: str, value) -> None:
+    """Refuse, with TypeError, a `value` that is a bool or not an int.  Every
+    int parameter that the package type-checks is checked here, so the
+    message reads the same for each."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 class Domain:
     """Ordered domain; element i displays as names[i]."""
 
@@ -106,13 +114,15 @@ class OpTable:
     __slots__ = ("arity", "domain_size", "values")
 
     def __init__(self, arity: int, domain_size: int, values):
+        require_int("arity", arity)
+        require_int("domain_size", domain_size)
         if arity < 1:
             raise ValueError("arity must be positive")
         values = tuple(values)
         if len(values) != domain_size**arity:
             raise ValueError("value list does not cover all argument tuples")
         for v in values:
-            if not 0 <= v < domain_size:
+            if type(v) is not int or not 0 <= v < domain_size:
                 raise ValueError(f"value {v!r} outside domain")
         self.arity = arity
         self.domain_size = domain_size

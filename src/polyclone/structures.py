@@ -17,6 +17,10 @@ plus every nonempty unary relation.  The composition ladders built from the
 level relations define the congruence that merges everything below a level
 into one block; `chain_matches_congruence_*` verify those identities.
 
+`SpecA` and `SpecB` validate a family's parameters and state its facts:
+its letter `family`, ladder base `m` (2 for B), number `bottom` of bottom
+ids (1 for A, 2 for B) and `domain()`.  Level t has element id `bottom + t`.
+
 The unary relations are named U<mask> by their characteristic bitmask and
 follow the level relations, ordered by mask.  They are built on read: a
 structure holds them as a read-only mapping that builds U<mask> each time
@@ -45,12 +49,12 @@ from .relations import (
     compose,
     converse,
     equivalence_from_blocks,
+    require_int,
 )
 
 
 def _check_int(name: str, value: int, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {value!r}")
+    require_int(name, value)
     if value < least:
         raise ValueError(f"{name} must be " + (f"at least {least}" if least else "nonnegative"))
 
@@ -59,9 +63,12 @@ def _check_int(name: str, value: int, least: int) -> None:
 # subclass; `_make` goes through it too, so `_replace` validates as well.
 
 class SpecA(NamedTuple("SpecA", [("n", int), ("m", int)])):
-    """Parameters of family A: universe size n+2, relation arity m+1."""
+    """Parameters of family A: universe size n+2, relation arity m+1, and a
+    ladder of base m over the one bottom id of a."""
 
     __slots__ = ()
+    family = "A"
+    bottom = 1
 
     def __new__(cls, n: int, m: int):
         _check_int("n", n, 0)
@@ -76,11 +83,18 @@ class SpecA(NamedTuple("SpecA", [("n", int), ("m", int)])):
     def domain_size(self) -> int:
         return self.n + 2
 
+    def domain(self) -> Domain:
+        return domain_a(self.n)
+
 
 class SpecB(NamedTuple("SpecB", [("n", int)])):
-    """Parameters of family B: universe size n+3, binary relations."""
+    """Parameters of family B: universe size n+3, binary relations, and the
+    m = 2 ladder over the two bottom ids of a1, a2."""
 
     __slots__ = ()
+    family = "B"
+    m = 2
+    bottom = 2
 
     def __new__(cls, n: int):
         _check_int("n", n, 0)
@@ -94,6 +108,9 @@ class SpecB(NamedTuple("SpecB", [("n", int)])):
     def domain_size(self) -> int:
         return self.n + 3
 
+    def domain(self) -> Domain:
+        return domain_b(self.n)
+
 
 def domain_a(n: int) -> Domain:
     return Domain(["a"] + [str(t) for t in range(n + 1)])
@@ -103,27 +120,16 @@ def domain_b(n: int) -> Domain:
     return Domain(["a1", "a2"] + [str(t) for t in range(n + 1)])
 
 
-# Element ids: family A has a -> 0 and level t -> t+1; family B has a1 -> 0,
-# a2 -> 1 and level t -> t+2.
-
-def level_a(t: int) -> int:
-    return t + 1
-
-
-def level_b(t: int) -> int:
-    return t + 2
-
-
 def gen_s(spec: SpecA, i: int) -> Relation:
     """The (m+1)-ary level relation S_i of family A."""
     if not 0 <= i <= spec.n:
         raise ValueError(f"level {i} out of range 0..{spec.n}")
-    first = [0] + [level_a(t) for t in range(i)]
-    pair = (0, level_a(i))
-    tuples = {(x,) + rest for x in first for rest in itertools.product(pair, repeat=spec.m)}
-    tuples.discard((0,) + (level_a(i),) * spec.m)
-    for u in range(i + 1, spec.n + 1):
-        tuples.add((level_a(u),) * (spec.m + 1))
+    lv = spec.bottom + i
+    pair = (0, lv)
+    tuples = {(x,) + rest for x in range(lv) for rest in itertools.product(pair, repeat=spec.m)}
+    tuples.discard((0,) + (lv,) * spec.m)
+    for u in range(lv + 1, spec.domain_size):
+        tuples.add((u,) * (spec.m + 1))
     return Relation(spec.m + 1, spec.domain_size, tuples)
 
 
@@ -131,19 +137,21 @@ def gen_r(spec: SpecA, i: int) -> Relation:
     """The binary level relation R_i, also the 2-coordinate projection of S_i."""
     if not 0 <= i <= spec.n:
         raise ValueError(f"level {i} out of range 0..{spec.n}")
-    first = [0] + [level_a(t) for t in range(i)]
-    tuples = {(x, y) for x in first for y in (0, level_a(i))}
-    for u in range(i + 1, spec.n + 1):
-        tuples.add((level_a(u), level_a(u)))
+    lv = spec.bottom + i
+    tuples = {(x, y) for x in range(lv) for y in (0, lv)}
+    for u in range(lv + 1, spec.domain_size):
+        tuples.add((u, u))
     return Relation(2, spec.domain_size, tuples)
 
 
-def congruence_a(spec: SpecA, i: int) -> Relation:
-    """Equivalence merging {a,0,..,i-1} into one block, singletons above."""
+def congruence(spec: SpecA | SpecB, i: int) -> Relation:
+    """Equivalence merging the bottom ids and levels 0..i-1 into one block,
+    singletons above."""
     if not 1 <= i <= spec.n:
         raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
-    parts = [tuple(range(i + 1))]
-    parts.extend((level_a(t),) for t in range(i, spec.n + 1))
+    lv = spec.bottom + i
+    parts = [tuple(range(lv))]
+    parts.extend((e,) for e in range(lv, spec.domain_size))
     return equivalence_from_blocks(spec.domain_size, parts)
 
 
@@ -157,7 +165,7 @@ def chain_congruence_a(spec: SpecA, i: int) -> Relation:
 
 
 def chain_matches_congruence_a(spec: SpecA, i: int) -> bool:
-    return chain_congruence_a(spec, i) == congruence_a(spec, i)
+    return chain_congruence_a(spec, i) == congruence(spec, i)
 
 
 def unary_relation(domain_size: int, mask: int) -> Relation:
@@ -234,7 +242,7 @@ def structure_a(spec: SpecA) -> Structure:
             f"the level relations of A({n},{m}) exceed {MAX_LEVEL_TUPLES} tuples"
         )
     rels = [(f"S{i}", gen_s(spec, i)) for i in range(n + 1)]
-    return Structure(domain_a(n), rels, UnaryRelations(spec.domain_size))
+    return Structure(spec.domain(), rels, UnaryRelations(spec.domain_size))
 
 
 def gen_r_b(spec: SpecB, i: int, j: int) -> Relation:
@@ -248,22 +256,12 @@ def gen_r_b(spec: SpecB, i: int, j: int) -> Relation:
         raise ValueError("j must be 1 or 2")
     if not 0 <= i <= spec.n:
         raise ValueError(f"level {i} out of range 0..{spec.n}")
-    first = [0, 1] + [level_b(t) for t in range(i)]
-    second = (0, 1, level_b(i))
-    tuples = {(x, y) for x in first for y in second}
-    tuples.discard((j - 1, level_b(i)))
-    for u in range(i + 1, spec.n + 1):
-        tuples.add((level_b(u), level_b(u)))
+    lv = spec.bottom + i
+    tuples = {(x, y) for x in range(lv) for y in (0, 1, lv)}
+    tuples.discard((j - 1, lv))
+    for u in range(lv + 1, spec.domain_size):
+        tuples.add((u, u))
     return Relation(2, spec.domain_size, tuples)
-
-
-def congruence_b(spec: SpecB, i: int) -> Relation:
-    """Equivalence merging {a1,a2,0,..,i-1} into one block, singletons above."""
-    if not 1 <= i <= spec.n:
-        raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
-    parts = [tuple(range(i + 2))]
-    parts.extend((level_b(t),) for t in range(i, spec.n + 1))
-    return equivalence_from_blocks(spec.domain_size, parts)
 
 
 def chain_congruence_b(spec: SpecB, i: int) -> Relation:
@@ -279,7 +277,7 @@ def chain_congruence_b(spec: SpecB, i: int) -> Relation:
 
 
 def chain_matches_congruence_b(spec: SpecB, i: int) -> bool:
-    return chain_congruence_b(spec, i) == congruence_b(spec, i)
+    return chain_congruence_b(spec, i) == congruence(spec, i)
 
 
 def structure_b(spec: SpecB) -> Structure:
@@ -291,7 +289,7 @@ def structure_b(spec: SpecB) -> Structure:
     for i in range(n + 1):
         rels.append((f"R{i}^1", gen_r_b(spec, i, 1)))
         rels.append((f"R{i}^2", gen_r_b(spec, i, 2)))
-    return Structure(domain_b(n), rels, UnaryRelations(spec.domain_size))
+    return Structure(spec.domain(), rels, UnaryRelations(spec.domain_size))
 
 
 # ---------------------------------------------------------------------------

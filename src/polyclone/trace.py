@@ -12,15 +12,15 @@ B(n) runs the same ladder with m = 2 on the doubled bottom block {a1, a2};
 each transition applies both level relations (one per removed pair) and
 carries the side condition that the doubled block fits below the pivot.
 
-One builder serves both families: a family enters only through its ladder
-shape (m and the number of bottom ids), the relations it applies at a level
-and the low-corner columns that feed them.  The base derivation is a step
-at the top level whose premise is a row deviating once at a bottom id.
-The builder only builds: it reads every field off the ladder and checks
-nothing, and `check_certificate` alone vouches for what it builds.  The
-ladder is walked row by row from row 0 (`_build_schedule`), and a built
-certificate's `schedule` is the package's one ladder; the closed form of
-its counts and the pivot identities are test references, in
+One builder serves both families: a family enters only through its spec's
+ladder shape (`m` and `bottom`, the number of bottom ids), the relations it
+applies at a level and the low-corner columns that feed them.  The base
+derivation is a step at the top level whose premise is a row deviating
+once at a bottom id.  The builder only builds: it reads every field off the
+ladder and checks nothing, and `check_certificate` alone vouches for what
+it builds.  The ladder is walked row by row from row 0 (`_build_schedule`),
+and a built certificate's `schedule` is the package's one ladder; the
+closed form of its counts and the pivot identities are test references, in
 `tests/oracles.py`.
 
 Position permutations are absorbed by the count representation: a symmetric
@@ -100,18 +100,12 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .relations import Relation, Structure, blocks, compose, converse, tally_rows
-from .structures import SpecA, SpecB, congruence_a, congruence_b, domain_a, domain_b
+from .structures import SpecA, SpecB, congruence, domain_a, domain_b
 
 
 # ---------------------------------------------------------------------------
 # Schedules
 # ---------------------------------------------------------------------------
-
-def _shape(spec: SpecA | SpecB) -> tuple[int, int]:
-    """(m, lo) of a family's ladder, `lo` being the number of bottom ids:
-    family B runs the m=2 ladder with its bottom element doubled."""
-    return (2, 2) if isinstance(spec, SpecB) else (spec.m, 1)
-
 
 def _build_schedule(spec: SpecA | SpecB, seen: dict) -> tuple[tuple[int, ...], ...]:
     """The ladder's rows, with one int object per distinct count: the counts
@@ -125,7 +119,7 @@ def _build_schedule(spec: SpecA | SpecB, seen: dict) -> tuple[tuple[int, ...], .
     k) empties, each level t < i refills to m**(k+1+2**t) * (m**2**t - 1),
     which is m**(k+1) times its row-0 count, the bottom block grows to
     m**(k+2) in all, and the levels above i keep their counts."""
-    m, lo = _shape(spec)
+    m, lo = spec.m, spec.bottom
     level0 = [m**2**t * (m**2**t - 1) for t in range(spec.n)]
     row = [seen.setdefault(c, c) for c in [m // lo] * lo + level0 + [0]]
     rows = [tuple(row)]
@@ -202,13 +196,13 @@ def _applications(spec: SpecA | SpecB, i: int, premises, conclusion, seen: dict)
     application that keeps bottom id `own`.  Levels under i are read off the
     conclusion, levels above it off the premise; bottom-block counts are
     interned through `seen`."""
-    m, lo = _shape(spec)
+    m, lo = spec.m, spec.bottom
     lv = lo + i
     apps = []
     for own, premise in enumerate(premises):
         bottom = sum(premise[:lo])
         bottom = seen.setdefault(bottom, bottom)
-        if isinstance(spec, SpecB):
+        if spec.family == "B":
             target, w = f"R{i}^{own + 1}", 1
             columns = [ColumnBlock((own, e), premise[e]) for e in range(lo) if premise[e]]
             columns.append(ColumnBlock((1 - own, lv), bottom))
@@ -234,9 +228,8 @@ def _applications(spec: SpecA | SpecB, i: int, premises, conclusion, seen: dict)
 def _certify_base(spec: SpecA | SpecB, row: tuple[int, ...], seen: dict) -> BaseCertificate:
     """The near-unanimity identities at the top level force ladder row 0:
     each application's premise deviates once, at its own bottom id."""
-    lo = _shape(spec)[1]
     premises = []
-    for own in range(lo):
+    for own in range(spec.bottom):
         premise = [0] * len(row)
         premise[own] = 1
         premise[-1] = sum(row) - 1
@@ -254,13 +247,12 @@ def _certify_step(
     congruence blocks of each level met so far in one certificate, and
     `seen` the one int object of each count met so far.
     """
-    lo = _shape(spec)[1]
+    lo = spec.bottom
     i = least_zero_bit(k)
     below_succ, below_conc = sum(row[: lo + i + 1]), sum(succ[: lo + i])
-    doubled = sum(row[:lo]) if isinstance(spec, SpecB) else None
+    doubled = sum(row[:lo]) if spec.family == "B" else None
     applications = _applications(spec, i, [row] * lo, succ, seen)
     if i + 1 not in levels:
-        congruence = congruence_b if isinstance(spec, SpecB) else congruence_a
         levels[i + 1] = blocks(congruence(spec, i + 1))
     return StepCertificate(
         k=k,
@@ -276,7 +268,6 @@ def _certify_step(
 
 
 def _certify(spec: SpecA | SpecB) -> TraceCertificate:
-    m, lo = _shape(spec)
     seen: dict[int, int] = {}
     ladder = _build_schedule(spec, seen)
     levels: dict = {}
@@ -285,14 +276,14 @@ def _certify(spec: SpecA | SpecB) -> TraceCertificate:
         for k in range(2**spec.n - 1)
     )
     return TraceCertificate(
-        family="B" if isinstance(spec, SpecB) else "A",
+        family=spec.family,
         n=spec.n,
-        m=m,
-        arity=m ** (2**spec.n),
+        m=spec.m,
+        arity=spec.m ** (2**spec.n),
         schedule=ladder,
         base=_certify_base(spec, ladder[0], seen),
         steps=steps,
-        terminal_support=tuple(range(lo)),
+        terminal_support=tuple(range(spec.bottom)),
     )
 
 
@@ -473,7 +464,6 @@ def certificate_from_json(
     ref_obj, ref = reference or ({}, None)
     ints: dict = {}  # decimal string -> int
     ids: dict = {}  # names -> domain ids
-    blocks: dict = {}  # (names, count) -> column block
 
     def dec(c) -> int:
         try:
@@ -494,17 +484,6 @@ def certificate_from_json(
             v = ids[key] = tuple(index[x] for x in key)
         return v
 
-    def block(e) -> ColumnBlock:
-        try:
-            key = tuple(e["column"]), e["count"]
-            b = blocks.get(key)
-        except (KeyError, TypeError):  # malformed: reading it in order raises
-            b = None
-        if b is None:
-            # reading it succeeds only if `key` was built and is hashable
-            b = blocks[key] = ColumnBlock(ids_of(e["column"]), dec(e["count"]))
-        return b
-
     def row(r) -> tuple[int, ...]:
         counts = [0] * size
         for name, c in r.items():
@@ -512,7 +491,7 @@ def certificate_from_json(
         return tuple(counts)
 
     def app(a) -> Application:
-        columns = tuple(map(block, a["columns"]))
+        columns = tuple(ColumnBlock(ids_of(e["column"]), dec(e["count"])) for e in a["columns"])
         # str() would parse 1 and True, which are equal, to different names
         if not isinstance(a["target"], str):
             raise ValueError("an application target is not a string")

@@ -13,61 +13,43 @@ from __future__ import annotations
 import random
 from itertools import accumulate
 
-from .structures import domain_a, domain_b
+from .structures import SpecA, SpecB
 
 DEFAULT_SEED = 1729
 
 
 class SymmetricOp:
-    """Count-based operation from one of the two witness families.
+    """Count-based witness operation of a family spec (`SpecA` or `SpecB`).
 
-    Family "A" lives on the domain {a, 0..n} and has declared arity
-    m**(2**n) + 1; family "B" lives on {a1, a2, 0..n} with m = 2 and arity
+    Family A lives on the domain {a, 0..n} and has declared arity
+    m**(2**n) + 1; family B lives on {a1, a2, 0..n} with m = 2 and arity
     2**(2**n) + 1.  Evaluation accepts count vectors of any positive total
     (the cascade is well defined), but only totals equal to the declared
     arity carry polymorphism meaning: the top branch compares against the
     declared arity constant.
     """
 
-    __slots__ = ("family", "n", "m", "arity", "domain", "_thr")
+    __slots__ = ("family", "n", "m", "bottom", "arity", "domain", "_thr")
 
-    def __init__(self, family: str, n: int, m: int):
-        if family not in ("A", "B"):
-            raise ValueError("family must be 'A' or 'B'")
-        for name, value in (("n", n), ("m", m)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {value!r}")
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if family == "B":
-            m = 2
-        if m < 2:
-            raise ValueError("m must be at least 2")
-        self.family = family
-        self.n = n
-        self.m = m
-        self.arity = m ** (2**n) + 1
-        self.domain = domain_a(n) if family == "A" else domain_b(n)
+    def __init__(self, spec: SpecA | SpecB):
+        self.family, self.n, self.m, self.bottom = spec.family, spec.n, spec.m, spec.bottom
+        self.arity = self.m ** (2**self.n) + 1
+        self.domain = spec.domain()
         # _thr[r] = m ** (2 ** r), the growth factor guarding level r
-        self._thr = tuple(m ** (2**r) for r in range(n + 1))
-
-    @property
-    def base(self) -> int:
-        # ids of the bottom block: family A has one low element, B has two
-        return 1 if self.family == "A" else 2
+        self._thr = tuple(self.m ** (2**r) for r in range(self.n + 1))
 
     def value_counts(self, counts) -> int:
         """Cascade evaluation on a raw count sequence; returns an element id."""
-        n, base = self.n, self.base
+        n, bottom = self.n, self.bottom
         # prefix[t] = number of arguments with id < t
         prefix = [0, *accumulate(counts)]
-        # below level r means id < base + r
-        if self.arity > self._thr[n] * prefix[base + n]:
-            return base + n
+        # below level r means id < bottom + r
+        if self.arity > self._thr[n] * prefix[bottom + n]:
+            return bottom + n
         for r in range(n - 1, -1, -1):
-            if prefix[base + r + 1] > self._thr[r] * prefix[base + r]:
-                return base + r
-        if base == 1:
+            if prefix[bottom + r + 1] > self._thr[r] * prefix[bottom + r]:
+                return bottom + r
+        if bottom == 1:
             return 0
         return 1 if counts[1] > counts[0] else 0
 
@@ -85,11 +67,11 @@ class SymmetricOp:
 
 
 def witness_a(n: int, m: int) -> SymmetricOp:
-    return SymmetricOp("A", n, m)
+    return SymmetricOp(SpecA(n, m))
 
 
 def witness_b(n: int) -> SymmetricOp:
-    return SymmetricOp("B", n, 2)
+    return SymmetricOp(SpecB(n))
 
 
 def is_nu_symmetric(op: SymmetricOp) -> bool:

@@ -10,7 +10,7 @@ from polyclone.compat import ColumnMultiset, Verdict
 from polyclone.indicator import IndicatorInstance
 from polyclone.relations import (BudgetExceededError, OpTable, Relation, Structure, compose,
                                  converse, tally_rows)
-from polyclone.structures import SpecA, SpecB, congruence_b, domain_a, domain_b, gen_r_b, gen_s
+from polyclone.structures import SpecA, SpecB, congruence, domain_a, domain_b, gen_r_b, gen_s
 from polyclone.trace import (
     Application,
     BaseCertificate,
@@ -94,7 +94,7 @@ def chain_congruence_b_pattern(spec: SpecB, i: int, j_pattern) -> Relation:
 
 
 def chain_matches_congruence_b_pattern(spec: SpecB, i: int, j_pattern) -> bool:
-    return chain_congruence_b_pattern(spec, i, j_pattern) == congruence_b(spec, i)
+    return chain_congruence_b_pattern(spec, i, j_pattern) == congruence(spec, i)
 
 
 def identity_relation(domain_size: int) -> Relation:

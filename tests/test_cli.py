@@ -274,7 +274,7 @@ def test_bounds_past_the_digit_limit_exit_as_a_budget(capsys, monkeypatch):
 def test_ppcheck_refuses_a_large_congruence_before_building(capsys, monkeypatch):
     # ppcheck builds no structure, so its congruence is bounded on its own
     calls = []
-    for name in ("gen_r", "gen_r_b", "congruence_a", "congruence_b"):
+    for name in ("gen_r", "gen_r_b", "congruence"):
         monkeypatch.setattr(structures, name, lambda *a, name=name: calls.append(name))
     for fam in ("A", "B"):
         code, out, err = run(capsys, "ppcheck", fam, "--n", "1000000", "--i", "1")

@@ -184,6 +184,33 @@ def test_node_limit_gives_unknown(monkeypatch):
         decide_nu(sa, 5, node_limit=-1)
 
 
+def test_entry_points_refuse_bools_and_non_ints():
+    # True == 1 and 2.5 compare as numbers, so each would pass a range check
+    # and run, or report "arity True" or "exceed cap True"
+    sa = structure_a(SpecA(0, 3))
+    inst = build_indicator(sa, 4, nu_pins(2, 4))
+    for bad in (True, 2.5, "4"):
+        with pytest.raises(TypeError, match=f"k must be an int, got {bad!r}"):
+            decide_nu(sa, bad, pin="remark")
+        with pytest.raises(TypeError, match="k must be an int"):
+            build_indicator(sa, bad, [])
+        for name in ("var_cap", "matrix_budget", "node_limit"):
+            with pytest.raises(TypeError, match=f"{name} must be an int"):
+                decide_nu(sa, 4, **{name: bad})
+        for name in ("var_cap", "matrix_budget"):
+            with pytest.raises(TypeError, match=f"{name} must be an int"):
+                build_indicator(sa, 4, [], **{name: bad})
+        with pytest.raises(TypeError, match="node_limit must be an int"):
+            solve(inst, node_limit=bad)
+    # a negative value keeps its message
+    with pytest.raises(ValueError, match="variable cap must be nonnegative, got -1"):
+        build_indicator(sa, 4, [], var_cap=-1)
+    with pytest.raises(ValueError, match="matrix budget must be nonnegative, got -1"):
+        decide_nu(sa, 4, matrix_budget=-1)
+    with pytest.raises(ValueError, match="arity must be positive"):
+        build_indicator(sa, 0, [])
+
+
 def test_nu_pins_below_arity_3_are_refused(monkeypatch):
     sa = structure_a(SpecA(0, 3))
 

@@ -19,7 +19,7 @@ from polyclone.relations import (
     structure_to_json,
     table_compatible,
 )
-from polyclone.structures import SpecA, chain_congruence_a, congruence_a, gen_r, gen_s
+from polyclone.structures import SpecA, chain_congruence_a, congruence, gen_r, gen_s
 
 from oracles import full_relation, identity_relation, project, table_from_function
 
@@ -81,7 +81,7 @@ def test_compose_converse_small_family_example():
 
 def test_chain_equals_congruence_n2():
     spec = SpecA(2, 2)
-    assert chain_congruence_a(spec, 1) == congruence_a(spec, 1)
+    assert chain_congruence_a(spec, 1) == congruence(spec, 1)
 
 
 def test_compose_arity_errors():
@@ -165,6 +165,17 @@ def test_optable_roundtrip():
     assert t.apply((0, 0)) == 0
     with pytest.raises(ValueError):
         OpTable(2, 2, [0, 1, 1])
+
+
+def test_optable_refuses_non_int_entries():
+    # as Relation refuses them: 1.5 and True would pass the range check
+    for values in ([0, 1.5, 2], [0, True, 2], [0, 1, 2.0]):
+        with pytest.raises(ValueError, match="outside domain"):
+            OpTable(1, 3, values)
+    for arity, size in ((True, 3), (1.0, 3), (1, 3.0), (1, True)):
+        with pytest.raises(TypeError, match="must be an int"):
+            OpTable(arity, size, [0, 1, 2][: int(size)])
+    assert OpTable(1, 3, [0, 1, 2]).apply((2,)) == 2
 
 
 def test_table_projection_always_compatible():

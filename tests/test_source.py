@@ -233,7 +233,7 @@ def test_foreign_import_scan_sees_imports(tmp_path):
 # not name: it re-derives what it trusts, so a builder bug cannot vouch for
 # itself
 BUILDER_PREFIXES = ("_certify", "_applications", "_ladder", "_build_schedule", "least_zero_bit",
-                    "gen_", "congruence_", "chain_congruence_")
+                    "gen_", "congruence", "chain_congruence_")
 
 
 def checker_uses_of_builder(paths: list[Path]) -> list[str]:
@@ -258,16 +258,16 @@ def test_checker_shares_no_construction_code():
 
 
 def test_builder_use_scan_sees_names(tmp_path):
-    (tmp_path / "s.py").write_text("def congruence_a(n): pass\ndef gen_s(n): pass\n")
+    (tmp_path / "s.py").write_text("def congruence(n): pass\ndef gen_s(n): pass\n")
     (tmp_path / "t.py").write_text(
         "def _certify(n): return gen_s(n)\n"
         "def _ladder_vector(n): pass\n"
-        "def _ck_model(c): return _ladder_vector(c.n) + s.congruence_a(c.congruence_blocks)\n"
+        "def _ck_model(c): return _ladder_vector(c.n) + s.congruence(c.congruence_blocks)\n"
         "def check_certificate(c): return _ck_model(c) or _certify\n"
         "def certify(n): return _certify(n)\n"
     )
     assert checker_uses_of_builder([tmp_path / "t.py", tmp_path / "s.py"]) == [
-        "_ck_model:_ladder_vector", "_ck_model:congruence_a", "check_certificate:_certify",
+        "_ck_model:_ladder_vector", "_ck_model:congruence", "check_certificate:_certify",
     ]
 
 
@@ -494,6 +494,19 @@ DRAWS = {"getrandbits", "randrange", "randint", "randbytes", "random", "choice",
          "sample", "shuffle", "uniform"}
 
 
+def functions(path: Path) -> list:
+    """(name, node) of each top-level function of the module at `path` and,
+    named "Class.method", of each method of its top-level classes."""
+    funcs = []
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            funcs.append((top.name, top))
+        elif isinstance(top, ast.ClassDef):
+            funcs += [(f"{top.name}.{f.name}", f) for f in top.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return funcs
+
+
 def drawing_functions(src_dir: Path) -> list[str]:
     """The functions of the modules in src_dir that draw from a random
     generator, as "file:function" (methods as "file:Class.method"): those
@@ -501,14 +514,7 @@ def drawing_functions(src_dir: Path) -> list[str]:
     or call a name so named."""
     found = []
     for path in sorted(src_dir.glob("*.py")):
-        funcs = []
-        for top in ast.parse(path.read_text()).body:
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                funcs.append((top.name, top))
-            elif isinstance(top, ast.ClassDef):
-                funcs += [(f"{top.name}.{f.name}", f) for f in top.body
-                          if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for name, func in funcs:
+        for name, func in functions(path):
             if any(isinstance(node, ast.Attribute) and node.attr in DRAWS
                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                    and node.func.id in DRAWS
@@ -540,3 +546,64 @@ def test_drawing_function_scan_sees_draws(tmp_path):
     )
     assert drawing_functions(tmp_path) == ["a.py:bound", "a.py:direct", "a.py:imported",
                                            "a.py:Sampler.pick"]
+
+
+def spec_type_tests(src_dir: Path) -> list[str]:
+    """The places, as "file:line", where a module of src_dir other than
+    structures.py calls isinstance with SpecA or SpecB among the types."""
+    found = []
+    for path in sorted(src_dir.glob("*.py")):
+        if path.name == "structures.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2
+                    and {getattr(n, "id", None) or getattr(n, "attr", None)
+                         for n in ast.walk(node.args[1])} & {"SpecA", "SpecB"}):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def int_type_refusers(src_dir: Path) -> list[str]:
+    """The functions of the modules in src_dir, named as `drawing_functions`
+    names them, that raise a TypeError saying "must be an int"."""
+    found = []
+    for path in sorted(src_dir.glob("*.py")):
+        for name, func in functions(path):
+            if any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                   and getattr(node.exc.func, "id", None) == "TypeError"
+                   and any(isinstance(c, ast.Constant) and "must be an int" in str(c.value)
+                           for c in ast.walk(node.exc))
+                   for node in ast.walk(func)):
+                found.append(f"{path.name}:{name}")
+    return found
+
+
+def test_family_facts_live_in_structures():
+    # SpecA and SpecB state every family fact, so no other module asks a
+    # spec its type; and one routine refuses a non-int parameter, so its
+    # message reads the same wherever a bool or float is passed
+    assert spec_type_tests(SRC) == []
+    assert int_type_refusers(SRC) == ["relations.py:require_int"]
+
+
+def test_family_fact_scans_see_type_tests(tmp_path):
+    (tmp_path / "structures.py").write_text(
+        "def own(s): return isinstance(s, SpecA)\n"
+        "def check(v):\n"
+        "    raise TypeError(f'v must be an int, got {v!r}')\n"
+    )
+    (tmp_path / "a.py").write_text(
+        "from . import structures\n"
+        "def union(s): return isinstance(s, SpecA | SpecB)\n"
+        "def pair(s): return isinstance(s, (int, structures.SpecB))\n"
+        "def other(s): return isinstance(s, int)\n"
+        "class Op:\n"
+        "    def __init__(self, n):\n"
+        "        def inner():\n"
+        "            raise TypeError('n must be an int')\n"
+        "        inner()\n"
+        "    def other(self): raise TypeError('unhashable')\n"
+    )
+    assert spec_type_tests(tmp_path) == ["a.py:2", "a.py:3"]
+    assert int_type_refusers(tmp_path) == ["a.py:Op.__init__", "structures.py:check"]

@@ -20,8 +20,7 @@ from polyclone.structures import (
     chain_congruence_b,
     chain_matches_congruence_a,
     chain_matches_congruence_b,
-    congruence_a,
-    congruence_b,
+    congruence,
     domain_a,
     domain_b,
     gen_r,
@@ -117,14 +116,14 @@ def test_gen_r_is_projection_of_gen_s():
 
 
 def test_congruence_blocks():
-    assert blocks(congruence_a(SpecA(1, 2), 1)) == ((0, 1), (2,))
-    assert blocks(congruence_a(SpecA(3, 2), 2)) == ((0, 1, 2), (3,), (4,))
+    assert blocks(congruence(SpecA(1, 2), 1)) == ((0, 1), (2,))
+    assert blocks(congruence(SpecA(3, 2), 2)) == ((0, 1, 2), (3,), (4,))
     for n in range(1, 9):
         spec = SpecA(n, 2)
         for i in range(1, n + 1):
-            assert len(blocks(congruence_a(spec, i))) == n - i + 2
+            assert len(blocks(congruence(spec, i))) == n - i + 2
     with pytest.raises(ValueError):
-        congruence_a(SpecA(2, 2), 0)
+        congruence(SpecA(2, 2), 0)
 
 
 def test_chain_identity_small():
@@ -140,7 +139,7 @@ def test_chain_negative_control_dropped_factor():
     out = layers[0]
     for layer in layers[1:]:
         out = compose(out, layer)
-    assert out != congruence_a(spec, 2)
+    assert out != congruence(spec, 2)
 
 
 def test_structure_a_contents():
@@ -211,9 +210,9 @@ def test_structure_b_contents():
 
 
 def test_congruence_b_blocks():
-    assert blocks(congruence_b(SpecB(3), 1)) == ((0, 1, 2), (3,), (4,), (5,))
+    assert blocks(congruence(SpecB(3), 1)) == ((0, 1, 2), (3,), (4,), (5,))
     with pytest.raises(ValueError):
-        congruence_b(SpecB(2), 0)
+        congruence(SpecB(2), 0)
 
 
 def test_chain_identity_b_default():

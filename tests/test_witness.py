@@ -231,10 +231,6 @@ def test_draws_match_randrange(total, parts, seed):
 
 def test_symmetric_op_validation():
     with pytest.raises(ValueError):
-        from polyclone.witness import SymmetricOp
-
-        SymmetricOp("C", 1, 2)
-    with pytest.raises(ValueError):
         witness_a(-1, 2)
     with pytest.raises(ValueError):
         witness_a(1, 1)
