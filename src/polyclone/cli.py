@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import compat, indicator, structures, trace, witness
-from .relations import BudgetExceededError, structure_to_json
+from .relations import BudgetExceededError, require_int, structure_to_json
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -95,8 +95,7 @@ def cmd_ppcheck(args) -> int:
 
 def cmd_witness(args) -> int:
     budget = args.budget
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    require_int("budget", budget, 0)
     spec = _family_spec(args)
     _refuse_long_arity(spec)
     struct = _family_structure(spec)

@@ -56,8 +56,8 @@ class ColumnMultiset:
             raise ValueError("counts must be integers")
         if len(counts) != len(rel):
             raise ValueError("counts must align with the relation's tuple list")
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
+        for c in counts:
+            require_int("count", c, 0)
         self.rel = rel
         self.counts = counts
         self.total = sum(counts)
@@ -227,10 +227,8 @@ def check_compat_symmetric(
     """
     if op.domain.size != rel.domain_size:
         raise ValueError("operation and relation must share a domain")
-    if op.arity < 1:
-        raise ValueError("operation arity must be positive")
-    if budget < 0:
-        raise ValueError(f"multiset budget must be nonnegative, got {budget}")
+    require_int("operation arity", op.arity, 1)
+    require_int("budget", budget, 0)
     if not len(rel):
         return Verdict(True, "exact", 0)
     total = multiset_count(op.arity, len(rel))
@@ -278,12 +276,8 @@ def check_compat_sampled(
     """
     if op.domain.size != rel.domain_size:
         raise ValueError("operation and relation must share a domain")
-    require_int("trials", trials)
-    require_int("seed", seed)
-    if trials < 1:
-        raise ValueError(f"sampled check needs at least one trial, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    require_int("trials", trials, 1)
+    require_int("seed", seed, 0)
     if not len(rel):
         return Verdict(True, "sampled", 0, None, seed)
     steps, image = _tally_image(op, rel, op.arity + 1)

@@ -352,14 +352,9 @@ def build_indicator(
     `pins` is an iterable of (args, value) pairs, such as `nu_pins` or
     `remark_pins` give.
     """
-    for name, value in (("k", k), ("var_cap", var_cap), ("matrix_budget", matrix_budget)):
-        require_int(name, value)
-    if k < 1:
-        raise ValueError("arity must be positive")
-    if var_cap < 0:
-        raise ValueError(f"variable cap must be nonnegative, got {var_cap}")
-    if matrix_budget < 0:
-        raise ValueError(f"matrix budget must be nonnegative, got {matrix_budget}")
+    require_int("k", k, 1)
+    require_int("var_cap", var_cap, 0)
+    require_int("matrix_budget", matrix_budget, 0)
     d = structure.domain.size
     # d**k >= 2**k > var_cap once k passes var_cap's bit length, so a huge k
     # is refused without building d**k
@@ -532,9 +527,7 @@ def solve(inst: IndicatorInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solv
     of its arcs both ways.  So the root revises only what the pins, or
     missing unary relations, may leave short of GAC.
     """
-    require_int("node_limit", node_limit)
-    if node_limit < 0:
-        raise ValueError(f"node limit must be nonnegative, got {node_limit}")
+    require_int("node_limit", node_limit, 0)
     d = inst.domain_size
     nvars = inst.nvars
     ncons = len(inst.con_group)
@@ -776,11 +769,9 @@ def decide_nu(
     if pin not in PIN_SETS:
         raise ValueError(f"unknown pin mode {pin!r}")
     require_int("k", k)
-    require_int("node_limit", node_limit)
     if pin == "nu" and k < 3:  # no near-unanimity operation of arity below 3
         raise ValueError(f"near-unanimity needs arity at least 3, got {k}")
-    if node_limit < 0:  # refused before the build, as solve() would refuse it
-        raise ValueError(f"node limit must be nonnegative, got {node_limit}")
+    require_int("node_limit", node_limit, 0)  # before the build, as solve() checks it
     pins = PIN_SETS[pin](structure.domain.size, k)
     inst = build_indicator(structure, k, pins, var_cap, matrix_budget)
     return solve(inst, node_limit)

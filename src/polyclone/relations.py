@@ -17,12 +17,20 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its configured budget."""
 
 
-def require_int(name: str, value) -> None:
-    """Refuse, with TypeError, a `value` that is a bool or not an int.  Every
-    int parameter that the package type-checks is checked here, so the
-    message reads the same for each."""
+def require_int(name: str, value, least: int | None = None, most: int | None = None) -> None:
+    """Refuse a `value` that is a bool or not an int with TypeError, and one
+    below `least` or above `most` with ValueError.  Every int parameter of
+    the package is checked here, so each message reads the same wherever it
+    is raised; with `least` None only the type is checked, for a parameter
+    whose range is told by its own rule."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {value!r}")
+    if most is not None:
+        if not least <= value <= most:
+            raise ValueError(f"{name} {value} out of range {least}..{most}")
+    elif least is not None and value < least:
+        floor = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{name} must be {floor}, got {value}")
 
 
 class Domain:
@@ -65,10 +73,8 @@ class Relation:
     __slots__ = ("arity", "domain_size", "tuples", "_members")
 
     def __init__(self, arity: int, domain_size: int, tuples):
-        if arity < 1:
-            raise ValueError("arity must be positive")
-        if domain_size < 1:
-            raise ValueError("domain size must be positive")
+        require_int("arity", arity, 1)
+        require_int("domain_size", domain_size, 1)
         tups = sorted({tuple(t) for t in tuples})
         for t in tups:
             if len(t) != arity:
@@ -114,10 +120,8 @@ class OpTable:
     __slots__ = ("arity", "domain_size", "values")
 
     def __init__(self, arity: int, domain_size: int, values):
-        require_int("arity", arity)
-        require_int("domain_size", domain_size)
-        if arity < 1:
-            raise ValueError("arity must be positive")
+        require_int("arity", arity, 1)
+        require_int("domain_size", domain_size, 1)
         values = tuple(values)
         if len(values) != domain_size**arity:
             raise ValueError("value list does not cover all argument tuples")

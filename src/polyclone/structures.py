@@ -53,12 +53,6 @@ from .relations import (
 )
 
 
-def _check_int(name: str, value: int, least: int) -> None:
-    require_int(name, value)
-    if value < least:
-        raise ValueError(f"{name} must be " + (f"at least {least}" if least else "nonnegative"))
-
-
 # A NamedTuple body may not define __new__, so each spec validates in a
 # subclass; `_make` goes through it too, so `_replace` validates as well.
 
@@ -71,8 +65,8 @@ class SpecA(NamedTuple("SpecA", [("n", int), ("m", int)])):
     bottom = 1
 
     def __new__(cls, n: int, m: int):
-        _check_int("n", n, 0)
-        _check_int("m", m, 2)
+        require_int("n", n, 0)
+        require_int("m", m, 2)
         return super().__new__(cls, n, m)
 
     @classmethod
@@ -97,7 +91,7 @@ class SpecB(NamedTuple("SpecB", [("n", int)])):
     bottom = 2
 
     def __new__(cls, n: int):
-        _check_int("n", n, 0)
+        require_int("n", n, 0)
         return super().__new__(cls, n)
 
     @classmethod
@@ -122,8 +116,7 @@ def domain_b(n: int) -> Domain:
 
 def gen_s(spec: SpecA, i: int) -> Relation:
     """The (m+1)-ary level relation S_i of family A."""
-    if not 0 <= i <= spec.n:
-        raise ValueError(f"level {i} out of range 0..{spec.n}")
+    require_int("level", i, 0, spec.n)
     lv = spec.bottom + i
     pair = (0, lv)
     tuples = {(x,) + rest for x in range(lv) for rest in itertools.product(pair, repeat=spec.m)}
@@ -135,8 +128,7 @@ def gen_s(spec: SpecA, i: int) -> Relation:
 
 def gen_r(spec: SpecA, i: int) -> Relation:
     """The binary level relation R_i, also the 2-coordinate projection of S_i."""
-    if not 0 <= i <= spec.n:
-        raise ValueError(f"level {i} out of range 0..{spec.n}")
+    require_int("level", i, 0, spec.n)
     lv = spec.bottom + i
     tuples = {(x, y) for x in range(lv) for y in (0, lv)}
     for u in range(lv + 1, spec.domain_size):
@@ -147,8 +139,7 @@ def gen_r(spec: SpecA, i: int) -> Relation:
 def congruence(spec: SpecA | SpecB, i: int) -> Relation:
     """Equivalence merging the bottom ids and levels 0..i-1 into one block,
     singletons above."""
-    if not 1 <= i <= spec.n:
-        raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
+    require_int("congruence level", i, 1, spec.n)
     lv = spec.bottom + i
     parts = [tuple(range(lv))]
     parts.extend((e,) for e in range(lv, spec.domain_size))
@@ -157,8 +148,7 @@ def congruence(spec: SpecA | SpecB, i: int) -> Relation:
 
 def chain_congruence_a(spec: SpecA, i: int) -> Relation:
     """Compose the converse/forward ladder of R_0..R_{i-1}, left to right."""
-    if not 1 <= i <= spec.n:
-        raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
+    require_int("congruence level", i, 1, spec.n)
     _bound_ladder(spec.n, i)
     rels = [gen_r(spec, t) for t in range(i)]
     return reduce(compose, [converse(r) for r in rels] + rels[::-1])
@@ -252,10 +242,8 @@ def gen_r_b(spec: SpecB, i: int, j: int) -> Relation:
     it belongs to the structure like every other level (dropping it admits
     spurious low-arity near-unanimity operations, e.g. a 4-ary one on B(1)).
     """
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    if not 0 <= i <= spec.n:
-        raise ValueError(f"level {i} out of range 0..{spec.n}")
+    require_int("j", j, 1, 2)
+    require_int("level", i, 0, spec.n)
     lv = spec.bottom + i
     tuples = {(x, y) for x in range(lv) for y in (0, 1, lv)}
     tuples.discard((j - 1, lv))
@@ -268,8 +256,7 @@ def chain_congruence_b(spec: SpecB, i: int) -> Relation:
     """Converse/forward ladder of R_0^1..R_{i-1}^1 for family B: the
     converse layers for levels 0..i-1, then the forward layers for levels
     i-1..0."""
-    if not 1 <= i <= spec.n:
-        raise ValueError(f"congruence level {i} out of range 1..{spec.n}")
+    require_int("congruence level", i, 1, spec.n)
     _bound_ladder(spec.n, i)
     layers = [converse(gen_r_b(spec, t, 1)) for t in range(i)]
     layers.extend(gen_r_b(spec, t, 1) for t in reversed(range(i)))
@@ -298,6 +285,8 @@ def structure_b(spec: SpecB) -> Structure:
 
 def _upper_power(universe: int, max_arity: int) -> tuple[int, int, int]:
     """(base, root, height) of the upper bound's power base**root**height."""
+    require_int("universe", universe)
+    require_int("max_arity", max_arity)
     if universe < 2:
         raise ValueError("upper bound requires universe size at least 2")
     if max_arity < 2:
@@ -307,6 +296,8 @@ def _upper_power(universe: int, max_arity: int) -> tuple[int, int, int]:
 
 def _lower_power(universe: int, max_arity: int) -> tuple[int, int, int]:
     """(base, root, height) of the lower bound, base**root**height."""
+    require_int("universe", universe)
+    require_int("max_arity", max_arity)
     if max_arity >= 3:
         if universe < 2:
             raise ValueError(

@@ -290,9 +290,10 @@ def _certify(spec: SpecA | SpecB) -> TraceCertificate:
 def certify_lower_bound_a(n: int, m: int) -> TraceCertificate:
     """Full certificate that family A(n, m) admits no near-unanimity
     operation of arity m**(2**n), unchecked: `check_certificate` vouches."""
-    if n == 0 and m == 2:
+    spec = SpecA(n, m)
+    if spec == (0, 2):
         raise ValueError("the (n=0, m=2) instance makes no claim (arity below 3)")
-    return _certify(SpecA(n, m))
+    return _certify(spec)
 
 
 def certify_lower_bound_b(n: int) -> TraceCertificate:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from itertools import accumulate
 
+from .relations import require_int
 from .structures import SpecA, SpecB
 
 DEFAULT_SEED = 1729
@@ -102,6 +103,8 @@ def floyd_cuts(rng: random.Random, n: int, k: int):
     """Endless stream of Floyd's uniform k-subsets of range(n), each sorted;
     works for arbitrarily large n.  Every random draw of the package goes
     through here, so a seed names the same samples for every caller."""
+    require_int("n", n)
+    require_int("k", k)
     if not 0 <= k <= n:
         # past n, the draw for j = -1 would take 0 bits and redraw forever
         raise ValueError(f"cannot choose {k} of {n} elements")
@@ -142,4 +145,6 @@ def random_composition(rng: random.Random, total: int, parts: int):
     integers, via a uniform placement of bars among stars.  Parts < 1 asks
     for a negative number of bars and total < 0 for fewer places than bars,
     and `floyd_cuts` refuses both with ValueError."""
+    require_int("total", total)
+    require_int("parts", parts)
     return composition_at(sample_distinct(rng, total + parts - 1, parts - 1), total)

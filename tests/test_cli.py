@@ -113,8 +113,8 @@ def test_decide_exit_codes(capsys):
     assert code == 3
     assert json.loads(out)["verdict"] == "unknown"
     # negative limits are usage errors; zero is a limit like any other
-    for flag, name in (("--var-cap", "variable cap"), ("--matrix-budget", "budget"),
-                       ("--node-limit", "node limit")):
+    for flag, name in (("--var-cap", "var_cap"), ("--matrix-budget", "matrix_budget"),
+                       ("--node-limit", "node_limit")):
         code, out, err = run(
             capsys, "decide", "A", "--n", "1", "--m", "2", "--k", "5", flag, "-1"
         )

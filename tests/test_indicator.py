@@ -48,9 +48,9 @@ def test_var_cap():
     with pytest.raises(BudgetExceededError):
         build_indicator(structure_b(SpecB(1)), 1, [], var_cap=0)
     # a negative cap or budget is a malformed request, not a budget stop
-    with pytest.raises(ValueError, match="variable cap"):
+    with pytest.raises(ValueError, match="var_cap"):
         build_indicator(structure_b(SpecB(1)), 1, [], var_cap=-1)
-    with pytest.raises(ValueError, match="matrix budget"):
+    with pytest.raises(ValueError, match="matrix_budget"):
         build_indicator(structure_b(SpecB(1)), 1, [], matrix_budget=-1)
 
 
@@ -173,14 +173,14 @@ def test_node_limit_gives_unknown(monkeypatch):
     assert decide_nu(sa, 5, node_limit=150).verdict == "sat"
     assert decide_nu(sa, 5, node_limit=149).nodes == 149
     # a negative limit is malformed, and refused before anything is built
-    with pytest.raises(ValueError, match="node limit"):
+    with pytest.raises(ValueError, match="node_limit"):
         solve(build_indicator(sa, 5, nu_pins(3, 5)), node_limit=-1)
 
     def refuse(*args):
         raise AssertionError("built an instance for a malformed limit")
 
     monkeypatch.setattr(indicator, "build_indicator", refuse)
-    with pytest.raises(ValueError, match="node limit"):
+    with pytest.raises(ValueError, match="node_limit"):
         decide_nu(sa, 5, node_limit=-1)
 
 
@@ -202,12 +202,12 @@ def test_entry_points_refuse_bools_and_non_ints():
                 build_indicator(sa, 4, [], **{name: bad})
         with pytest.raises(TypeError, match="node_limit must be an int"):
             solve(inst, node_limit=bad)
-    # a negative value keeps its message
-    with pytest.raises(ValueError, match="variable cap must be nonnegative, got -1"):
+    # a negative value or a zero arity is refused by the shared range check
+    with pytest.raises(ValueError, match="var_cap must be nonnegative, got -1"):
         build_indicator(sa, 4, [], var_cap=-1)
-    with pytest.raises(ValueError, match="matrix budget must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="matrix_budget must be nonnegative, got -1"):
         decide_nu(sa, 4, matrix_budget=-1)
-    with pytest.raises(ValueError, match="arity must be positive"):
+    with pytest.raises(ValueError, match="k must be positive, got 0"):
         build_indicator(sa, 0, [])
 
 

@@ -564,16 +564,29 @@ def spec_type_tests(src_dir: Path) -> list[str]:
     return found
 
 
-def int_type_refusers(src_dir: Path) -> list[str]:
+# what a message says when it refuses an int parameter for its type or range
+INT_REFUSALS = ("must be an int", "must be nonnegative", "must be positive",
+                "must be at least", "out of range")
+
+
+def message_text(node) -> str:
+    """The string constants under `node`, joined in source order, so that a
+    message built from pieces, as f"{name} must be " + ("at least 2" if
+    least else "nonnegative") is, reads as one text."""
+    if isinstance(node, ast.Constant):
+        return node.value if isinstance(node.value, str) else ""
+    return "".join(map(message_text, ast.iter_child_nodes(node)))
+
+
+def int_refusers(src_dir: Path) -> list[str]:
     """The functions of the modules in src_dir, named as `drawing_functions`
-    names them, that raise a TypeError saying "must be an int"."""
+    names them, that raise an exception whose message says one of
+    INT_REFUSALS."""
     found = []
     for path in sorted(src_dir.glob("*.py")):
         for name, func in functions(path):
-            if any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                   and getattr(node.exc.func, "id", None) == "TypeError"
-                   and any(isinstance(c, ast.Constant) and "must be an int" in str(c.value)
-                           for c in ast.walk(node.exc))
+            if any(isinstance(node, ast.Raise) and node.exc is not None
+                   and any(phrase in message_text(node.exc) for phrase in INT_REFUSALS)
                    for node in ast.walk(func)):
                 found.append(f"{path.name}:{name}")
     return found
@@ -581,10 +594,11 @@ def int_type_refusers(src_dir: Path) -> list[str]:
 
 def test_family_facts_live_in_structures():
     # SpecA and SpecB state every family fact, so no other module asks a
-    # spec its type; and one routine refuses a non-int parameter, so its
-    # message reads the same wherever a bool or float is passed
+    # spec its type; and one routine refuses a non-int or out-of-range int
+    # parameter, so its message reads the same wherever a bool, a float or
+    # a value outside the range is passed
     assert spec_type_tests(SRC) == []
-    assert int_type_refusers(SRC) == ["relations.py:require_int"]
+    assert int_refusers(SRC) == ["relations.py:require_int"]
 
 
 def test_family_fact_scans_see_type_tests(tmp_path):
@@ -592,6 +606,16 @@ def test_family_fact_scans_see_type_tests(tmp_path):
         "def own(s): return isinstance(s, SpecA)\n"
         "def check(v):\n"
         "    raise TypeError(f'v must be an int, got {v!r}')\n"
+        "def level(i, n):\n"
+        "    if not 0 <= i <= n:\n"
+        "        raise ValueError(f'level {i} out of range 0..{n}')\n"
+        "def least(name, v, low):\n"
+        "    raise ValueError(f'{name} must be ' + (f'at least {low}' if low else 'nonnegative'))\n"
+        "def counts(cs):\n"
+        "    if min(cs) < 0: raise ValueError('counts must be nonnegative')\n"
+        "def own_rule(k):\n"
+        "    raise ValueError(f'near-unanimity needs arity at least 3, got {k}')\n"
+        "def reraise(): raise\n"
     )
     (tmp_path / "a.py").write_text(
         "from . import structures\n"
@@ -604,6 +628,10 @@ def test_family_fact_scans_see_type_tests(tmp_path):
         "            raise TypeError('n must be an int')\n"
         "        inner()\n"
         "    def other(self): raise TypeError('unhashable')\n"
+        "    def arity(self):\n"
+        "        raise ValueError('arity ' + 'must be positive')\n"
     )
     assert spec_type_tests(tmp_path) == ["a.py:2", "a.py:3"]
-    assert int_type_refusers(tmp_path) == ["a.py:Op.__init__", "structures.py:check"]
+    assert int_refusers(tmp_path) == ["a.py:Op.__init__", "a.py:Op.arity", "structures.py:check",
+                                      "structures.py:level", "structures.py:least",
+                                      "structures.py:counts"]
