@@ -5,21 +5,24 @@ only sees argument counts, fully described by how many times each tuple of
 the relation occurs as a column, and even by its row tally: the count vector
 of every row.  The exact check therefore walks the reachable row tallies
 (`_layers`, a dynamic program over the relation's tuples) instead of every
-column multiset or the exponentially larger space of matrices.  Verdicts
-count the column multisets they cover, and a violation is a concrete
-multiset, read back through the tuple index each layer stored for it.
+column multiset or the exponentially larger space of matrices, and it
+evaluates each distinct tally of the last layer once.  Verdicts count the
+column multisets they cover, and a violation is a concrete multiset, read
+back through the tuple index each layer stored for it.
 
 The sampled check draws random column multisets instead, as the sorted
 bar positions (cuts) of Floyd's subset sampling.  A sample's packed row
 tally is linear in its cuts, so it is read off them with one dot product,
-and the multiset itself is built only for a violation.  Rows are evaluated
-as in the exact scan, with one cached value per distinct row for the length
-of a call.  Its draws are those of `random.Random(seed).randrange`, so a
-seed names its compositions.  Where the exact scan stores no more tallies
-than there are trials, it runs first on the same cached rows: when it finds
-no violation, no draw could fail, so the check returns the verdict the
-draws would reach without drawing; when it finds one, the trials are drawn
-as always, so a seed still names the violation reported.
+and the multiset itself is built only for a violation.  Both checks
+evaluate rows through `_tally_image`, which evaluates each distinct row
+once per operation and keeps the values while one operation is checked
+against relation after relation.  The draws are those of
+`random.Random(seed).randrange`, so a seed names its compositions.  Where
+the exact scan's layers below the last hold no more tallies than there are
+trials, the scan runs first: when it finds no violation, no draw could
+fail, so the check returns the verdict the draws would reach without
+drawing; when it finds one, the trials are drawn as always, so a seed still
+names the violation reported.
 """
 
 from __future__ import annotations
@@ -119,20 +122,40 @@ def _row_value(op, chunk: int, base: int, d: int) -> int:
     return op.value_counts(counts)
 
 
-def _tally_image(op, rel: Relation, base: int):
+# (op, {row chunk: value}) of the last operation whose rows all fit in
+# _ROW_MEMO_ROWS entries; one `witness` command checks every relation with
+# one operation, so its rows recur.  The slot is read once a call and
+# replaced whole, so a call keeps its values if another operation takes it.
+_row_memo = (None, {})
+_ROW_MEMO_ROWS = 2**16
+
+
+def _tally_image(op, rel: Relation):
     """The packed row tallies of `rel`'s column multisets and their images.
 
-    A tally is one int in base `base` (more than any count): digit p*d + x
-    counts value x in row p, so no digit ever carries.  Returns `(steps,
-    image)`: adding tuple t as a column adds `steps[t]` to the tally, and
-    `image(tally)` is the tuple of the operation's values on its rows.  Each
-    distinct row chunk is evaluated once; the cache lives as long as `image`.
+    A tally is one int in base `op.arity + 1` (more than any count): digit
+    p*d + x counts value x in row p, so no digit ever carries.  Returns
+    `(steps, image)`: adding tuple t as a column adds `steps[t]` to the
+    tally, and `image(tally)` is the tuple of the operation's values on its
+    rows.  Each distinct row chunk is evaluated once per operation: where
+    the operation has at most `_ROW_MEMO_ROWS` distinct rows, C(l+d-1, d-1)
+    at arity l over d values, the values live in a one-slot memo that holds
+    the operation itself, so they serve every relation checked with it until
+    another operation arrives.  Past that bound a memo kept between calls
+    would grow with every relation checked, while rows recur less (hardly
+    at all at arity 257), so the values live as long as `image`.
     """
+    global _row_memo
+    base = op.arity + 1
     d = rel.domain_size
     steps = [sum(base ** (p * d + x) for p, x in enumerate(t)) for t in rel.tuples]
     row_base = base**d
     rows = range(rel.arity)
-    cache = {}
+    held, cache = _row_memo
+    if held is not op:
+        cache = {}
+        if math.comb(base + d - 2, d - 1) <= _ROW_MEMO_ROWS:
+            _row_memo = (op, cache)
     get = cache.get
 
     def image(tally: int) -> tuple:
@@ -192,21 +215,18 @@ def _read_back(layers: list[dict], steps: list[int], tally: int) -> list[int]:
 
 
 def _violation(steps: list[int], image, rel: Relation, arity: int) -> list[int] | None:
-    """Tuple counts of the first reachable multiset of `arity` columns whose
-    image lies outside `rel`, or None, for the `steps` and `image` of one
-    `_tally_image` call.  The last layer is evaluated as it is generated;
-    only a violation keeps every layer, to read back."""
-    T = len(steps)
-    last = {0: 0}
-    for last in _layers(steps, arity):
+    """Tuple counts of the first multiset of `arity` columns whose image
+    lies outside `rel`, in the order of the last of `_layers(steps, arity +
+    1)`, or None, for the `steps` and `image` of one `_tally_image` call.
+    Each distinct tally of the last layer is evaluated once; only a
+    violation keeps every layer, to read back."""
+    last = {}
+    for last in _layers(steps, arity + 1):
         pass
     members = rel._members
-    for tally, lo in last.items():
-        for t in range(lo, T):
-            if image(tally + steps[t]) not in members:
-                counts = _read_back(list(_layers(steps, arity)), steps, tally)
-                counts[t] += 1
-                return counts
+    for tally in last:
+        if image(tally) not in members:
+            return _read_back(list(_layers(steps, arity + 1)), steps, tally)
     return None
 
 
@@ -220,7 +240,8 @@ def check_compat_symmetric(
     The verdict is ok iff for every multiset of `op.arity` columns from
     `rel`, applying the operation to the rows lands back in `rel`.  The
     scan walks the reachable row tallies of `_layers` instead of the
-    multisets; `checked` is the number of multisets the verdict covers,
+    multisets and evaluates each distinct tally of `op.arity` columns once;
+    `checked` is the number of multisets the verdict covers,
     C(l+T-1, T-1) for arity l and T tuples.  A violation is the multiset
     read back through the layers that found it, and it must re-check with
     `row_counts`, independently of the tallies.
@@ -236,7 +257,7 @@ def check_compat_symmetric(
         raise BudgetExceededError(
             f"{total} column multisets exceed budget {budget}; use sampled mode"
         )
-    counts = _violation(*_tally_image(op, rel, op.arity + 1), rel, op.arity)
+    counts = _violation(*_tally_image(op, rel), rel, op.arity)
     if counts is None:
         return Verdict(True, "exact", total)
     cm = ColumnMultiset(rel, counts)
@@ -260,15 +281,17 @@ def check_compat_sampled(
     the multiset's counts are built only for a violation.  A relation with
     one tuple has one multiset, evaluated once.
 
-    Where the exact scan stores no more tallies than there are trials,
-    C(l+T-1, T) over its layers for arity l and T tuples (the hockey-stick
-    sum of the layers' multiset counts), `_violation` runs first, on the
-    same cached row values.  If it finds none, every multiset is compatible,
-    so every draw would pass: the verdict is the one the draws would reach,
-    and nothing is drawn.  If it finds one, the trials are drawn as always,
-    so the first failing trial and its multiset are those of the seed.  The
-    scan holds at most `trials` tallies; it evaluates at most C(l+T-1, T-1)
-    extensions of its last layer, T/l times that bound, as they are made.
+    Where C(l+T-1, T) is at most `trials`, for arity l and T tuples,
+    `_violation` runs first, on the same row values: its layers 1..l-1 then
+    hold at most C(l+T-1, T) - 1 tallies (the hockey-stick sum of the
+    layers' multiset counts), fewer than the trials.  If it finds none, every multiset is
+    compatible, so every draw would pass: the verdict is the one the draws
+    would reach, and nothing is drawn.  If it finds one, the trials are
+    drawn as always, so the first failing trial and its multiset are those
+    of the seed.  With its last layer, of at most C(l+T-1, T-1) tallies, the
+    scan stores at most C(l+T, T) - 1 = (1 + T/l) C(l+T-1, T) - 1, so fewer
+    than (1 + T/l) `trials` tallies, and evaluates each tally of the last
+    layer once.
 
     `trials` and `seed` must be ints and not bools.  A negative seed is
     refused: `Random` seeds with its absolute value, so it would repeat the
@@ -280,7 +303,7 @@ def check_compat_sampled(
     require_int("seed", seed, 0)
     if not len(rel):
         return Verdict(True, "sampled", 0, None, seed)
-    steps, image = _tally_image(op, rel, op.arity + 1)
+    steps, image = _tally_image(op, rel)
     members = rel._members
     l, T = op.arity, len(steps)
     if T == 1:

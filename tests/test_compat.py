@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyclone import compat
 from polyclone.compat import (
     ColumnMultiset,
     Verdict,
@@ -93,6 +94,25 @@ def assert_scan_matches_oracle(op, rel):
         assert tuple(map(op.value_counts, row_counts(cm))) not in rel
         assert cm.counts in violations
     return verdict
+
+
+def counted_images(monkeypatch):
+    """Make every `_tally_image` count its `image` calls; returns the list
+    whose one entry holds the count."""
+    evaluated = [0]
+    tally_image = compat._tally_image
+
+    def counting(op, rel):
+        steps, image = tally_image(op, rel)
+
+        def counted(tally):
+            evaluated[0] += 1
+            return image(tally)
+
+        return steps, counted
+
+    monkeypatch.setattr(compat, "_tally_image", counting)
+    return evaluated
 
 
 def test_row_counts_constant_columns():
@@ -330,7 +350,18 @@ def random_case(seed, bundled):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9), st.booleans())
 def test_tally_scan_matches_oracle_on_random_relations(seed, bundled):
-    assert_scan_matches_oracle(*random_case(seed, bundled))
+    # an ok scan evaluates each tally of the last layer once; a failing one
+    # stops at its first violation
+    op, rel = random_case(seed, bundled)
+    steps, _ = _tally_image(op, rel)
+    *_, last = _layers(steps, op.arity + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        evaluated = counted_images(mp)
+        verdict = assert_scan_matches_oracle(op, rel)
+    if verdict.ok:
+        assert evaluated == [len(last)]
+    else:
+        assert 1 <= evaluated[0] <= len(last)
 
 
 @settings(max_examples=100, deadline=None)
@@ -338,11 +369,12 @@ def test_tally_scan_matches_oracle_on_random_relations(seed, bundled):
 def test_layers_match_brute_force(seed, bundled):
     # layer k maps exactly the packed tallies of the multisets of k columns,
     # each to the least last tuple index of a multiset with that tally, and
-    # reading any of them back gives a multiset with that tally
+    # reading any of them back gives a multiset with that tally; the exact
+    # scan evaluates layer `op.arity`
     op, rel = random_case(seed, bundled)
-    steps, _ = _tally_image(op, rel, op.arity + 1)
-    layers = list(_layers(steps, op.arity))
-    assert len(layers) == op.arity - 1
+    steps, _ = _tally_image(op, rel)
+    layers = list(_layers(steps, op.arity + 1))
+    assert len(layers) == op.arity
     for k, layer in enumerate(layers, 1):
         least = {}
         for c in compositions(k, len(steps)):
@@ -353,6 +385,21 @@ def test_layers_match_brute_force(seed, bundled):
         for tally in layer:
             counts = _read_back(layers[:k], steps, tally)
             assert sum(counts) == k and sum(map(mul, counts, steps)) == tally
+
+
+def test_exact_scan_evaluates_each_final_tally_once(monkeypatch):
+    # A(1,3) S1 extends its 9th layer by 49,086 tuples, which reach only
+    # 13,926 distinct tallies; each of those is evaluated once
+    op = witness_a(1, 3)
+    rel = structure_a(SpecA(1, 3)).relation("S1")
+    steps, _ = _tally_image(op, rel)
+    *_, before, last = _layers(steps, op.arity + 1)
+    assert sum(len(steps) - lo for lo in before.values()) == 49086
+    assert len(last) == 13926
+    evaluated = counted_images(monkeypatch)
+    verdict = check_compat_symmetric(op, rel)
+    assert verdict.ok and verdict.checked == 1961256
+    assert evaluated == [13926]
 
 
 def test_unary_compatibility_via_multisets():
@@ -554,6 +601,58 @@ def test_sampled_check_evaluates_each_distinct_row_once():
     # one evaluation per distinct row the samples meet
     assert fast.rows == full.rows
     assert fast.calls == len(full.rows) < 5000
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_row_memo_never_leaks_across_operations(seed):
+    # two operations of one arity and domain tally their rows alike, so a
+    # memo that outlived its operation would answer with the other's values;
+    # a check with a fresh operation, dropped after it, may not either
+    rng = random.Random(seed)
+    d, arity = rng.randint(2, 3), rng.randint(1, 5)
+    ops = [CountTableOp(rng, d, arity), CountTableOp(rng, d, arity)]
+    rels = [random_case(rng.randrange(10**9), False)[1] for _ in range(3)]
+    rels = [rel for rel in rels if rel.domain_size == d] or [Relation(1, d, [(0,), (d - 1,)])]
+    for _ in range(8):
+        op = rng.choice(ops) if rng.randrange(4) else CountTableOp(rng, d, arity)
+        rel = rng.choice(rels)
+        if rng.randrange(2):
+            verdict = check_compat_symmetric(op, rel)
+            _, violations = multiset_scan(op, rel)
+            assert verdict.ok == (not violations)
+            assert verdict.ok or verdict.violation.counts in violations
+        else:
+            trials, sample_seed = rng.randint(1, 300), rng.randrange(2**40)
+            verdict = check_compat_sampled(op, rel, trials, sample_seed)
+            assert verdict == sampled_in_full(op, rel, trials, sample_seed)
+        del op  # a fresh operation may now take its address
+
+
+def test_one_witness_evaluates_each_distinct_row_once_over_its_relations():
+    # B(2) at arity 17 has C(21, 4) = 5,985 rows; checking all 37 of its
+    # relations with one operation evaluates each row it meets once
+    op = CountingOp(witness_b(2))
+    for rel in structure_b(SpecB(2)).relations.values():
+        assert check_compat_sampled(op, rel, 5000).ok
+    assert op.calls == len(op.rows) == 5770
+    assert len(compat._row_memo[1]) == 5770 <= math.comb(21, 4)
+
+
+def test_row_memo_holds_only_operations_whose_rows_fit():
+    # at arity 257 over 6 values rows seldom recur: the memo keeps the last
+    # operation that fits, and the large one evaluates each row once a call
+    small = witness_b(1)
+    check_compat_symmetric(small, gen_r_b(SpecB(1), 1, 1))
+    assert compat._row_memo[0] is small
+    rel = gen_r_b(SpecB(3), 3, 1)
+    d = rel.domain_size
+    assert math.comb(witness_b(3).arity + d - 1, d - 1) > compat._ROW_MEMO_ROWS
+    for seed in (1, 2):
+        large, full = CountingOp(witness_b(3)), CountingOp(witness_b(3))
+        assert check_compat_sampled(large, rel, 200, seed) == sampled_in_full(full, rel, 200, seed)
+        assert large.calls == len(large.rows) == len(full.rows) <= full.calls
+        assert compat._row_memo[0] is small
 
 
 def test_one_tuple_relations_are_evaluated_once():

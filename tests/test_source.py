@@ -396,10 +396,52 @@ def test_unbounded_cache_scan_sees_caches(tmp_path):
                                           "a.py:17"]
 
 
+# method names that change a list, dict or set in place
+MUTATING_METHODS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear",
+                    "update", "setdefault", "add", "discard", "sort", "reverse"}
+
+
+def module_state_writes(tree) -> set[str]:
+    """Module-level names of `tree` that a function rebinds (through
+    `global`) or mutates (an item or attribute store or `del`, or a call of
+    a mutating method), where the function does not bind the name itself."""
+    module = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(t, ast.Name)}
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        declared = {n for node in ast.walk(func) if isinstance(node, ast.Global)
+                    for n in node.names}
+        bound = {a.arg for node in ast.walk(func) if isinstance(node, ast.arguments)
+                 for a in node.posonlyargs + node.args + node.kwonlyargs
+                 + [x for x in (node.vararg, node.kwarg) if x]}
+        bound |= {node.id for node in ast.walk(func)
+                  if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+        outer = module - (bound - declared)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                if node.id in declared and node.id in module:
+                    found.add(node.id)
+                continue
+            if isinstance(node, (ast.Subscript, ast.Attribute)) and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATING_METHODS):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in outer:
+                found.add(target.id)
+    return found
+
+
 def cached_functions(src_dir: Path) -> list[str]:
-    """Every cached function in the modules of src_dir, bounded or not, as
-    "file:name": one decorated with `lru_cache`, `cache` or `cached_property`,
-    bare or called, or a name bound to a function wrapped by one of them."""
+    """Every cache in the modules of src_dir, bounded or not, as "file:name":
+    a function decorated with `lru_cache`, `cache` or `cached_property`,
+    bare or called, a name bound to a function wrapped by one of them, or
+    module-level state that a function rebinds or mutates."""
     found = []
     caching = ("lru_cache", "cache", "cached_property")
 
@@ -409,20 +451,26 @@ def cached_functions(src_dir: Path) -> list[str]:
         return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
     for path in sorted(src_dir.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(name(d) in caching for d in node.decorator_list):
                     found.append(f"{path.name}:{node.name}")
             elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
                   and name(node.value.func) in caching):
                 found += [f"{path.name}:{t.id}" for t in node.targets if isinstance(t, ast.Name)]
+        found += [f"{path.name}:{state}" for state in module_state_writes(tree)]
     return sorted(found)
 
 
 def test_only_the_checker_caches():
     # every other build runs at most once per command, so a new cache must
     # show traffic that repeats, and join this list
-    assert cached_functions(SRC) == ["trace.py:_ck_accepted", "trace.py:_ck_levels"]
+    # compat's row memo serves every relation a `witness` command checks
+    # with its one operation: 5,985 rows of B(2) evaluated once, not once
+    # per relation
+    assert cached_functions(SRC) == ["compat.py:_row_memo", "trace.py:_ck_accepted",
+                                     "trace.py:_ck_levels"]
 
 
 def test_cached_function_scan_sees_caches(tmp_path):
@@ -444,9 +492,25 @@ def test_cached_function_scan_sees_caches(tmp_path):
         "def plain(): pass\n"
         "cache = {}\n"
         "held = cache.get(1)\n"
+        "slot = None\n"
+        "seen = []\n"
+        "table = {}\n"
+        "def swap(x):\n"
+        "    global slot\n"
+        "    slot = x\n"
+        "def note(x):\n"
+        "    seen.append(x)\n"
+        "def keep(k):\n"
+        "    table[k] = cache.get(k)\n"
+        "def shadowed(cache, k):\n"
+        "    cache[k] = 1\n"
+        "def rebound():\n"
+        "    seen = []\n"
+        "    seen.append(slot)\n"
     )
     assert cached_functions(tmp_path) == ["a.py:bare", "a.py:bounded", "a.py:kept",
-                                          "a.py:method", "a.py:whole", "a.py:wrapped"]
+                                          "a.py:method", "a.py:seen", "a.py:slot",
+                                          "a.py:table", "a.py:whole", "a.py:wrapped"]
 
 
 ENVIRONMENT_NAMES = ("environ", "environb", "getenv", "getenvb")
